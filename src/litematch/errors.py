@@ -31,3 +31,7 @@ class DatasetError(ValueError):
 
 class MatchingError(ValueError):
     """Descriptor matching was invoked on invalid inputs."""
+
+
+class TrainingError(RuntimeError):
+    """Training stopped before an update could spread non-finite values."""

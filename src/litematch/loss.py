@@ -45,13 +45,6 @@ def pairwise_distance(a: Tensor, b: Tensor) -> Tensor:
     return ops.sqrt(ops.sum_last(ops.mul(diff, diff)))
 
 
-def adaptive_margin(batch: TripletBatch) -> Tensor:
-    """Per-triplet margin (d+ + d-)/2, detached from gradient flow."""
-    d_pos = pairwise_distance(batch.anchor, batch.positive)
-    d_neg = pairwise_distance(batch.anchor, batch.negative)
-    return ops.scale(ops.add(d_pos, d_neg), 0.5).detach()
-
-
 def triplet_loss(batch: TripletBatch, mode: str = "corrected") -> Tensor:
     """Mean adaptive-margin triplet loss over the batch.
 

@@ -40,6 +40,9 @@ class DescriptorSet:
                 f"{len(self.keypoints)} keypoints"
             )
         if len(self.keypoints):
+            finite = np.isfinite(self.descriptors).all(axis=1)
+            if not finite.all():
+                raise MatchingError(f"descriptor row {int(np.argmin(finite))} is not finite")
             norms = np.linalg.norm(self.descriptors.astype(np.float64), axis=1)
             if np.any(np.abs(norms - 1.0) > 1e-4):
                 raise MatchingError("descriptor rows must be unit-norm within 1e-4")

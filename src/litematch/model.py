@@ -6,6 +6,12 @@ downsamples keys and values by the stage's reduction ratio. A linear head
 over globally pooled stage-4 tokens produces the descriptor, which is
 L2-normalized. No explicit positional embedding: the zero-padded
 depthwise convolution inside each feed-forward provides position.
+
+Activations are channels-last, [B, H, W, C], from the patch embedding to
+the final pooling; the token view [B, H*W, C] that attention and pooling
+use is a free reshape of them. Parameters keep their stored layouts
+(see :func:`describe_shapes`), so checkpoints do not depend on the
+activation layout.
 """
 
 from __future__ import annotations
@@ -209,35 +215,24 @@ def param_count(model: Model) -> int:
     return sum(p.size for p in model.params.values())
 
 
-def _tokens_to_spatial(x: Tensor, h: int, w: int) -> Tensor:
-    b, _, c = x.shape
-    return ops.transpose(ops.reshape(x, (b, h, w, c)), (0, 3, 1, 2))
-
-
-def _spatial_to_tokens(x: Tensor) -> Tensor:
-    b, c, h, w = x.shape
-    return ops.reshape(ops.transpose(x, (0, 2, 3, 1)), (b, h * w, c))
-
-
 def _split_heads(x: Tensor, heads: int) -> Tensor:
-    b, n, c = x.shape
-    return ops.transpose(ops.reshape(x, (b, n, heads, c // heads)), (0, 2, 1, 3))
+    """[B, H, W, C] -> [B, heads, H*W, C/heads]."""
+    b, h, w, c = x.shape
+    return ops.transpose(ops.reshape(x, (b, h * w, heads, c // heads)), (0, 2, 1, 3))
 
 
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, n, dk = x.shape
-    return ops.reshape(ops.transpose(x, (0, 2, 1, 3)), (b, n, h * dk))
+def _merge_heads(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """[B, heads, H*W, C/heads] -> ``shape`` = [B, H, W, C]."""
+    return ops.reshape(ops.transpose(x, (0, 2, 1, 3)), shape)
 
 
-def _attention(x: Tensor, p: dict[str, Tensor], blk: str, st: StageConfig, h: int, w: int) -> Tensor:
+def _attention(x: Tensor, p: dict[str, Tensor], blk: str, st: StageConfig) -> Tensor:
     q = ops.linear(x, p[f"{blk}.attn.q.weight"], p[f"{blk}.attn.q.bias"])
     if st.reduction > 1:
-        sp = _tokens_to_spatial(x, h, w)
-        red = ops.conv2d(
-            sp, p[f"{blk}.attn.sr.weight"], p[f"{blk}.attn.sr.bias"],
+        kv = ops.conv2d(
+            x, p[f"{blk}.attn.sr.weight"], p[f"{blk}.attn.sr.bias"],
             stride=st.reduction, padding=0,
         )
-        kv = _spatial_to_tokens(red)
         kv = ops.layer_norm(kv, p[f"{blk}.attn.sr_norm.gamma"], p[f"{blk}.attn.sr_norm.beta"])
     else:
         kv = x
@@ -248,20 +243,22 @@ def _attention(x: Tensor, p: dict[str, Tensor], blk: str, st: StageConfig, h: in
     kh = _split_heads(k, st.heads)
     vh = _split_heads(v, st.heads)
     scores = ops.scale(ops.matmul(qh, ops.transpose(kh, (0, 1, 3, 2))), dk ** -0.5)
-    ctx = ops.matmul(ops.softmax(scores), vh)
-    return ops.linear(_merge_heads(ctx), p[f"{blk}.attn.proj.weight"], p[f"{blk}.attn.proj.bias"])
+    ctx = _merge_heads(ops.matmul(ops.softmax(scores), vh), q.shape)
+    return ops.linear(ctx, p[f"{blk}.attn.proj.weight"], p[f"{blk}.attn.proj.bias"])
 
 
-def _feed_forward(x: Tensor, p: dict[str, Tensor], blk: str, h: int, w: int) -> Tensor:
+def _feed_forward(x: Tensor, p: dict[str, Tensor], blk: str) -> Tensor:
     f = ops.linear(x, p[f"{blk}.ffn.fc1.weight"], p[f"{blk}.ffn.fc1.bias"])
-    sp = _tokens_to_spatial(f, h, w)
-    sp = ops.depthwise_conv2d(sp, p[f"{blk}.ffn.dw.weight"], p[f"{blk}.ffn.dw.bias"])
-    f = ops.gelu(_spatial_to_tokens(sp))
+    f = ops.gelu(ops.depthwise_conv2d(f, p[f"{blk}.ffn.dw.weight"], p[f"{blk}.ffn.dw.bias"]))
     return ops.linear(f, p[f"{blk}.ffn.fc2.weight"], p[f"{blk}.ffn.fc2.bias"])
 
 
 def forward(model: Model, patches: Tensor) -> Tensor:
-    """Map [B, C, S, S] patches in [0, 1] to [B, descriptor_dim] unit rows."""
+    """Map [B, C, S, S] patches in [0, 1] to [B, descriptor_dim] unit rows.
+
+    The patches become channels-last at entry: a reshape when C == 1, one
+    transpose otherwise.
+    """
     cfg = model.config
     p = model.params
     expected = (cfg.input_channels, cfg.input_size, cfg.input_size)
@@ -270,10 +267,10 @@ def forward(model: Model, patches: Tensor) -> Tensor:
             f"expected patches of shape [B, {expected[0]}, {expected[1]}, {expected[2]}], "
             f"got {tuple(patches.shape)}"
         )
+    b, cin, s, _ = patches.shape
+    x = ops.reshape(patches, (b, s, s, 1)) if cin == 1 else ops.transpose(patches, (0, 2, 3, 1))
     # fixed input standardization: [0,1] -> mean 0.5, std 0.25
-    x = ops.scale(ops.shift(patches, -0.5), 4.0)
-    spatial = cfg.input_size
-    tokens: Tensor | None = None
+    x = ops.scale(ops.shift(x, -0.5), 4.0)
     for i, st in enumerate(cfg.stages, start=1):
         pre = f"stage{i}"
         _, pad = _embed_kernel(st.stride)
@@ -281,17 +278,15 @@ def forward(model: Model, patches: Tensor) -> Tensor:
             x, p[f"{pre}.embed.conv.weight"], p[f"{pre}.embed.conv.bias"],
             stride=st.stride, padding=pad,
         )
-        spatial //= st.stride
-        tokens = _spatial_to_tokens(x)
-        tokens = ops.layer_norm(tokens, p[f"{pre}.embed.norm.gamma"], p[f"{pre}.embed.norm.beta"])
+        x = ops.layer_norm(x, p[f"{pre}.embed.norm.gamma"], p[f"{pre}.embed.norm.beta"])
         for j in range(1, st.depth + 1):
             blk = f"{pre}.block{j}"
-            a = ops.layer_norm(tokens, p[f"{blk}.norm1.gamma"], p[f"{blk}.norm1.beta"])
-            tokens = ops.add(tokens, _attention(a, p, blk, st, spatial, spatial))
-            f = ops.layer_norm(tokens, p[f"{blk}.norm2.gamma"], p[f"{blk}.norm2.beta"])
-            tokens = ops.add(tokens, _feed_forward(f, p, blk, spatial, spatial))
-        tokens = ops.layer_norm(tokens, p[f"{pre}.norm.gamma"], p[f"{pre}.norm.beta"])
-        x = _tokens_to_spatial(tokens, spatial, spatial)
-    pooled = ops.global_avg_pool(x)
+            a = ops.layer_norm(x, p[f"{blk}.norm1.gamma"], p[f"{blk}.norm1.beta"])
+            x = ops.add(x, _attention(a, p, blk, st))
+            f = ops.layer_norm(x, p[f"{blk}.norm2.gamma"], p[f"{blk}.norm2.beta"])
+            x = ops.add(x, _feed_forward(f, p, blk))
+        x = ops.layer_norm(x, p[f"{pre}.norm.gamma"], p[f"{pre}.norm.beta"])
+    _, h, w, c = x.shape
+    pooled = ops.token_mean(ops.reshape(x, (b, h * w, c)))
     desc = ops.linear(pooled, p["head.weight"], p["head.bias"])
     return ops.l2_normalize(desc)

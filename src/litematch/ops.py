@@ -4,6 +4,13 @@ Each operation validates shapes, computes the forward result in the input
 dtype, and registers a backward rule on the active tape. No implicit
 broadcasting except over the leading dimensions of :func:`linear`; all
 other operations require exact shapes.
+
+Spatial activations are channels-last, [B, H, W, C], so a [B, N, C] token
+matrix is a free reshape of them and every trailing-axis op (:func:`linear`,
+:func:`layer_norm`, :func:`gelu`) applies to either form. Convolution
+weights keep their stored layouts, [Cout, Cin, k, k] for :func:`conv2d`
+and [C, 1, 3, 3] for :func:`depthwise_conv2d`, and their gradients come
+back in the same layouts.
 """
 
 from __future__ import annotations
@@ -150,17 +157,18 @@ def linear(x: Tensor, w: Tensor, b: "Tensor | None") -> Tensor:
         raise DimensionError(f"linear: bad parameter shapes w={w.shape}")
     if x.shape[-1] != w.shape[1]:
         raise DimensionError(f"linear: input dim {x.shape[-1]} != weight Din {w.shape[1]}")
-    y = np.matmul(x.data, w.data.T)
+    din, dout = w.shape[1], w.shape[0]
+    # one GEMM over all leading axes: a stack of small ones is far slower
+    x2 = x.data.reshape(-1, din)
+    y = x2 @ w.data.T
     if b is not None:
         y += b.data
-    out = Tensor._wrap(y)
-    din, dout = w.shape[1], w.shape[0]
+    out = Tensor._wrap(y.reshape(x.shape[:-1] + (dout,)))
 
     def grad_fn(g):
         g2 = g.reshape(-1, dout)
-        x2 = x.data.reshape(-1, din)
-        gx = np.matmul(g, w.data)
-        gw = np.matmul(g2.T, x2)
+        gx = (g2 @ w.data).reshape(x.shape)
+        gw = g2.T @ x2
         if b is None:
             return gx, gw
         return gx, gw, g2.sum(axis=0)
@@ -228,14 +236,15 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution (cross-correlation) with zero padding.
+    """2-d convolution (cross-correlation) with zero padding, by im2col.
 
-    ``x``: [B, Cin, H, W]; ``w``: [Cout, Cin, k, k]; ``b``: [Cout].
-    Output spatial size is floor((H + 2*padding - k)/stride) + 1.
+    ``x``: [B, H, W, Cin] channels-last; ``w``: [Cout, Cin, k, k] (the stored
+    layout, also that of its gradient); ``b``: [Cout]. Returns
+    [B, H', W', Cout] with H' = floor((H + 2*padding - k)/stride) + 1.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError("conv2d expects 4-d input and weight")
-    bsz, cin, h, ww = x.shape
+    bsz, h, ww, cin = x.shape
     cout, cw, kh, kw = w.shape
     if cw != cin:
         raise DimensionError(f"conv2d: input channels {cin} != weight channels {cw}")
@@ -249,83 +258,101 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         raise DimensionError("conv2d: kernel larger than padded input")
     k, s, p = kh, stride, padding
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    hp, wp = win.shape[2], win.shape[3]
-    col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(bsz * hp * wp, cin * k * k)
+    xp = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0))) if p else x.data
+    # [B, H', W', Cin, k, k]: each row of ``col`` matches a row of ``wmat``
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+    hp, wp = win.shape[1], win.shape[2]
+    col = np.ascontiguousarray(win).reshape(bsz * hp * wp, cin * k * k)
     wmat = w.data.reshape(cout, -1)
-    out2 = col @ wmat.T + b.data
-    out = Tensor._wrap(np.ascontiguousarray(out2.reshape(bsz, hp, wp, cout).transpose(0, 3, 1, 2)))
+    out = Tensor._wrap((col @ wmat.T + b.data).reshape(bsz, hp, wp, cout))
 
     def grad_fn(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bsz * hp * wp, cout)
+        gmat = g.reshape(bsz * hp * wp, cout)
         gb = gmat.sum(axis=0)
         gw = (gmat.T @ col).reshape(w.shape)
-        gcol = gmat @ wmat
-        g6 = gcol.reshape(bsz, hp, wp, cin, k, k).transpose(0, 3, 1, 2, 4, 5)
-        gxp = np.zeros((bsz, cin, h + 2 * p, ww + 2 * p), dtype=g.dtype)
+        gcol = (gmat @ wmat).reshape(bsz, hp, wp, cin, k, k)
+        gxp = np.zeros(xp.shape, dtype=g.dtype)
         for ki in range(k):
             for kj in range(k):
-                gxp[:, :, ki : ki + hp * s : s, kj : kj + wp * s : s] += g6[..., ki, kj]
-        gx = gxp[:, :, p : p + h, p : p + ww] if p else gxp
+                gxp[:, ki : ki + hp * s : s, kj : kj + wp * s : s] += gcol[..., ki, kj]
+        gx = gxp[:, p : p + h, p : p + ww] if p else gxp
         return np.ascontiguousarray(gx), gw, gb
 
     record((x, w, b), out, grad_fn)
     return out
 
 
+# Batch chunk of the depthwise loops: about 256 KiB of activations per
+# array, so that the nine multiply-adds of a chunk run in the L2 cache.
+_CHUNK_BYTES = 1 << 18
+_TAPS_3X3 = [(ki, kj) for ki in range(3) for kj in range(3)]
+
+
+def _chunk_rows(x: np.ndarray) -> int:
+    return max(1, _CHUNK_BYTES // max(1, x.itemsize * math.prod(x.shape[1:])))
+
+
+def _correlate3x3(xp: np.ndarray, taps: np.ndarray, bias: "np.ndarray | float") -> np.ndarray:
+    """``bias`` plus the 3x3 correlation of padded [B, H+2, W+2, C] with [3, 3, C]."""
+    bsz, h, w, c = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2, xp.shape[3]
+    out = np.empty((bsz, h, w, c), dtype=np.result_type(xp, taps))
+    step = _chunk_rows(out)
+    scratch = np.empty_like(out[:step])
+    for lo in range(0, bsz, step):
+        o, xc = out[lo : lo + step], xp[lo : lo + step]
+        s = scratch[: len(o)]
+        o[...] = bias
+        for ki, kj in _TAPS_3X3:
+            np.multiply(xc[:, ki : ki + h, kj : kj + w], taps[ki, kj], out=s)
+            o += s
+    return out
+
+
 def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Per-channel 3x3 convolution, stride 1, zero padding 1 (shape preserving).
 
-    ``x``: [B, C, H, W]; ``w``: [C, 1, 3, 3]; ``b``: [C].
+    ``x``: [B, H, W, C] channels-last; ``w``: [C, 1, 3, 3] (the stored layout,
+    also that of its gradient); ``b``: [C]. Returns [B, H, W, C].
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError("depthwise_conv2d expects 4-d input and weight")
-    bsz, c, h, ww = x.shape
+    bsz, h, ww, c = x.shape
     if w.shape != (c, 1, 3, 3):
         raise DimensionError(f"depthwise_conv2d: weight must be ({c},1,3,3), got {w.shape}")
     if b.shape != (c,):
         raise DimensionError(f"depthwise_conv2d: bias must have shape ({c},)")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    wd = w.data[:, 0]
-    out_data = np.empty_like(x.data)
-    out_data[:] = b.data[None, :, None, None]
-    scratch = np.empty_like(x.data)
-    for ki in range(3):
-        for kj in range(3):
-            np.multiply(xp[:, :, ki : ki + h, kj : kj + ww], wd[None, :, ki, kj, None, None], out=scratch)
-            out_data += scratch
-    out = Tensor._wrap(out_data)
+    pad = ((0, 0), (1, 1), (1, 1), (0, 0))
+    xp = np.pad(x.data, pad)
+    taps = np.ascontiguousarray(w.data[:, 0].transpose(1, 2, 0))  # [3, 3, C]
+    out = Tensor._wrap(_correlate3x3(xp, taps, b.data))
 
     def grad_fn(g):
-        gb = g.sum(axis=(0, 2, 3))
-        gw = np.empty_like(w.data)
-        gxp = np.zeros_like(xp, dtype=g.dtype)
-        tmp = np.empty_like(g)
-        for ki in range(3):
-            for kj in range(3):
-                sl = xp[:, :, ki : ki + h, kj : kj + ww]
-                np.multiply(g, sl, out=tmp)
-                gw[:, 0, ki, kj] = tmp.sum(axis=(0, 2, 3))
-                np.multiply(g, wd[None, :, ki, kj, None, None], out=tmp)
-                gxp[:, :, ki : ki + h, kj : kj + ww] += tmp
-        return np.ascontiguousarray(gxp[:, :, 1 : 1 + h, 1 : 1 + ww]), gw, gb
+        gb = g.reshape(-1, c).sum(axis=0)
+        # the input gradient correlates the output gradient with the flipped taps
+        gx = _correlate3x3(np.pad(g, pad), taps[::-1, ::-1], 0.0)
+        gtaps = np.zeros_like(taps)
+        step = _chunk_rows(g)
+        for lo in range(0, bsz, step):
+            gc, xc = g[lo : lo + step], xp[lo : lo + step]
+            for ki, kj in _TAPS_3X3:
+                gtaps[ki, kj] += np.einsum("bhwc,bhwc->c", gc, xc[:, ki : ki + h, kj : kj + ww])
+        gw = np.ascontiguousarray(gtaps.transpose(2, 0, 1)[:, None])
+        return gx, gw, gb
 
     record((x, w, b), out, grad_fn)
     return out
 
 
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the two trailing spatial axes: [B, C, H, W] -> [B, C]."""
-    if x.ndim != 4:
-        raise DimensionError("global_avg_pool expects 4-d input")
-    h, w = x.shape[2], x.shape[3]
-    out = Tensor._wrap(x.data.mean(axis=(2, 3)))
-    n = float(h * w)
+def token_mean(x: Tensor) -> Tensor:
+    """Mean over the token axis: [B, N, C] -> [B, C]."""
+    if x.ndim != 3:
+        raise DimensionError("token_mean expects a [B, N, C] tensor")
+    out = Tensor._wrap(x.data.mean(axis=1))
+    n = x.shape[1]
 
     def grad_fn(g):
-        return (np.broadcast_to(g[:, :, None, None] / n, x.shape).copy(),)
+        return (np.broadcast_to(g[:, None, :] / n, x.shape).copy(),)
 
     record((x,), out, grad_fn)
     return out
@@ -336,6 +363,11 @@ def l2_normalize(x: Tensor) -> Tensor:
     if x.ndim != 2:
         raise DimensionError("l2_normalize expects a [B, D] matrix")
     norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
+    bad = ~np.isfinite(norms[:, 0])
+    if bad.any():
+        raise DegenerateDescriptorError(
+            f"row {int(np.argmax(bad))} has a non-finite norm and cannot be normalized"
+        )
     if np.any(norms <= 1e-12):
         raise DegenerateDescriptorError("row with near-zero norm cannot be normalized")
     y = x.data / norms

@@ -8,6 +8,7 @@ reproducible and resume-safe.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .checkpoint import (
 )
 from .config import RunConfig
 from .dataset import DatasetManifest, enhanced_pair, load_dataset, materialize_triplet, split
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError, DatasetError, DegenerateDescriptorError, TrainingError
 from .image import GrayImage
 from .loss import TripletBatch, triplet_loss
 from .model import Model, ModelConfig, forward, init_model
@@ -94,7 +95,11 @@ class TripletSource:
 
 
 def train_step(model: Model, opt: SGD, batch_data: np.ndarray, loss_mode: str) -> float:
-    """One SGD update over a stacked anchor/positive/negative array."""
+    """One SGD update over a stacked anchor/positive/negative array.
+
+    Raises :class:`TrainingError` on a non-finite loss, before the backward
+    pass, so the parameters and the optimizer state stay as they were.
+    """
     b = batch_data.shape[0] // 3
     with Tape() as tape:
         desc = forward(model, Tensor(batch_data))
@@ -104,9 +109,12 @@ def train_step(model: Model, opt: SGD, batch_data: np.ndarray, loss_mode: str) -
             negative=ops.slice_rows(desc, 2 * b, 3 * b),
         )
         loss = triplet_loss(triplet, loss_mode)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise TrainingError(f"non-finite loss {value}")
     backward(loss, tape)
     opt.step()
-    return loss.item()
+    return value
 
 
 def train(
@@ -159,8 +167,13 @@ def train(
         t0 = time.perf_counter()
         losses = []
         for lo in range(0, n, cfg.batch_size):
-            batch_idx = order[lo : lo + cfg.batch_size]
-            losses.append(train_step(model, opt, source.batch_arrays(batch_idx), cfg.loss_mode))
+            batch = source.batch_arrays(order[lo : lo + cfg.batch_size])
+            try:
+                losses.append(train_step(model, opt, batch, cfg.loss_mode))
+            except (TrainingError, DegenerateDescriptorError) as exc:
+                raise TrainingError(
+                    f"epoch {epoch} step {step + 1}: {exc}; stopped before the update"
+                ) from exc
             step += 1
         wall_ms = (time.perf_counter() - t0) * 1e3
         mean_loss = float(np.mean(losses))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from litematch import ops
 from litematch.errors import DimensionError
-from litematch.loss import TripletBatch, adaptive_margin, pairwise_distance, triplet_loss
+from litematch.loss import TripletBatch, pairwise_distance, triplet_loss
 from litematch.tensor import Tape, Tensor, backward
 
 
@@ -84,16 +84,18 @@ def test_distance_shape_mismatch_raises():
 
 
 # ----------------------------------------------------------------- margin
+# M = (d+ + d-)/2 is read off the loss: at d+ = d- the corrected hinge is M,
+# and the literal hinge is d+ + d- - M whenever that is positive.
 
 
 def test_margin_symmetric_case():
     batch = unit_rows_at_distances(1.0, 1.0)
-    np.testing.assert_allclose(adaptive_margin(batch).data, [1.0], atol=1e-9)
+    np.testing.assert_allclose(triplet_loss(batch, "corrected").item(), 1.0, atol=1e-9)
 
 
 def test_margin_zero_pos_two_neg():
     batch = unit_rows_at_distances(0.0, 2.0)
-    np.testing.assert_allclose(adaptive_margin(batch).data, [1.0], atol=1e-9)
+    np.testing.assert_allclose(triplet_loss(batch, "literal").item(), 2.0 - 1.0, atol=1e-9)
 
 
 # ------------------------------------------------------------- loss modes

@@ -111,6 +111,16 @@ def test_non_unit_rows_rejected():
         DescriptorSet(keypoints=kps, descriptors=np.array([[2.0, 0.0]], dtype=np.float32))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rows_rejected(bad):
+    rng = np.random.default_rng(3)
+    rows = unit_rows(rng, 3, 8)
+    rows[2, 4] = bad
+    kps = [Keypoint(float(i), 0.0, 1.0, 1.0) for i in range(3)]
+    with pytest.raises(MatchingError, match="row 2 is not finite"):
+        DescriptorSet(keypoints=kps, descriptors=rows)
+
+
 def test_score_worked_example():
     # 10 keypoints, 8 accepted matches, 6 of them within eps
     rng = np.random.default_rng(3)

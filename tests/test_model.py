@@ -164,6 +164,21 @@ def test_batch_permutation_permutes_rows():
     np.testing.assert_array_equal(out_p, out[perm])
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+def test_forward_batch_matches_single_patch_calls(channels):
+    # a batch or spatial axis mixed up anywhere in the network makes rows
+    # depend on their batch neighbours; input 64 keeps every stage above 1x1
+    m = init_model(ModelConfig(input_size=64, input_channels=channels), seed=10)
+    for name, prm in m.params.items():
+        if prm.ndim >= 2:  # init-scale branches barely move the descriptors
+            prm.data *= 10
+    x = np.random.default_rng(11).random((4, channels, 64, 64)).astype(np.float32)
+    batched = forward(m, Tensor(x)).data
+    singles = np.concatenate([forward(m, Tensor(x[i : i + 1])).data for i in range(4)])
+    np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-6)
+    assert np.abs(batched[0] - batched[1]).max() > 1e-2
+
+
 def test_forward_deterministic_bit_identical():
     m = init_model(small_config(), seed=6)
     x = Tensor(np.random.default_rng(7).random((2, 1, 32, 32)), dtype=np.float32)

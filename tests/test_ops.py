@@ -25,18 +25,58 @@ def assert_gradcheck(forward, params, rtol=1e-3):
 
 
 # ---------------------------------------------------------------- conv2d
+# Activations are channels-last [B, H, W, C]; weights keep [Cout, Cin, k, k].
+
+
+def naive_conv2d(x, w, b, stride, padding):
+    """Per-pixel loop over a channels-last input: the definition of conv2d."""
+    bsz, h, wd, cin = x.shape
+    cout, _, k, _ = w.shape
+    xp = np.zeros((bsz, h + 2 * padding, wd + 2 * padding, cin))
+    xp[:, padding : padding + h, padding : padding + wd] = x
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (wd + 2 * padding - k) // stride + 1
+    out = np.zeros((bsz, ho, wo, cout))
+    for n in range(bsz):
+        for i in range(ho):
+            for j in range(wo):
+                for o in range(cout):
+                    acc = b[o]
+                    for ci in range(cin):
+                        for ki in range(k):
+                            for kj in range(k):
+                                acc += xp[n, i * stride + ki, j * stride + kj, ci] * w[o, ci, ki, kj]
+                    out[n, i, j, o] = acc
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape, cout, k, stride, padding",
+    [
+        ((2, 6, 5, 3), 4, 3, 1, 1),  # padded stride 1
+        ((2, 16, 16, 1), 3, 7, 4, 3),  # the stage-1 patch embedding
+        ((2, 8, 8, 3), 3, 4, 4, 0),  # stride == kernel: the spatial reduction
+    ],
+)
+def test_conv2d_matches_naive_loop(shape, cout, k, stride, padding):
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((cout, shape[3], k, k))
+    b = rng.standard_normal(cout)
+    got = ops.conv2d(t64(x), t64(w), t64(b), stride=stride, padding=padding).data
+    np.testing.assert_allclose(got, naive_conv2d(x, w, b, stride, padding), rtol=0, atol=1e-12)
 
 
 def test_conv2d_table_stage1_shape():
-    x = Tensor(np.zeros((1, 1, 128, 128), dtype=np.float32))
+    x = Tensor(np.zeros((1, 128, 128, 1), dtype=np.float32))
     w = Tensor(np.zeros((16, 1, 7, 7), dtype=np.float32))
     b = Tensor(np.zeros(16, dtype=np.float32))
     out = ops.conv2d(x, w, b, stride=4, padding=3)
-    assert out.shape == (1, 16, 32, 32)
+    assert out.shape == (1, 32, 32, 16)
 
 
 def test_conv2d_zero_input_zero_bias_gives_zero():
-    x = Tensor(np.zeros((2, 3, 9, 9), dtype=np.float32))
+    x = Tensor(np.zeros((2, 9, 9, 3), dtype=np.float32))
     w = Tensor(np.random.default_rng(0).standard_normal((4, 3, 3, 3)), dtype=np.float32)
     b = Tensor(np.zeros(4, dtype=np.float32))
     out = ops.conv2d(x, w, b, stride=1, padding=1)
@@ -44,7 +84,7 @@ def test_conv2d_zero_input_zero_bias_gives_zero():
 
 
 def test_conv2d_channel_mismatch_raises():
-    x = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))
+    x = Tensor(np.zeros((1, 8, 8, 2), dtype=np.float32))
     w = Tensor(np.zeros((4, 3, 3, 3), dtype=np.float32))
     b = Tensor(np.zeros(4, dtype=np.float32))
     with pytest.raises(DimensionError):
@@ -53,7 +93,7 @@ def test_conv2d_channel_mismatch_raises():
 
 def test_conv2d_gradcheck():
     rng = np.random.default_rng(1)
-    x = rand64(rng, 1, 2, 5, 5)
+    x = rand64(rng, 1, 5, 5, 2)
     w = rand64(rng, 3, 2, 3, 3)
     b = rand64(rng, 3)
     assert_gradcheck(
@@ -63,7 +103,7 @@ def test_conv2d_gradcheck():
 
 def test_conv2d_strided_gradcheck():
     rng = np.random.default_rng(2)
-    x = rand64(rng, 2, 1, 9, 9)
+    x = rand64(rng, 2, 9, 9, 1)
     w = rand64(rng, 2, 1, 3, 3)
     b = rand64(rng, 2)
     assert_gradcheck(
@@ -71,12 +111,41 @@ def test_conv2d_strided_gradcheck():
     )
 
 
+def test_conv2d_reduction_gradcheck():
+    rng = np.random.default_rng(21)
+    x = rand64(rng, 2, 4, 4, 3)
+    w = rand64(rng, 3, 3, 2, 2)
+    b = rand64(rng, 3)
+    v = rand64(rng, 2, 2, 2, 3, requires_grad=False)
+    assert_gradcheck(
+        lambda: ops.mean_all(ops.mul(ops.conv2d(x, w, b, stride=2, padding=0), v)), [x, w, b]
+    )
+
+
 # ------------------------------------------------------ depthwise_conv2d
+
+
+def naive_depthwise(x, w, b):
+    """Each channel through the per-pixel conv2d loop with its own [1, 1, 3, 3] kernel."""
+    return np.concatenate(
+        [naive_conv2d(x[..., c : c + 1], w[c : c + 1], b[c : c + 1], 1, 1) for c in range(x.shape[3])],
+        axis=3,
+    )
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 6, 3), (1, 1, 1, 4), (3, 4, 4, 1)])
+def test_depthwise_matches_naive_loop(shape):
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((shape[3], 1, 3, 3))
+    b = rng.standard_normal(shape[3])
+    got = ops.depthwise_conv2d(t64(x), t64(w), t64(b)).data
+    np.testing.assert_allclose(got, naive_depthwise(x, w, b), rtol=0, atol=1e-12)
 
 
 def test_depthwise_identity_kernel():
     rng = np.random.default_rng(3)
-    x = Tensor(rng.random((1, 4, 6, 6)), dtype=np.float32)
+    x = Tensor(rng.random((1, 6, 6, 4)), dtype=np.float32)
     w = np.zeros((4, 1, 3, 3), dtype=np.float32)
     w[:, 0, 1, 1] = 1.0
     out = ops.depthwise_conv2d(x, Tensor(w), Tensor(np.zeros(4, dtype=np.float32)))
@@ -84,17 +153,17 @@ def test_depthwise_identity_kernel():
 
 
 def test_depthwise_averaging_kernel_border_attenuation():
-    x = Tensor(np.ones((1, 1, 6, 6), dtype=np.float32))
+    x = Tensor(np.ones((1, 6, 6, 1), dtype=np.float32))
     w = Tensor(np.full((1, 1, 3, 3), 1.0 / 9.0, dtype=np.float32))
     b = Tensor(np.zeros(1, dtype=np.float32))
-    out = ops.depthwise_conv2d(x, w, b).data[0, 0]
+    out = ops.depthwise_conv2d(x, w, b).data[0, :, :, 0]
     np.testing.assert_allclose(out[1:-1, 1:-1], 1.0, rtol=1e-6)
     assert np.all(out[0, :] < 1.0) and np.all(out[:, 0] < 1.0)
 
 
 def test_depthwise_gradcheck():
     rng = np.random.default_rng(4)
-    x = rand64(rng, 1, 4, 6, 6)
+    x = rand64(rng, 1, 6, 6, 4)
     w = rand64(rng, 4, 1, 3, 3)
     b = rand64(rng, 4)
     assert_gradcheck(lambda: ops.mean_all(ops.depthwise_conv2d(x, w, b)), [x, w, b])
@@ -220,20 +289,20 @@ def test_gelu_gradcheck():
     assert_gradcheck(lambda: ops.mean_all(ops.gelu(x)), [x])
 
 
-# ------------------------------------------------------- global_avg_pool
+# ------------------------------------------------------------ token_mean
 
 
-def test_gap_constant_and_mean():
-    x = Tensor(np.full((2, 3, 4, 4), 1.5, dtype=np.float32))
-    np.testing.assert_allclose(ops.global_avg_pool(x).data, 1.5, rtol=1e-6)
-    y = Tensor(np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32).reshape(1, 1, 2, 2))
-    np.testing.assert_allclose(ops.global_avg_pool(y).data, [[2.5]], rtol=1e-6)
+def test_token_mean_constant_and_mean():
+    x = Tensor(np.full((2, 16, 3), 1.5, dtype=np.float32))
+    np.testing.assert_allclose(ops.token_mean(x).data, 1.5, rtol=1e-6)
+    y = Tensor(np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32).reshape(1, 4, 1))
+    np.testing.assert_allclose(ops.token_mean(y).data, [[2.5]], rtol=1e-6)
 
 
-def test_gap_gradcheck():
+def test_token_mean_gradcheck():
     rng = np.random.default_rng(9)
-    x = rand64(rng, 2, 3, 4, 5)
-    assert_gradcheck(lambda: ops.mean_all(ops.gelu(ops.global_avg_pool(x))), [x])
+    x = rand64(rng, 2, 20, 3)
+    assert_gradcheck(lambda: ops.mean_all(ops.gelu(ops.token_mean(x))), [x])
 
 
 # ---------------------------------------------------------- l2_normalize
@@ -256,6 +325,14 @@ def test_l2_normalize_degenerate_row_raises():
     x = Tensor(np.zeros((2, 8), dtype=np.float32))
     with pytest.raises(DegenerateDescriptorError):
         ops.l2_normalize(x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_l2_normalize_non_finite_row_raises(bad):
+    x = np.ones((3, 8), dtype=np.float32)
+    x[1, 5] = bad
+    with pytest.raises(DegenerateDescriptorError, match="non-finite"):
+        ops.l2_normalize(Tensor(x))
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -318,13 +395,13 @@ def test_scale_shift_sub_add_gradcheck():
 
 def test_forward_determinism_bit_identical():
     rng = np.random.default_rng(16)
-    x = rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
+    x = rng.standard_normal((2, 16, 16, 3)).astype(np.float32)
     w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
     b = rng.standard_normal(4).astype(np.float32)
 
     def run():
         out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1)
-        return ops.softmax(ops.global_avg_pool(out)).data
+        return ops.softmax(ops.token_mean(ops.reshape(out, (2, 256, 4)))).data
 
     r1, r2 = run(), run()
     assert np.array_equal(r1, r2)
@@ -334,7 +411,7 @@ def test_five_random_instances_per_op_gradcheck():
     # engine-wide invariant: 5 random small-shape instances per differentiable op
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
-        x = rand64(rng, 2, 3, 6, 6)
+        x = rand64(rng, 2, 6, 6, 3)
         w = rand64(rng, 2, 3, 3, 3)
         b = rand64(rng, 2)
         assert_gradcheck(
@@ -342,7 +419,7 @@ def test_five_random_instances_per_op_gradcheck():
         )
         dw = rand64(rng, 3, 1, 3, 3)
         db = rand64(rng, 3)
-        xd = rand64(rng, 1, 3, 5, 5)
+        xd = rand64(rng, 1, 5, 5, 3)
         assert_gradcheck(lambda: ops.mean_all(ops.depthwise_conv2d(xd, dw, db)), [xd, dw, db])
         xl = rand64(rng, 2, 7)
         wl = rand64(rng, 3, 7)
@@ -357,8 +434,8 @@ def test_five_random_instances_per_op_gradcheck():
         assert_gradcheck(lambda: ops.mean_all(ops.mul(ops.softmax(xs), vs)), [xs])
         xg = rand64(rng, 2, 6)
         assert_gradcheck(lambda: ops.mean_all(ops.gelu(xg)), [xg])
-        xp = rand64(rng, 2, 2, 3, 3)
-        assert_gradcheck(lambda: ops.mean_all(ops.global_avg_pool(xp)), [xp])
+        xp = rand64(rng, 2, 9, 2)
+        assert_gradcheck(lambda: ops.mean_all(ops.token_mean(xp)), [xp])
         xu = t64(rng.standard_normal((3, 8)) + 0.2)
         vu = rand64(rng, 3, 8, requires_grad=False)
         assert_gradcheck(lambda: ops.mean_all(ops.mul(ops.l2_normalize(xu), vu)), [xu])
