@@ -8,6 +8,7 @@ loaded checkpoint reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -104,11 +105,31 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Parse and validate: every blob shape must match describe_shapes."""
+    """Parse and validate: every blob shape must match describe_shapes.
+
+    A malformed file (cut short, a corrupt count, dimension or metadata
+    value) raises ContractError naming ``path``.
+    """
     buf = Path(path).read_bytes()
     if not buf.startswith(MAGIC + b"\n"):
         raise ContractError(f"{path}: not a checkpoint file")
-    pos = len(MAGIC) + 1
+    try:
+        meta, blobs = _parse(path, buf, len(MAGIC) + 1)
+        expected = describe_shapes(model_config_from_meta(meta)).params
+    except (ValueError, LookupError, ArithmeticError) as exc:
+        raise ContractError(f"{path}: malformed checkpoint: {exc!r}") from exc
+    if set(expected) != set(blobs):
+        missing = sorted(set(expected) ^ set(blobs))
+        raise ContractError(f"{path}: parameter names do not match the config: {missing[:4]}")
+    for name, shape in expected.items():
+        if blobs[name].shape != shape:
+            raise ContractError(
+                f"{path}: blob {name} has shape {blobs[name].shape}, expected {shape}"
+            )
+    return Checkpoint(meta=meta, blobs=blobs)
+
+
+def _parse(path: str | Path, buf: bytes, pos: int) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     meta: dict[str, str] = {}
     while True:
         eol = buf.index(b"\n", pos)
@@ -124,28 +145,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     blobs: dict[str, np.ndarray] = {}
     for _ in range(n_blobs):
         eol = buf.index(b"\n", pos)
-        header = buf[pos:eol].decode("ascii").split(" ")
+        header = buf[pos:eol].decode("ascii").split()
         pos = eol + 1
         name, ndim = header[0], int(header[1])
-        shape = tuple(int(v) for v in header[2 : 2 + ndim])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = 4 * count
+        shape = tuple(int(v) for v in header[2:])
+        if len(shape) != ndim or min(shape, default=0) < 0:
+            raise ContractError(f"{path}: malformed header for blob {name}: {header!r}")
+        nbytes = 4 * math.prod(shape)
         data = np.frombuffer(buf[pos : pos + nbytes], dtype="<f4")
-        if data.size != count:
+        if data.nbytes != nbytes:
             raise ContractError(f"{path}: truncated blob {name}")
         pos += nbytes
         blobs[name] = data.reshape(shape).copy()
-    ckpt = Checkpoint(meta=meta, blobs=blobs)
-    expected = describe_shapes(model_config_from_meta(meta)).params
-    if set(expected) != set(blobs):
-        missing = sorted(set(expected) ^ set(blobs))
-        raise ContractError(f"{path}: parameter names do not match the config: {missing[:4]}")
-    for name, shape in expected.items():
-        if blobs[name].shape != shape:
-            raise ContractError(
-                f"{path}: blob {name} has shape {blobs[name].shape}, expected {shape}"
-            )
-    return ckpt
+    return meta, blobs
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:

@@ -177,10 +177,6 @@ def cmd_match(args: argparse.Namespace) -> int:
     enh_b = enhance(img_b, cfg)
     kps_a = detect_for_matching(enh_a, cfg)
     kps_b = detect_for_matching(enh_b, cfg)
-    if not kps_a or not kps_b:
-        raise DatasetError(
-            f"no usable keypoints ({len(kps_a)} in {args.image_a}, {len(kps_b)} in {args.image_b})"
-        )
     set_a = compute_descriptors(model, enh_a, kps_a, cfg)
     set_b = compute_descriptors(model, enh_b, kps_b, cfg)
     result = match_nn(set_a, set_b, threshold=cfg.threshold, mutual=cfg.mutual)

@@ -1,17 +1,26 @@
 """Difference-of-Gaussians keypoint detection over a scale-space pyramid.
 
-Extrema of adjacent-scale Gaussian differences are refined to sub-pixel
-position by a quadratic fit, then filtered by contrast and edge response.
-Descriptors are out of scope; this supplies locations, scales, and
-responses only.
+Each octave blurs its base into six Gaussian levels, whose differences form
+a float32 stack of five DoG levels. Extrema are found in the order Lowe's
+SIFT uses. First, interior samples with ``|dog|`` above 0.8 times the
+contrast threshold are taken (a few percent of the stack). Only those are
+compared with their 26 scale-space neighbours, by flat-index gathers that
+drop a candidate at the first neighbour it loses to. The survivors are then
+refined together: up to three rounds of a quadratic fit, each one batched
+3x3 solve over every candidate still moving, followed by the edge-response
+and contrast tests. DoG values stay float32 in the stack and are widened to
+float64 where they are read; widening is exact, so the comparisons and the
+fit give the same results as on a float64 stack. Descriptors are out of
+scope; this supplies locations, scales, and responses only.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, maximum_filter, minimum_filter
+from scipy.ndimage import gaussian_filter
 
 
 @dataclass(frozen=True)
@@ -40,53 +49,103 @@ def _gaussian_levels(base: np.ndarray, sigma0: float, k: float, count: int) -> l
     return levels
 
 
-def _refine(dogs: np.ndarray, level: int, y: int, x: int) -> "tuple[float, float, float, float] | None":
-    """Iterated 3-d quadratic fit; returns (x, y, level, value) or None."""
+# (level, row, column) steps to the 26 scale-space neighbours, same level first
+_NEIGHBOURS = sorted(
+    (step for step in itertools.product((-1, 0, 1), repeat=3) if step != (0, 0, 0)),
+    key=lambda step: step[0] != 0,
+)
+# samples the quadratic fit reads, in the order _refine unpacks them
+_STENCIL = (
+    (0, 0, 0),
+    (0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0),
+    (0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1),
+    (1, 0, 1), (1, 0, -1), (-1, 0, 1), (-1, 0, -1),
+    (1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0),
+)
+
+
+def _flat_steps(shape: tuple[int, int, int], steps) -> np.ndarray:
+    _, h, w = shape
+    return np.array([(dl * h + dy) * w + dx for dl, dy, dx in steps])
+
+
+def _dog_stack(levels: list[np.ndarray]) -> np.ndarray:
+    dogs = np.empty((len(levels) - 1,) + levels[0].shape, dtype=np.float32)
+    for i in range(len(levels) - 1):
+        np.subtract(levels[i + 1], levels[i], out=dogs[i])
+    return dogs
+
+
+def _extrema(dogs: np.ndarray, prelim: float) -> np.ndarray:
+    """Ascending flat indices of the candidate extrema in ``dogs``.
+
+    A candidate lies on an inner level at least two samples from the image
+    border, has ``|dog| > prelim``, and is >= (maxima) or <= (minima) all
+    26 neighbours; losers are dropped after each neighbour.
+    """
+    flat = dogs.ravel()
+    strong = np.zeros(dogs.shape, dtype=bool)
+    # a float64 threshold: against a float32 one the test would round it
+    strong[1:-1, 2:-2, 2:-2] = np.abs(dogs[1:-1, 2:-2, 2:-2]) > np.float64(prelim)
+    idx = np.flatnonzero(strong)
+    value = flat[idx]
+    sign, mag = np.sign(value), np.abs(value)
+    for step in _flat_steps(dogs.shape, _NEIGHBOURS):
+        keep = mag >= sign * flat[idx + step]
+        idx, sign, mag = idx[keep], sign[keep], mag[keep]
+    return idx
+
+
+def _refine(dogs: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Iterated 3-d quadratic fit of every candidate at once.
+
+    ``cand`` holds flat indices into ``dogs``. A candidate whose offset
+    exceeds half a sample moves by the rounded offset and is fitted again,
+    up to three fits; it is dropped when it leaves the stack interior, when
+    its Hessian is singular, when it has not settled after the third fit,
+    or when its spatial Hessian fails the edge test. Returns the rows x, y,
+    level and value of the survivors as a [4, n] float64 array.
+    """
     n_levels, h, w = dogs.shape
+    flat = dogs.ravel()
+    steps = _flat_steps(dogs.shape, _STENCIL)
+    level, rest = np.divmod(cand, h * w)
+    y, x = np.divmod(rest, w)
+    fits = [np.empty((4, 0))]
     for _ in range(3):
-        d = dogs
-        grad = 0.5 * np.array(
-            [
-                d[level, y, x + 1] - d[level, y, x - 1],
-                d[level, y + 1, x] - d[level, y - 1, x],
-                d[level + 1, y, x] - d[level - 1, y, x],
-            ]
-        )
-        center = d[level, y, x]
-        dxx = d[level, y, x + 1] + d[level, y, x - 1] - 2 * center
-        dyy = d[level, y + 1, x] + d[level, y - 1, x] - 2 * center
-        dss = d[level + 1, y, x] + d[level - 1, y, x] - 2 * center
-        dxy = 0.25 * (
-            d[level, y + 1, x + 1] - d[level, y + 1, x - 1]
-            - d[level, y - 1, x + 1] + d[level, y - 1, x - 1]
-        )
-        dxs = 0.25 * (
-            d[level + 1, y, x + 1] - d[level + 1, y, x - 1]
-            - d[level - 1, y, x + 1] + d[level - 1, y, x - 1]
-        )
-        dys = 0.25 * (
-            d[level + 1, y + 1, x] - d[level + 1, y - 1, x]
-            - d[level - 1, y + 1, x] + d[level - 1, y - 1, x]
-        )
-        hessian = np.array([[dxx, dxy, dxs], [dxy, dyy, dys], [dxs, dys, dss]])
-        try:
-            offset = -np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError:
-            return None
-        if np.all(np.abs(offset) <= 0.5):
-            value = center + 0.5 * float(grad @ offset)
-            # edge rejection on the spatial Hessian
-            tr = dxx + dyy
-            det = dxx * dyy - dxy * dxy
-            if det <= 0 or tr * tr * EDGE_RATIO >= (EDGE_RATIO + 1) ** 2 * det:
-                return None
-            return (x + float(offset[0]), y + float(offset[1]), level + float(offset[2]), value)
-        x += int(np.round(offset[0]))
-        y += int(np.round(offset[1]))
-        level += int(np.round(offset[2]))
-        if not (1 <= level <= n_levels - 2 and 1 <= y < h - 1 and 1 <= x < w - 1):
-            return None
-    return None
+        if not x.size:
+            break
+        samples = flat[((level * h + y) * w + x)[:, None] + steps].astype(np.float64)
+        (c, xp, xm, yp, ym, sp, sm, ypxp, ypxm, ymxp, ymxm,
+         spxp, spxm, smxp, smxm, spyp, spym, smyp, smym) = samples.T
+        grad = 0.5 * np.stack([xp - xm, yp - ym, sp - sm], axis=1)
+        dxx = xp + xm - 2 * c
+        dyy = yp + ym - 2 * c
+        dss = sp + sm - 2 * c
+        dxy = 0.25 * (ypxp - ypxm - ymxp + ymxm)
+        dxs = 0.25 * (spxp - spxm - smxp + smxm)
+        dys = 0.25 * (spyp - spym - smyp + smym)
+        hessian = np.stack([dxx, dxy, dxs, dxy, dyy, dys, dxs, dys, dss], axis=1).reshape(-1, 3, 3)
+        # a batched solve raises if any one system is singular: those are
+        # dropped and solved against the identity in the meantime
+        singular = np.linalg.slogdet(hessian)[0] == 0
+        hessian[singular] = np.eye(3)
+        offset = -np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
+        settled = ~singular & np.all(np.abs(offset) <= 0.5, axis=1)
+        # a stack of 1x3 @ 3x1 products takes the same dot-product routine as
+        # one 1-d ``grad @ offset``, so each value is rounded the same way
+        value = c + 0.5 * np.matmul(grad[:, None, :], offset[:, :, None])[:, 0, 0]
+        tr = dxx + dyy
+        det = dxx * dyy - dxy * dxy
+        not_edge = (det > 0) & (tr * tr * EDGE_RATIO < (EDGE_RATIO + 1) ** 2 * det)
+        fit = np.stack([x + offset[:, 0], y + offset[:, 1], level + offset[:, 2], value])
+        fits.append(fit[:, settled & not_edge])
+        moved = np.round(offset) + np.stack([x, y, level], axis=1)
+        nx, ny, nl = moved.T
+        inside = (1 <= nl) & (nl <= n_levels - 2) & (1 <= ny) & (ny < h - 1) & (1 <= nx) & (nx < w - 1)
+        again = ~singular & ~settled & inside
+        x, y, level = (v[again].astype(np.int64) for v in (nx, ny, nl))
+    return np.concatenate(fits, axis=1)
 
 
 def detect_keypoints(
@@ -109,30 +168,19 @@ def detect_keypoints(
         if min(octave_base.shape) < 16:
             break
         levels = _gaussian_levels(octave_base, BASE_SIGMA, k, SCALES_PER_OCTAVE + 3)
-        dogs = np.stack([levels[i + 1] - levels[i] for i in range(SCALES_PER_OCTAVE + 2)]).astype(
-            np.float64
-        )
-        prelim = 0.8 * contrast_threshold
-        is_max = (dogs >= maximum_filter(dogs, size=3)) & (dogs > prelim)
-        is_min = (dogs <= minimum_filter(dogs, size=3)) & (dogs < -prelim)
-        cand = is_max | is_min
-        cand[0] = cand[-1] = False
-        cand[:, :2, :] = cand[:, -2:, :] = False
-        cand[:, :, :2] = cand[:, :, -2:] = False
+        dogs = _dog_stack(levels)
+        fits = _refine(dogs, _extrema(dogs, 0.8 * contrast_threshold))
         factor = float(2 ** octave)
-        for level, y, x in np.argwhere(cand):
-            refined = _refine(dogs, int(level), int(y), int(x))
-            if refined is None:
-                continue
-            rx, ry, rlevel, value = refined
+        # Python floats from here: numpy's vectorised pow may round k ** level differently
+        for rx, ry, rlevel, value in fits.T.tolist():
             if abs(value) < contrast_threshold:
                 continue
             found.append(
                 Keypoint(
-                    x=float(rx * factor),
-                    y=float(ry * factor),
-                    scale=float(BASE_SIGMA * (k ** rlevel) * factor),
-                    response=float(abs(value)),
+                    x=rx * factor,
+                    y=ry * factor,
+                    scale=BASE_SIGMA * (k ** rlevel) * factor,
+                    response=abs(value),
                 )
             )
         # next octave: the level at twice the base blur, halved

@@ -91,14 +91,15 @@ def match_nn(
     """Thresholded nearest-neighbor matching from A into B.
 
     Ties are broken toward the lower index, so results are deterministic.
-    With ``mutual`` the reverse nearest neighbor must agree.
+    With ``mutual`` the reverse nearest neighbor must agree. An empty set
+    on either side gives an empty result.
     """
-    if len(a) == 0 or len(b) == 0:
-        raise MatchingError("cannot match empty descriptor sets")
     if threshold <= 0:
         raise MatchingError(f"threshold must be positive, got {threshold}")
     if a.descriptors.shape[1] != b.descriptors.shape[1]:
         raise DimensionError("descriptor dimensions differ between the two sets")
+    if len(a) == 0 or len(b) == 0:
+        return MatchResult(pairs=[], threshold=threshold, mutual=mutual, n_total_keypoints=0)
     dm = _distance_matrix(a.descriptors, b.descriptors)
     nn = dm.argmin(axis=1)
     pairs: list[MatchPair] = []

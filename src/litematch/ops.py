@@ -221,15 +221,38 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation."""
+    """Gaussian error linear unit, tanh approximation.
+
+    Computed in place as 0.5*x*(1 + t), t = tanh(C*(x + A*x*x*x)), in that
+    evaluation order, so the result is bit-identical to the plain formula.
+    """
     xd = x.data
-    u = _GELU_C * (xd + _GELU_A * xd * xd * xd)
-    t = np.tanh(u)
-    out = Tensor._wrap(0.5 * xd * (1.0 + t))
+    t = np.multiply(xd, _GELU_A)
+    t *= xd
+    t *= xd
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = np.multiply(xd, 0.5)
+    y *= 1.0 + t
+    out = Tensor._wrap(y)
 
     def grad_fn(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
+        # 0.5*(1 + t) + 0.5*x*(1 - t*t)*du with du = C*(1 + 3*A*x*x)
+        du = np.multiply(xd, 3.0 * _GELU_A)
+        du *= xd
+        du += 1.0
+        du *= _GELU_C
+        dx = np.multiply(t, t)
+        np.subtract(1.0, dx, out=dx)
+        dx *= xd
+        dx *= 0.5
+        dx *= du
+        np.add(t, 1.0, out=du)
+        du *= 0.5
+        du += dx
+        du *= g
+        return (du,)
 
     record((x,), out, grad_fn)
     return out

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from litematch.dataset import AlignedPair, identity_alignment
 from litematch.detector import Keypoint
-from litematch.errors import MatchingError
+from litematch.errors import DimensionError, MatchingError
 from litematch.image import GrayImage
 from litematch.matching import (
     DescriptorSet,
@@ -95,14 +95,22 @@ def test_threshold_monotonicity_and_mutual_subset():
     assert strict.n_success <= plain.n_success
 
 
-def test_empty_set_raises():
+def test_empty_set_gives_empty_result():
     rng = np.random.default_rng(2)
     s = random_set(rng, 4, 8)
     empty = DescriptorSet(keypoints=[], descriptors=np.zeros((0, 8), dtype=np.float32))
+    for a, b in ((s, empty), (empty, s), (empty, empty)):
+        for mutual in (False, True):
+            result = match_nn(a, b, threshold=0.7, mutual=mutual)
+            assert result.pairs == [] and result.n_total_keypoints == 0
+            assert (result.threshold, result.mutual) == (0.7, mutual)
+            assert score(result, a, b, lambda x, y: (x, y)) == (0.0, 0.0)
+    # the argument checks still apply to an empty side
     with pytest.raises(MatchingError):
-        match_nn(s, empty)
-    with pytest.raises(MatchingError):
-        match_nn(empty, s)
+        match_nn(s, empty, threshold=0.0)
+    wide = DescriptorSet(keypoints=[], descriptors=np.zeros((0, 16), dtype=np.float32))
+    with pytest.raises(DimensionError):
+        match_nn(s, wide)
 
 
 def test_non_unit_rows_rejected():

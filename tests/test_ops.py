@@ -1,5 +1,7 @@
 """Per-operation forward contracts and finite-difference gradient checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,6 +283,16 @@ def test_gelu_zero_and_asymptotics():
     assert out[0] == 0.0
     np.testing.assert_allclose(out[1], 8.0, rtol=1e-5)
     np.testing.assert_allclose(out[2], 0.0, atol=1e-5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_forward_bit_identical_to_formula(dtype):
+    rng = np.random.default_rng(9)
+    x = (rng.standard_normal((6, 7, 5)) * np.logspace(-6, 2, 5)).astype(dtype)
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    expected = 0.5 * x * (1.0 + np.tanh(c * (x + a * x * x * x)))
+    out = ops.gelu(Tensor(x, dtype=dtype)).data
+    assert out.dtype == dtype and np.array_equal(out, expected)
 
 
 def test_gelu_gradcheck():
