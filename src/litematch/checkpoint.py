@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import RunConfig, apply_overrides
 from .errors import ContractError
-from .model import Model, ModelConfig, StageConfig, describe_shapes
+from .model import Model, ModelConfig, StageConfig, count_param_tensors, describe_shapes
 from .tensor import Tensor
 
 MAGIC = b"LMCHECKPOINT 1"
@@ -107,7 +107,9 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Parse and validate: every blob shape must match describe_shapes.
 
-    A malformed file (cut short, a corrupt count, dimension or metadata
+    The blob count is compared with :func:`count_param_tensors` first, so a
+    corrupt stage depth is rejected without building its shape table. A
+    malformed file (cut short, a corrupt count, dimension or metadata
     value) raises ContractError naming ``path``.
     """
     buf = Path(path).read_bytes()
@@ -115,9 +117,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ContractError(f"{path}: not a checkpoint file")
     try:
         meta, blobs = _parse(path, buf, len(MAGIC) + 1)
-        expected = describe_shapes(model_config_from_meta(meta)).params
+        config = model_config_from_meta(meta)
     except (ValueError, LookupError, ArithmeticError) as exc:
         raise ContractError(f"{path}: malformed checkpoint: {exc!r}") from exc
+    n_expected = count_param_tensors(config)
+    if n_expected != len(blobs):
+        raise ContractError(
+            f"{path}: {len(blobs)} parameter blobs, the config implies {n_expected}"
+        )
+    expected = describe_shapes(config).params
     if set(expected) != set(blobs):
         missing = sorted(set(expected) ^ set(blobs))
         raise ContractError(f"{path}: parameter names do not match the config: {missing[:4]}")

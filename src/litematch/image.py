@@ -70,6 +70,8 @@ def load_image(path: str | Path) -> GrayImage:
         width, height, maxval = int(wtok), int(htok), int(mtok)
     except (ValueError, ImageFormatError) as exc:
         raise ImageFormatError(f"{path}: bad header ({exc})") from exc
+    if width <= 0 or height <= 0:
+        raise ImageFormatError(f"{path}: image size must be positive, got {width}x{height}")
     if maxval != 255:
         raise ImageFormatError(f"{path}: only 8-bit maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval

@@ -115,6 +115,55 @@ def _embed_kernel(stride: int) -> tuple[int, int]:
     return 2 * stride - 1, stride - 1
 
 
+# Parameter tensors of a stage outside its blocks (the patch embedding's
+# conv weight, bias and norm, and the stage's final norm), and of the head.
+_STAGE_TENSORS = 6
+_HEAD_TENSORS = 2
+
+
+def _block_params(blk: str, st: StageConfig) -> dict[str, tuple[int, ...]]:
+    """Parameter shapes of one transformer block of stage ``st``, named under ``blk``."""
+    c = st.channels
+    hidden = st.mlp_ratio * c
+    params: dict[str, tuple[int, ...]] = {
+        f"{blk}.norm1.gamma": (c,),
+        f"{blk}.norm1.beta": (c,),
+        f"{blk}.attn.q.weight": (c, c),
+        f"{blk}.attn.q.bias": (c,),
+        # no key bias: softmax is invariant to a per-query shift, so a
+        # key bias would be a permanently zero-gradient parameter
+        f"{blk}.attn.k.weight": (c, c),
+        f"{blk}.attn.v.weight": (c, c),
+        f"{blk}.attn.v.bias": (c,),
+    }
+    if st.reduction > 1:
+        params[f"{blk}.attn.sr.weight"] = (c, c, st.reduction, st.reduction)
+        params[f"{blk}.attn.sr.bias"] = (c,)
+        params[f"{blk}.attn.sr_norm.gamma"] = (c,)
+        params[f"{blk}.attn.sr_norm.beta"] = (c,)
+    params[f"{blk}.attn.proj.weight"] = (c, c)
+    params[f"{blk}.attn.proj.bias"] = (c,)
+    params[f"{blk}.norm2.gamma"] = (c,)
+    params[f"{blk}.norm2.beta"] = (c,)
+    params[f"{blk}.ffn.fc1.weight"] = (hidden, c)
+    params[f"{blk}.ffn.fc1.bias"] = (hidden,)
+    params[f"{blk}.ffn.dw.weight"] = (hidden, 1, 3, 3)
+    params[f"{blk}.ffn.dw.bias"] = (hidden,)
+    params[f"{blk}.ffn.fc2.weight"] = (c, hidden)
+    params[f"{blk}.ffn.fc2.bias"] = (c,)
+    return params
+
+
+def count_param_tensors(config: ModelConfig) -> int:
+    """Number of named parameters in :func:`describe_shapes`, without building the table.
+
+    Arithmetic on the stage depths, so a corrupt depth read from a file costs
+    nothing to check.
+    """
+    blocks = sum(st.depth * len(_block_params("", st)) for st in config.stages)
+    return _STAGE_TENSORS * len(config.stages) + blocks + _HEAD_TENSORS
+
+
 def describe_shapes(config: ModelConfig) -> ShapeTable:
     """Enumerate parameter shapes and activation sizes implied by ``config``."""
     params: dict[str, tuple[int, ...]] = {}
@@ -138,33 +187,8 @@ def describe_shapes(config: ModelConfig) -> ShapeTable:
         params[f"{pre}.embed.conv.bias"] = (c,)
         params[f"{pre}.embed.norm.gamma"] = (c,)
         params[f"{pre}.embed.norm.beta"] = (c,)
-        hidden = st.mlp_ratio * c
         for j in range(1, st.depth + 1):
-            blk = f"{pre}.block{j}"
-            params[f"{blk}.norm1.gamma"] = (c,)
-            params[f"{blk}.norm1.beta"] = (c,)
-            params[f"{blk}.attn.q.weight"] = (c, c)
-            params[f"{blk}.attn.q.bias"] = (c,)
-            # no key bias: softmax is invariant to a per-query shift, so a
-            # key bias would be a permanently zero-gradient parameter
-            params[f"{blk}.attn.k.weight"] = (c, c)
-            params[f"{blk}.attn.v.weight"] = (c, c)
-            params[f"{blk}.attn.v.bias"] = (c,)
-            if st.reduction > 1:
-                params[f"{blk}.attn.sr.weight"] = (c, c, st.reduction, st.reduction)
-                params[f"{blk}.attn.sr.bias"] = (c,)
-                params[f"{blk}.attn.sr_norm.gamma"] = (c,)
-                params[f"{blk}.attn.sr_norm.beta"] = (c,)
-            params[f"{blk}.attn.proj.weight"] = (c, c)
-            params[f"{blk}.attn.proj.bias"] = (c,)
-            params[f"{blk}.norm2.gamma"] = (c,)
-            params[f"{blk}.norm2.beta"] = (c,)
-            params[f"{blk}.ffn.fc1.weight"] = (hidden, c)
-            params[f"{blk}.ffn.fc1.bias"] = (hidden,)
-            params[f"{blk}.ffn.dw.weight"] = (hidden, 1, 3, 3)
-            params[f"{blk}.ffn.dw.bias"] = (hidden,)
-            params[f"{blk}.ffn.fc2.weight"] = (c, hidden)
-            params[f"{blk}.ffn.fc2.bias"] = (c,)
+            params.update(_block_params(f"{pre}.block{j}", st))
         params[f"{pre}.norm.gamma"] = (c,)
         params[f"{pre}.norm.beta"] = (c,)
         in_ch = c

@@ -11,6 +11,16 @@ matrix is a free reshape of them and every trailing-axis op (:func:`linear`,
 weights keep their stored layouts, [Cout, Cin, k, k] for :func:`conv2d`
 and [C, 1, 3, 3] for :func:`depthwise_conv2d`, and their gradients come
 back in the same layouts.
+
+The heavy elementwise kernels make as few passes over memory as they can.
+:func:`depthwise_conv2d` is one ``np.einsum`` over a strided 3x3 tap-window
+view of a copy padded with zero rows, whose taps that would wrap across a
+row edge are zeroed. :func:`layer_norm` and :func:`softmax` take their row
+sums with ``np.einsum``: numpy's ``mean``/``sum`` over a short trailing axis
+is mostly per-row overhead, and a BLAS GEMV, though faster, rounds rows
+differently depending on their position, so equal inputs would not give
+equal outputs. :func:`gelu` runs its in-place sequence over flat blocks
+that fit the L2 cache.
 """
 
 from __future__ import annotations
@@ -18,13 +28,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import DegenerateDescriptorError, DimensionError
 from .tensor import Tensor, record
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+# Elementwise sequences run over flat blocks of this size to stay in the L2 cache.
+_BLOCK_BYTES = 1 << 18
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -178,28 +190,40 @@ def linear(x: Tensor, w: Tensor, b: "Tensor | None") -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the trailing axis to zero mean, unit variance, then affine."""
+    """Normalize the trailing axis to zero mean, unit variance, then affine.
+
+    The row statistics, and the two row means of the backward pass, are
+    ``np.einsum`` reductions over the [N, d] view: ``mean`` over a short
+    trailing axis spends most of its time on per-row overhead. A GEMV
+    against ``ones / d`` would be faster still, but BLAS rounds the rows of
+    its remainder block differently, so equal rows at different positions
+    would normalize to different values; einsum runs one loop for every row.
+    """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"layer_norm: gamma/beta must have shape ({d},)")
     if eps <= 0:
         raise DimensionError("layer_norm: eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor._wrap(xhat * gamma.data + beta.data)
+    x2 = x.data.reshape(-1, d)
+    xhat = x2 - (np.einsum("ij->i", x2) / d)[:, None]
+    var = np.einsum("ij,ij->i", xhat, xhat) / d
+    inv = (1.0 / np.sqrt(var + eps))[:, None]
+    xhat *= inv
+    y = xhat * gamma.data
+    y += beta.data
+    out = Tensor._wrap(y.reshape(x.shape))
 
     def grad_fn(g):
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (dxhat - m1 - xhat * m2)
         g2 = g.reshape(-1, d)
-        ggamma = (g * xhat).reshape(-1, d).sum(axis=0)
+        dxhat = g2 * gamma.data
+        m1 = np.einsum("ij->i", dxhat) / d
+        m2 = np.einsum("ij,ij->i", dxhat, xhat) / d
+        dxhat -= m1[:, None]
+        dxhat -= xhat * m2[:, None]
+        dxhat *= inv
+        ggamma = (g2 * xhat).sum(axis=0)
         gbeta = g2.sum(axis=0)
-        return gx, ggamma, gbeta
+        return dxhat.reshape(x.shape), ggamma, gbeta
 
     record((x, gamma, beta), out, grad_fn)
     return out
@@ -207,9 +231,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the trailing axis, computed with max subtraction."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    # einsum row sums: sum over a short trailing axis is mostly per-row overhead
+    y /= np.einsum("...j->...", y)[..., None]
     out = Tensor._wrap(y)
 
     def grad_fn(g):
@@ -220,39 +245,57 @@ def softmax(x: Tensor) -> Tensor:
     return out
 
 
+def _flat_blocks(*arrays: np.ndarray):
+    """Yield matching flat slices, about 256 KiB each, of equally sized arrays.
+
+    An elementwise sequence run block by block makes all its passes over a
+    block in the L2 cache instead of streaming each pass through memory.
+    """
+    flats = [a.reshape(-1) for a in arrays]
+    step = max(1, _BLOCK_BYTES // flats[0].itemsize)
+    for lo in range(0, flats[0].size, step):
+        yield [f[lo : lo + step] for f in flats]
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation.
 
     Computed in place as 0.5*x*(1 + t), t = tanh(C*(x + A*x*x*x)), in that
     evaluation order, so the result is bit-identical to the plain formula.
+    Forward and backward run their sequences block by block (:func:`_flat_blocks`).
     """
     xd = x.data
-    t = np.multiply(xd, _GELU_A)
-    t *= xd
-    t *= xd
-    t += xd
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    y = np.multiply(xd, 0.5)
-    y *= 1.0 + t
+    t = np.empty(xd.shape, dtype=xd.dtype)
+    y = np.empty(xd.shape, dtype=xd.dtype)
+    for xs, ts, ys in _flat_blocks(xd, t, y):
+        np.multiply(xs, _GELU_A, out=ts)
+        ts *= xs
+        ts *= xs
+        ts += xs
+        ts *= _GELU_C
+        np.tanh(ts, out=ts)
+        np.multiply(xs, 0.5, out=ys)
+        ys *= 1.0 + ts
     out = Tensor._wrap(y)
 
     def grad_fn(g):
         # 0.5*(1 + t) + 0.5*x*(1 - t*t)*du with du = C*(1 + 3*A*x*x)
-        du = np.multiply(xd, 3.0 * _GELU_A)
-        du *= xd
-        du += 1.0
-        du *= _GELU_C
-        dx = np.multiply(t, t)
-        np.subtract(1.0, dx, out=dx)
-        dx *= xd
-        dx *= 0.5
-        dx *= du
-        np.add(t, 1.0, out=du)
-        du *= 0.5
-        du += dx
-        du *= g
-        return (du,)
+        gx = np.empty(xd.shape, dtype=xd.dtype)
+        for xs, ts, gs, du in _flat_blocks(xd, t, g, gx):
+            np.multiply(xs, 3.0 * _GELU_A, out=du)
+            du *= xs
+            du += 1.0
+            du *= _GELU_C
+            dx = np.multiply(ts, ts)
+            np.subtract(1.0, dx, out=dx)
+            dx *= xs
+            dx *= 0.5
+            dx *= du
+            np.add(ts, 1.0, out=du)
+            du *= 0.5
+            du += dx
+            du *= gs
+        return (gx,)
 
     record((x,), out, grad_fn)
     return out
@@ -305,29 +348,55 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     return out
 
 
-# Batch chunk of the depthwise loops: about 256 KiB of activations per
-# array, so that the nine multiply-adds of a chunk run in the L2 cache.
-_CHUNK_BYTES = 1 << 18
-_TAPS_3X3 = [(ki, kj) for ki in range(3) for kj in range(3)]
+def _tap_windows(a: np.ndarray) -> np.ndarray:
+    """Read-only [B, H, W*C, 3, 3] view of the zero-padded 3x3 windows of [B, H, W, C].
+
+    ``a`` is copied once into a flat buffer that gives each sample a zero row
+    above and below and has C spare zeros at each end. Window tap (i, j) of
+    row element r = w*C + c then sits a fixed (i - 1) rows and (j - 1)
+    columns of C away from it, so the strides are (sample, row, 1, row, C).
+    Column padding is not stored: tap j = 0 at w = 0 reads the end of the
+    row above, and j = 2 at w = W - 1 the start of the row below, and the
+    caller zeroes those taps (see :func:`_edge_taps`).
+    """
+    bsz, h, w, c = a.shape
+    row = w * c
+    n = bsz * (h + 2) * row
+    buf = np.empty(n + 2 * c, dtype=a.dtype)
+    buf[:c] = 0
+    buf[c + n :] = 0
+    rows = buf[c : c + n].reshape(bsz, h + 2, row)
+    rows[:, 0] = 0
+    rows[:, -1] = 0
+    rows[:, 1:-1] = a.reshape(bsz, h, row)
+    s = buf.itemsize
+    return as_strided(
+        buf, (bsz, h, row, 3, 3), (s * (h + 2) * row, s * row, s, s * row, s * c), writeable=False
+    )
 
 
-def _chunk_rows(x: np.ndarray) -> int:
-    return max(1, _CHUNK_BYTES // max(1, x.itemsize * math.prod(x.shape[1:])))
+def _edge_taps(taps: np.ndarray, w: int) -> np.ndarray:
+    """Tile [3, 3, C] taps along a row of W pixels to [3, 3, W*C], without the wrapping taps.
+
+    The left taps at column 0 and the right taps at column W - 1 are zeroed,
+    because there :func:`_tap_windows` reads a neighbouring row instead of
+    padding. At W = 1 both edges are the same column.
+    """
+    c = taps.shape[2]
+    tiled = np.tile(taps, (1, 1, w))
+    tiled[:, 0, :c] = 0
+    tiled[:, 2, -c:] = 0
+    return tiled
 
 
-def _correlate3x3(xp: np.ndarray, taps: np.ndarray, bias: "np.ndarray | float") -> np.ndarray:
-    """``bias`` plus the 3x3 correlation of padded [B, H+2, W+2, C] with [3, 3, C]."""
-    bsz, h, w, c = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2, xp.shape[3]
-    out = np.empty((bsz, h, w, c), dtype=np.result_type(xp, taps))
-    step = _chunk_rows(out)
-    scratch = np.empty_like(out[:step])
-    for lo in range(0, bsz, step):
-        o, xc = out[lo : lo + step], xp[lo : lo + step]
-        s = scratch[: len(o)]
-        o[...] = bias
-        for ki, kj in _TAPS_3X3:
-            np.multiply(xc[:, ki : ki + h, kj : kj + w], taps[ki, kj], out=s)
-            o += s
+def _correlate3x3(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Zero-padded 3x3 correlation of [B, H, W, C] with per-channel [3, 3, C] taps."""
+    bsz, h, w, c = a.shape
+    out = np.empty(a.shape, dtype=np.result_type(a, taps))
+    # one pass: every output element sums its nine window products in place
+    np.einsum(
+        "bhrij,ijr->bhr", _tap_windows(a), _edge_taps(taps, w), out=out.reshape(bsz, h, w * c)
+    )
     return out
 
 
@@ -336,6 +405,12 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     ``x``: [B, H, W, C] channels-last; ``w``: [C, 1, 3, 3] (the stored layout,
     also that of its gradient); ``b``: [C]. Returns [B, H, W, C].
+
+    The forward pass and the input gradient are each one ``np.einsum`` over
+    a strided tap-window view of a row-padded copy (:func:`_tap_windows`)
+    with edge-zeroed taps (:func:`_edge_taps`), instead of nine shifted
+    multiply-adds. The weight gradient is one einsum per tap over the same
+    view, rebuilt in backward so the padded copy is not kept alive.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError("depthwise_conv2d expects 4-d input and weight")
@@ -345,21 +420,25 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (c,):
         raise DimensionError(f"depthwise_conv2d: bias must have shape ({c},)")
 
-    pad = ((0, 0), (1, 1), (1, 1), (0, 0))
-    xp = np.pad(x.data, pad)
     taps = np.ascontiguousarray(w.data[:, 0].transpose(1, 2, 0))  # [3, 3, C]
-    out = Tensor._wrap(_correlate3x3(xp, taps, b.data))
+    y = _correlate3x3(x.data, taps)
+    y += b.data
+    out = Tensor._wrap(y)
 
     def grad_fn(g):
         gb = g.reshape(-1, c).sum(axis=0)
         # the input gradient correlates the output gradient with the flipped taps
-        gx = _correlate3x3(np.pad(g, pad), taps[::-1, ::-1], 0.0)
-        gtaps = np.zeros_like(taps)
-        step = _chunk_rows(g)
-        for lo in range(0, bsz, step):
-            gc, xc = g[lo : lo + step], xp[lo : lo + step]
-            for ki, kj in _TAPS_3X3:
-                gtaps[ki, kj] += np.einsum("bhwc,bhwc->c", gc, xc[:, ki : ki + h, kj : kj + ww])
+        gx = _correlate3x3(g, taps[::-1, ::-1])
+        win = _tap_windows(x.data)
+        g3 = g.reshape(bsz, h, ww * c)
+        gtaps = np.empty_like(taps)
+        for i in range(3):
+            for j in range(3):
+                # at [48, 16, 16, 128] nine of these took 7.0 ms, one "bhr,bhrij->ijr" 10.3
+                col = np.einsum("bhr,bhr->r", g3, win[..., i, j]).reshape(ww, c)
+                if j != 1:
+                    col[0 if j == 0 else -1] = 0
+                gtaps[i, j] = col.sum(axis=0)
         gw = np.ascontiguousarray(gtaps.transpose(2, 0, 1)[:, None])
         return gx, gw, gb
 

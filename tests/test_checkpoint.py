@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from litematch import checkpoint, model
 from litematch.checkpoint import build_checkpoint, load_checkpoint, save_checkpoint
 from litematch.config import RunConfig
 from litematch.errors import ContractError
@@ -66,6 +67,21 @@ def test_corrupt_blob_header_raises_contract_error(saved, header):
     end = _header_end(buf)
     start = buf.rindex(b"\n", 0, end - 1) + 1
     _assert_rejected(folder, buf[:start] + header + buf[end - 1 :])
+
+
+def test_huge_stage_depth_rejected_before_building_shape_table(saved, monkeypatch):
+    folder, buf = saved
+
+    def refuse(config):
+        raise AssertionError("describe_shapes called for a checkpoint with the wrong blob count")
+
+    monkeypatch.setattr(checkpoint, "describe_shapes", refuse)
+    monkeypatch.setattr(model, "describe_shapes", refuse)
+    start = buf.index(b"\nstages=") + len(b"\nstages=")
+    stop = buf.index(b";", start)
+    first = buf[start:stop].split(b",")
+    huge = b",".join(first[:-1] + [str(10**9).encode()])
+    _assert_rejected(folder, buf[:start] + huge + buf[stop:])
 
 
 @settings(max_examples=150, deadline=None)

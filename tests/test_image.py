@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litematch.errors import ConfigError, ImageFormatError
 from litematch.image import GrayImage, _clahe_luts, clahe, load_image, save_pgm, save_ppm
@@ -60,6 +62,45 @@ def test_load_missing_file_mentions_path():
     with pytest.raises(ImageFormatError) as err:
         load_image("/nonexistent/nope.pgm")
     assert "nope.pgm" in str(err.value)
+
+
+@pytest.mark.parametrize("size", [b"-4 4", b"-4 -4", b"0 4", b"4 0", b"4 -3"])
+def test_load_rejects_non_positive_size(tmp_path, size):
+    p = tmp_path / "s.pgm"
+    p.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(16))
+    with pytest.raises(ImageFormatError, match="s.pgm"):
+        load_image(p)
+
+
+_SPACE = st.sampled_from([b" ", b"\n", b"\t\r\n", b"\n# note\n", b""])
+_SIZE = st.integers(-3, 6).map(lambda v: str(v).encode())
+_TOKEN = st.one_of(
+    _SIZE,
+    st.sampled_from([b"255", b"256", b"+2", b"1_0", b"0x4", b"9" * 30]),
+    st.binary(min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    magic=st.sampled_from([b"P5", b"P6", b"P2", b""]),
+    tokens=st.tuples(_SIZE | _TOKEN, _SIZE | _TOKEN, st.just(b"255") | _TOKEN),
+    spaces=st.tuples(_SPACE, _SPACE, _SPACE, _SPACE),
+    raster=st.binary(max_size=160),
+)
+def test_fuzzed_header_loads_declared_shape_or_raises(tmp_path_factory, magic, tokens, spaces, raster):
+    """A PGM/PPM header either loads as its declared shape or raises ImageFormatError."""
+    header = magic
+    for space, token in zip(spaces, tokens):
+        header += space + token
+    path = tmp_path_factory.getbasetemp() / "fuzzed.pgm"
+    path.write_bytes(header + b"\n" + raster)
+    try:
+        img = load_image(path)
+    except ImageFormatError as exc:
+        assert str(path) in str(exc)
+        return
+    assert img.pixels.shape == (int(tokens[1]), int(tokens[0]))
 
 
 # ------------------------------------------------------------------ CLAHE

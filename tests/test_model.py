@@ -10,6 +10,7 @@ from litematch.model import (
     DEFAULT_STAGES,
     ModelConfig,
     StageConfig,
+    count_param_tensors,
     describe_shapes,
     forward,
     init_model,
@@ -81,6 +82,19 @@ def test_param_count_matches_shape_table_sum():
     tbl = describe_shapes(cfg)
     by_hand = sum(int(np.prod(shape)) for shape in tbl.params.values())
     assert param_count(m) == by_hand == tbl.total_params()
+
+
+@pytest.mark.parametrize("depths, reductions", [((2, 2, 2, 2), (8, 4, 2, 1)), ((1, 3, 5, 2), (1, 1, 2, 1))])
+def test_count_param_tensors_matches_shape_table(depths, reductions):
+    stages = tuple(
+        StageConfig(
+            stride=s.stride, channels=s.channels, reduction=r,
+            heads=s.heads, mlp_ratio=s.mlp_ratio, depth=d,
+        )
+        for s, d, r in zip(DEFAULT_STAGES, depths, reductions)
+    )
+    cfg = ModelConfig(stages=stages)
+    assert count_param_tensors(cfg) == len(describe_shapes(cfg).params)
 
 
 def test_param_count_independent_of_seed():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from litematch import ops
 from litematch.errors import DegenerateDescriptorError, DimensionError
 from litematch.gradcheck import check_gradients
-from litematch.tensor import Tensor
+from litematch.tensor import Tape, Tensor, backward
 
 
 def t64(arr, requires_grad=True):
@@ -135,9 +135,23 @@ def naive_depthwise(x, w, b):
     )
 
 
-@pytest.mark.parametrize("shape", [(2, 5, 6, 3), (1, 1, 1, 4), (3, 4, 4, 1)])
+# W = 1 puts both edge taps on the same column; H = 1 leaves only padding rows around it
+@pytest.mark.parametrize(
+    "shape", [(2, 5, 6, 3), (1, 1, 1, 4), (3, 4, 4, 1), (2, 5, 1, 3), (2, 1, 6, 3), (1, 1, 5, 1)]
+)
 def test_depthwise_matches_naive_loop(shape):
     rng = np.random.default_rng(22)
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((shape[3], 1, 3, 3))
+    b = rng.standard_normal(shape[3])
+    got = ops.depthwise_conv2d(t64(x), t64(w), t64(b)).data
+    np.testing.assert_allclose(got, naive_depthwise(x, w, b), rtol=0, atol=1e-12)
+
+
+@given(st.tuples(*[st.integers(1, 6)] * 4), st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_depthwise_matches_naive_loop_random_shapes(shape, seed):
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape)
     w = rng.standard_normal((shape[3], 1, 3, 3))
     b = rng.standard_normal(shape[3])
@@ -169,6 +183,17 @@ def test_depthwise_gradcheck():
     w = rand64(rng, 4, 1, 3, 3)
     b = rand64(rng, 4)
     assert_gradcheck(lambda: ops.mean_all(ops.depthwise_conv2d(x, w, b)), [x, w, b])
+
+
+def test_depthwise_single_column_gradcheck():
+    rng = np.random.default_rng(23)
+    x = rand64(rng, 2, 4, 1, 3)
+    w = rand64(rng, 3, 1, 3, 3)
+    b = rand64(rng, 3)
+    v = rand64(rng, 2, 4, 1, 3, requires_grad=False)
+    assert_gradcheck(
+        lambda: ops.mean_all(ops.mul(ops.depthwise_conv2d(x, w, b), v)), [x, w, b]
+    )
 
 
 # ---------------------------------------------------------------- linear
@@ -235,6 +260,18 @@ def test_layer_norm_statistics(seed):
     assert np.all(np.abs(out.var(axis=-1) - 1.0) < 1e-4)
 
 
+@pytest.mark.parametrize("d", [8, 16, 24])
+def test_layer_norm_equal_rows_equal_outputs_at_every_position(d):
+    # a BLAS GEMV row mean rounds the rows of its remainder block differently
+    rng = np.random.default_rng(d)
+    row = (rng.standard_normal(d) * 3 + 1).astype(np.float32)
+    g = Tensor(rng.standard_normal(d), dtype=np.float32)
+    b = Tensor(rng.standard_normal(d), dtype=np.float32)
+    for n in range(1, 41):
+        out = ops.layer_norm(Tensor(np.tile(row, (n, 1))), g, b).data
+        assert np.array_equal(out, np.broadcast_to(out[0], out.shape)), n
+
+
 def test_layer_norm_gradcheck():
     rng = np.random.default_rng(6)
     x = rand64(rng, 2, 4, 8)
@@ -288,11 +325,29 @@ def test_gelu_zero_and_asymptotics():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_forward_bit_identical_to_formula(dtype):
     rng = np.random.default_rng(9)
-    x = (rng.standard_normal((6, 7, 5)) * np.logspace(-6, 2, 5)).astype(dtype)
     c, a = math.sqrt(2.0 / math.pi), 0.044715
-    expected = 0.5 * x * (1.0 + np.tanh(c * (x + a * x * x * x)))
-    out = ops.gelu(Tensor(x, dtype=dtype)).data
-    assert out.dtype == dtype and np.array_equal(out, expected)
+    # the second shape spans several cache blocks and ends in a partial one
+    for shape in [(6, 7, 5), (7, 4001, 5)]:
+        x = (rng.standard_normal(shape) * np.logspace(-6, 2, 5)).astype(dtype)
+        expected = 0.5 * x * (1.0 + np.tanh(c * (x + a * x * x * x)))
+        out = ops.gelu(Tensor(x, dtype=dtype)).data
+        assert out.dtype == dtype and np.array_equal(out, expected)
+
+
+def test_gelu_backward_bit_identical_to_formula_across_blocks():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((7, 4001, 5)).astype(np.float32) * 3
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(c * (x + a * x * x * x))
+    du = (x * (3.0 * a) * x + 1.0) * c
+    expected = ((t + 1.0) * 0.5 + (1.0 - t * t) * x * 0.5 * du) * g
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        # d(loss)/d(gelu) is exactly g: the sum's gradient is ones, times g
+        loss = ops.sum_last(ops.reshape(ops.mul(ops.gelu(xt), Tensor(g)), (x.size,)))
+    backward(loss, tape)
+    assert xt.grad.dtype == np.float32 and np.array_equal(xt.grad, expected)
 
 
 def test_gelu_gradcheck():
