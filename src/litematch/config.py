@@ -60,6 +60,8 @@ class RunConfig:
             raise ConfigError(f"unknown loss_mode {self.loss_mode!r}")
         if self.threshold <= 0 or self.eps <= 0:
             raise ConfigError("threshold and eps must be positive")
+        if self.max_keypoints < 1:
+            raise ConfigError(f"max_keypoints must be at least 1, got {self.max_keypoints}")
         if not 0 < self.split_ratio < 1:
             raise ConfigError("split_ratio must lie in (0, 1)")
         return self

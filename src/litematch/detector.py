@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class Keypoint:
@@ -158,8 +160,11 @@ def detect_keypoints(
 
     Keypoints closer than ``border_margin`` pixels to any image border are
     discarded so downstream patch extraction never fails. Deterministic:
-    ties in response are broken by (y, x, scale).
+    ties in response are broken by (y, x, scale). ``max_points`` must be
+    at least 1.
     """
+    if max_points < 1:
+        raise ConfigError(f"max_points must be at least 1, got {max_points}")
     base = img.pixels.astype(np.float32) / 255.0
     k = 2.0 ** (1.0 / SCALES_PER_OCTAVE)
     found: list[Keypoint] = []

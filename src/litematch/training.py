@@ -24,7 +24,14 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .config import RunConfig
-from .dataset import DatasetManifest, enhanced_pair, load_dataset, materialize_triplet, split
+from .dataset import (
+    AlignedPair,
+    DatasetManifest,
+    enhanced_pair,
+    load_dataset,
+    materialize_triplet,
+    split,
+)
 from .errors import ConfigError, DatasetError, DegenerateDescriptorError, TrainingError
 from .image import GrayImage
 from .loss import TripletBatch, triplet_loss
@@ -72,8 +79,7 @@ def select_records(manifest: DatasetManifest, cfg: RunConfig, subset: str) -> Da
 class TripletSource:
     """Materializes manifest records against cached enhanced pair images."""
 
-    def __init__(self, data_dir: str | Path, manifest: DatasetManifest):
-        pairs, _ = load_dataset(data_dir)
+    def __init__(self, pairs: dict[str, AlignedPair], manifest: DatasetManifest):
         self.manifest = manifest
         self.enhanced: dict[str, tuple[GrayImage, GrayImage]] = {}
         for name in manifest.pairs:
@@ -128,7 +134,7 @@ def train(
 ) -> TrainReport:
     """Run the full training loop and write checkpoints plus the epoch log."""
     cfg.validate()
-    _, manifest = load_dataset(data_dir)
+    pairs, manifest = load_dataset(data_dir)
     selected = select_records(manifest, cfg, subset)
     n = selected.count
     if n < 1:
@@ -140,7 +146,8 @@ def train(
             f"manifest patches are {selected.out_size} px but the model expects "
             f"{cfg.input_size} px"
         )
-    source = TripletSource(data_dir, selected)
+    source = TripletSource(pairs, selected)
+    del pairs  # the source holds the enhanced images; the raw ones can go
 
     start_epoch = 0
     step = 0

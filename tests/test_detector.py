@@ -5,7 +5,9 @@ import pytest
 from scipy.ndimage import gaussian_filter, maximum_filter, minimum_filter
 
 from litematch import detector
+from litematch.config import RunConfig
 from litematch.detector import Keypoint, detect_keypoints
+from litematch.errors import ConfigError
 from litematch.image import GrayImage
 
 
@@ -48,6 +50,21 @@ def test_sorted_by_response_and_truncated():
     responses = [kp.response for kp in kps]
     assert responses == sorted(responses, reverse=True)
     assert detect_keypoints(GrayImage(px), max_points=1) == kps[:1]
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_non_positive_keypoint_budget_rejected(budget):
+    img = gaussian_blob()
+    assert len(detect_keypoints(img, max_points=1)) == 1
+    with pytest.raises(ConfigError, match=f"max_points must be at least 1, got {budget}"):
+        detect_keypoints(img, max_points=budget)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_run_config_rejects_non_positive_keypoint_budget(budget):
+    with pytest.raises(ConfigError, match=f"max_keypoints must be at least 1, got {budget}"):
+        RunConfig(max_keypoints=budget).validate()
+    assert RunConfig(max_keypoints=1).validate().max_keypoints == 1
 
 
 def test_border_margin_respected():

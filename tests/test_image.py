@@ -72,6 +72,31 @@ def test_load_rejects_non_positive_size(tmp_path, size):
         load_image(p)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"+4 4 255", b"4 +4 255", b"4 4 +255",
+        b"1_0 4 255", b"4 1_0 255", b"4 4 2_55",
+        b"-0 4 255", b"4 -0 255", b"4 4 -0",
+        "\uff14 4 255".encode(), "4 \u0664 255".encode(), "4 4 25\u0665".encode(),
+    ],
+    ids=["plus-w", "plus-h", "plus-max", "underscore-w", "underscore-h", "underscore-max",
+         "minus-zero-w", "minus-zero-h", "minus-zero-max",
+         "fullwidth-w", "arabic-indic-h", "arabic-indic-max"],
+)
+def test_load_accepts_only_ascii_decimal_header_numbers(tmp_path, header):
+    p = tmp_path / "n.pgm"
+    p.write_bytes(b"P5\n" + header + b"\n" + bytes(160))
+    with pytest.raises(ImageFormatError, match="n.pgm.*not a decimal number"):
+        load_image(p)
+
+
+def test_load_reads_leading_zeros_as_decimal(tmp_path):
+    p = tmp_path / "z.pgm"
+    p.write_bytes(b"P5\n004 010 0255\n" + bytes(40))
+    assert load_image(p).pixels.shape == (10, 4)
+
+
 _SPACE = st.sampled_from([b" ", b"\n", b"\t\r\n", b"\n# note\n", b""])
 _SIZE = st.integers(-3, 6).map(lambda v: str(v).encode())
 _TOKEN = st.one_of(
@@ -151,5 +176,96 @@ def test_clahe_rejects_bad_params():
     img = GrayImage(np.zeros((32, 32), dtype=np.uint8))
     with pytest.raises(ConfigError):
         clahe(img, clip_limit=0.0)
+    for clip in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="clip_limit must be positive and finite"):
+            clahe(img, clip_limit=clip)
     with pytest.raises(ConfigError):
         clahe(img, grid=0)
+
+
+# --------------------------------------------- CLAHE against a whole-image oracle
+
+
+def _oracle_clahe(px: np.ndarray, clip_limit: float, grid: int) -> np.ndarray:
+    """CLAHE as a per-tile histogram loop and one whole-image blend.
+
+    A transcription of the straightforward formulation: every pixel gathers
+    its four tile mappings with three-index lookups over the whole image.
+    """
+    height, width = px.shape
+    ys = np.round(np.linspace(0, height, grid + 1)).astype(int)
+    xs = np.round(np.linspace(0, width, grid + 1)).astype(int)
+    luts = np.empty((grid, grid, 256), dtype=np.float64)
+    for ty in range(grid):
+        for tx in range(grid):
+            tile = px[ys[ty] : ys[ty + 1], xs[tx] : xs[tx + 1]]
+            npix = tile.size
+            hist = np.bincount(tile.ravel(), minlength=256).astype(np.int64)
+            limit = max(1, int(clip_limit * npix / 256.0))
+            excess = int(np.maximum(hist - limit, 0).sum())
+            hist = np.minimum(hist, limit)
+            hist += excess // 256
+            hist[: excess % 256] += 1
+            luts[ty, tx] = np.floor(np.cumsum(hist) * 255.0 / npix + 0.5)
+
+    def blend_axis(coords, centers):
+        hi = np.searchsorted(centers, coords, side="right")
+        i0 = np.clip(hi - 1, 0, len(centers) - 1)
+        i1 = np.clip(hi, 0, len(centers) - 1)
+        span = centers[i1] - centers[i0]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w = np.where(span > 0, (coords - centers[i0]) / np.where(span > 0, span, 1.0), 0.0)
+        return i0, i1, w
+
+    y0, y1, wy = blend_axis(np.arange(height, dtype=np.float64), (ys[:-1] + ys[1:] - 1) / 2.0)
+    x0, x1, wx = blend_axis(np.arange(width, dtype=np.float64), (xs[:-1] + xs[1:] - 1) / 2.0)
+    v00 = luts[y0[:, None], x0[None, :], px]
+    v01 = luts[y0[:, None], x1[None, :], px]
+    v10 = luts[y1[:, None], x0[None, :], px]
+    v11 = luts[y1[:, None], x1[None, :], px]
+    wy = wy[:, None]
+    wx = wx[None, :]
+    out = (1 - wy) * ((1 - wx) * v00 + wx * v01) + wy * ((1 - wx) * v10 + wx * v11)
+    return np.floor(out + 0.5).clip(0, 255).astype(np.uint8)
+
+
+def _test_image(kind: str, height: int, width: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        lo = int(rng.integers(0, 256))
+        hi = int(rng.integers(lo, 256))
+        return rng.integers(lo, hi + 1, size=(height, width), dtype=np.uint8)
+    if kind == "two-level":
+        a, b = rng.integers(0, 256, size=2)
+        return np.where(rng.random((height, width)) < rng.random(), a, b).astype(np.uint8)
+    return np.full((height, width), rng.integers(0, 256), dtype=np.uint8)
+
+
+@st.composite
+def _clahe_cases(draw):
+    grid = draw(st.integers(1, 8))
+    height = draw(st.just(grid) | st.integers(grid, 150))
+    width = draw(st.just(grid) | st.integers(grid, 150))
+    clip = draw(st.sampled_from([0.5, 1.0, 2.0, 3.7, 40.0]))
+    kind = draw(st.sampled_from(["random", "two-level", "constant"]))
+    return _test_image(kind, height, width, draw(st.integers(0, 2**32 - 1))), clip, grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_clahe_cases())
+def test_clahe_bit_identical_to_whole_image_oracle(case):
+    px, clip, grid = case
+    assert np.array_equal(clahe(GrayImage(px), clip, grid).pixels, _oracle_clahe(px, clip, grid))
+
+
+@pytest.mark.parametrize("kind", ["random", "two-level", "constant"])
+def test_clahe_bit_identical_to_oracle_at_pipeline_size(kind):
+    px = _test_image(kind, 419, 416, seed=11)
+    assert np.array_equal(clahe(GrayImage(px)).pixels, _oracle_clahe(px, 2.0, 8))
+
+
+def test_clahe_huge_clip_limit_clips_nothing():
+    px = _test_image("random", 90, 70, seed=4)
+    unclipped = _oracle_clahe(px, 1e6, 8)
+    for clip in (256.0, 1e300):
+        assert np.array_equal(clahe(GrayImage(px), clip, 8).pixels, unclipped)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from litematch import cli, ops, training
+from litematch import cli, dataset, ops, training
 from litematch.checkpoint import build_checkpoint, load_checkpoint, model_from_checkpoint, save_checkpoint
 from litematch.config import RunConfig
 from litematch.errors import TrainingError
@@ -47,3 +47,17 @@ def test_train_stops_on_nan_weight_in_resumed_model(tmp_path):
     with pytest.raises(TrainingError, match="epoch 2 step 3"):
         training.train(cfg, data, out, resume=poisoned, echo=False)
     assert not out.exists()
+
+
+def test_train_reads_each_pair_image_once(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    argv = ["gen-data", "--synthetic", "--out", str(data), "--pairs", "2", "--triplets", "4",
+            "--seed", "3", "--set", "input_size=32", "--set", "synth_size=256"]
+    assert cli.main(argv) == 0
+    reads = []
+    real_load = dataset.load_image
+    monkeypatch.setattr(dataset, "load_image", lambda path: reads.append(path) or real_load(path))
+    cfg = RunConfig(input_size=32, batch_size=4, epochs=1, checkpoint_every=0, seed=3).validate()
+    training.train(cfg, data, tmp_path / "model.ckpt", echo=False)
+    assert len(reads) == 4  # two pairs, a visible and a NIR image each
+    assert len(set(reads)) == 4
