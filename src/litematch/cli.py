@@ -30,14 +30,11 @@ import argparse
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, model_from_checkpoint, run_config_from_meta
 from .config import RunConfig, apply_overrides, load_config_file
 from .dataset import (
     AlignedPair,
     build_triplets,
-    enhanced_pair,
     identity_alignment,
     load_dataset,
     merge_manifests,
@@ -47,15 +44,10 @@ from .dataset import (
 from .detector import detect_keypoints
 from .errors import ConfigError, DatasetError
 from .image import load_image, save_ppm
-from .matching import annotate_matches, match_nn, score, write_matches
+from .matching import annotate_matches, score, write_matches
+from .model import Model
 from .patch import required_margin
-from .pipeline import (
-    compute_descriptors,
-    detect_for_matching,
-    enhance,
-    evaluate_pair,
-    evaluation_table,
-)
+from .pipeline import enhance, evaluate_pair, evaluation_table, match_images
 from .training import select_records, train
 
 
@@ -72,8 +64,8 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+def _build_config(args: argparse.Namespace, cfg: RunConfig) -> RunConfig:
+    """``cfg`` under --config, then --set, then --seed."""
     if args.config is not None:
         cfg = load_config_file(args.config, cfg)
     overrides: dict[str, str] = {}
@@ -88,8 +80,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return cfg.validate()
 
 
+def _load_model(args: argparse.Namespace) -> tuple[Model, RunConfig]:
+    """The checkpoint's model and its run config under the command-line overrides."""
+    ckpt = load_checkpoint(args.checkpoint)
+    return model_from_checkpoint(ckpt), _build_config(args, run_config_from_meta(ckpt.meta))
+
+
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, RunConfig())
     if args.pairs is not None:
         cfg.pairs = args.pairs
     if args.triplets is not None:
@@ -119,25 +117,20 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         per_pair[i] += 1
     manifests = []
     for pair, count in zip(pairs, per_pair):
-        vis_e = enhance(pair.visible, cfg)
-        nir_e = enhance(pair.nir, cfg)
-        keypoints = detect_keypoints(vis_e, cfg.max_keypoints, border_margin=margin)
-        if len(keypoints) < 2:
-            raise DatasetError(f"pair {pair.name}: not enough usable keypoints")
-        _, manifest = build_triplets(
-            pair,
-            keypoints,
-            count=count,
-            seed=cfg.seed,
-            window=cfg.window,
-            out_size=cfg.input_size,
-            kinds=cfg.transform_kinds(),
-            visible_enhanced=vis_e,
-            nir_enhanced=nir_e,
+        keypoints = detect_keypoints(
+            enhance(pair.visible, cfg), cfg.max_keypoints, border_margin=margin
         )
-        manifest.clahe_clip = cfg.clahe_clip
-        manifest.clahe_grid = cfg.clahe_grid
-        manifests.append(manifest)
+        manifests.append(
+            build_triplets(
+                pair,
+                keypoints,
+                count=count,
+                seed=cfg.seed,
+                window=cfg.window,
+                out_size=cfg.input_size,
+                kinds=cfg.transform_kinds(),
+            )
+        )
     merged = merge_manifests(manifests, seed=cfg.seed)
     merged.clahe_clip = cfg.clahe_clip
     merged.clahe_grid = cfg.clahe_grid
@@ -147,7 +140,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, RunConfig())
     log_path = args.log if args.log is not None else Path(args.out).with_suffix(".log.tsv")
     report = train(
         cfg,
@@ -166,20 +159,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_match(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    ckpt = load_checkpoint(args.checkpoint)
-    model = model_from_checkpoint(ckpt)
-    cfg = run_config_from_meta(ckpt.meta)
-    if args.config is not None or args.set or args.seed is not None:
-        cfg = _build_config(args)
+    model, cfg = _load_model(args)
     img_a = load_image(args.image_a)
     img_b = load_image(args.image_b)
-    enh_a = enhance(img_a, cfg)
-    enh_b = enhance(img_b, cfg)
-    kps_a = detect_for_matching(enh_a, cfg)
-    kps_b = detect_for_matching(enh_b, cfg)
-    set_a = compute_descriptors(model, enh_a, kps_a, cfg)
-    set_b = compute_descriptors(model, enh_b, kps_b, cfg)
-    result = match_nn(set_a, set_b, threshold=cfg.threshold, mutual=cfg.mutual)
+    result, set_a, set_b = match_images(model, img_a, img_b, cfg)
     line = f"matched {result.n_success} of {result.n_total_keypoints} keypoints"
     if args.gt_identity:
         precision, matching_score = score(result, set_a, set_b, identity_alignment, eps=cfg.eps)
@@ -201,11 +184,7 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    model = model_from_checkpoint(ckpt)
-    cfg = run_config_from_meta(ckpt.meta)
-    if args.config is not None or args.set or args.seed is not None:
-        cfg = _build_config(args)
+    model, cfg = _load_model(args)
     pairs, manifest = load_dataset(args.data)
     selected = select_records(manifest, cfg, args.subset)
     if not selected.pairs:

@@ -107,8 +107,3 @@ def load_config_file(path: str | Path, cfg: "RunConfig | None" = None) -> RunCon
         key, raw = stripped.split("=", 1)
         overrides[key.strip()] = raw
     return apply_overrides(cfg, overrides)
-
-
-def config_to_text(cfg: RunConfig) -> str:
-    lines = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(RunConfig)]
-    return "\n".join(lines) + "\n"

@@ -1,8 +1,10 @@
 """Triplet dataset construction from registered visible/near-infrared pairs.
 
-Triplets are never stored as pixels: a manifest records keypoint
-coordinates, the sampled transform, and the negative index, and patches
-are regenerated bit-exactly from the source images on demand. A synthetic
+Triplets are never stored as pixels: :func:`build_triplets` records
+keypoint coordinates, the sampled transform and the negative index in a
+manifest without extracting a patch, and :func:`materialize_triplet` is the
+one place that samples a record's patches, bit-exactly, from the enhanced
+source images when training needs them. A synthetic
 pair generator provides desk-scale data with exact (identity) ground
 truth: the "NIR" side is a monotone radiometric remap of the visible side
 with a smooth per-region gain field and pixel noise.
@@ -31,8 +33,8 @@ from .patch import (
     PatchTransform,
     apply_transform,
     extract_patch,
+    required_margin,
 )
-from .tensor import Tensor
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = 1
@@ -82,16 +84,6 @@ class TripletRecord:
             dx=self.dx,
             dy=self.dy,
         )
-
-
-@dataclass
-class PatchTriplet:
-    """Anchor (visible), positive (transformed NIR), negative (other NIR)."""
-
-    anchor: Tensor
-    positive: Tensor
-    negative: Tensor
-    record: TripletRecord
 
 
 @dataclass
@@ -262,15 +254,15 @@ def materialize_triplet(
     nir: GrayImage,
     window: int,
     out_size: int,
-) -> PatchTriplet:
-    """Regenerate the three patch tensors of one manifest record."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The [1, S, S] anchor (visible), positive (transformed NIR) and
+    negative (other NIR) patches of one manifest record."""
     anchor_kp = Keypoint(record.anchor_x, record.anchor_y, record.anchor_scale, record.anchor_response)
     negative_kp = Keypoint(record.negative_x, record.negative_y, 0.0, 0.0)
-    return PatchTriplet(
-        anchor=extract_patch(visible, anchor_kp, window=window, out_size=out_size),
-        positive=apply_transform(nir, anchor_kp, record.transform(), window=window, out_size=out_size),
-        negative=extract_patch(nir, negative_kp, window=window, out_size=out_size),
-        record=record,
+    return (
+        extract_patch(visible, anchor_kp, window=window, out_size=out_size).data,
+        apply_transform(nir, anchor_kp, record.transform(), window=window, out_size=out_size).data,
+        extract_patch(nir, negative_kp, window=window, out_size=out_size).data,
     )
 
 
@@ -282,16 +274,17 @@ def build_triplets(
     window: int = DEFAULT_WINDOW,
     out_size: int = DEFAULT_OUT_SIZE,
     kinds: tuple[str, ...] = TRANSFORM_KINDS,
-    visible_enhanced: "GrayImage | None" = None,
-    nir_enhanced: "GrayImage | None" = None,
-) -> tuple[list[PatchTriplet], DatasetManifest]:
-    """Sample ``count`` triplets from one registered pair.
+) -> DatasetManifest:
+    """Sample ``count`` triplet records from one registered pair.
 
     Anchors are visible-image patches at detected keypoints; positives
     sample the NIR image at the same location under a uniformly drawn
     transform; negatives sample the NIR image at a different keypoint more
     than ``window`` px away. Each triplet derives its own seed, so results
-    do not depend on construction order.
+    do not depend on construction order. Every keypoint must keep
+    :func:`~litematch.patch.required_margin` px from the border (the
+    detector's ``border_margin`` rule), so every record materializes under
+    any supported transform.
     """
     if count < 1:
         raise DatasetError(f"triplet count must be >= 1, got {count}")
@@ -299,9 +292,17 @@ def build_triplets(
         raise DatasetError(f"pair {pair.name}: need at least 2 valid keypoints")
     if not kinds:
         raise DatasetError("at least one transform kind must be enabled")
-    vis = visible_enhanced if visible_enhanced is not None else pair.visible
-    nir = nir_enhanced if nir_enhanced is not None else pair.nir
     coords = np.array([[kp.x, kp.y] for kp in keypoints])
+    margin = required_margin(window, out_size)
+    height, width = pair.visible.pixels.shape
+    centers = np.round(coords)  # half to even, like the detector's round()
+    inside = (centers >= margin) & (centers <= [width - margin, height - margin])
+    if not inside.all():
+        kp = keypoints[int(np.argmin(inside.all(axis=1)))]
+        raise DatasetError(
+            f"pair {pair.name}: keypoint ({kp.x:.1f}, {kp.y:.1f}) is closer than the "
+            f"{margin} px patch margin to the border of the {width}x{height} image"
+        )
     dist2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
     far_enough = dist2 > float(window) ** 2
     usable = [i for i in range(len(keypoints)) if far_enough[i].any()]
@@ -309,7 +310,6 @@ def build_triplets(
         raise DatasetError(
             f"pair {pair.name}: no keypoint has a negative more than {window} px away"
         )
-    triplets: list[PatchTriplet] = []
     manifest = DatasetManifest(seed=seed, window=window, out_size=out_size, pairs=[pair.name])
     for i in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
@@ -334,9 +334,8 @@ def build_triplets(
             negative_y=nkp.y,
             negative_index=n_idx,
         )
-        triplets.append(materialize_triplet(record, vis, nir, window, out_size))
         manifest.records.append(record)
-    return triplets, manifest
+    return manifest
 
 
 def merge_manifests(parts: list[DatasetManifest], seed: int) -> DatasetManifest:

@@ -8,7 +8,7 @@ keypoint lands within ``eps`` pixels of the ground-truth correspondence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -17,7 +17,6 @@ import numpy as np
 from .dataset import AlignedPair
 from .detector import Keypoint
 from .errors import DimensionError, MatchingError
-from .image import GrayImage
 
 GtMap = Callable[[float, float], tuple[float, float]]
 

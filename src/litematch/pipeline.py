@@ -1,4 +1,10 @@
-"""End-to-end glue: images -> keypoints -> descriptors -> matches -> metrics."""
+"""End-to-end glue: images -> keypoints -> descriptors -> matches -> metrics.
+
+:func:`match_images` is the one path that enhances, detects, describes and
+matches; :func:`evaluate_pair` runs it on a registered pair and scores the
+matches against the identity map, and the ``match`` command runs it on two
+image files.
+"""
 
 from __future__ import annotations
 
@@ -15,29 +21,29 @@ from .model import Model, forward
 from .patch import extract_patch
 from .tensor import Tensor
 
+DESCRIPTOR_BATCH = 64  # patches per model forward
+
 
 def enhance(img: GrayImage, cfg: RunConfig) -> GrayImage:
     return clahe(img, cfg.clahe_clip, cfg.clahe_grid)
 
 
-def detect_for_matching(img: GrayImage, cfg: RunConfig) -> list[Keypoint]:
-    # margin covers the plain extraction window plus sub-pixel overhang
-    return detect_keypoints(img, cfg.max_keypoints, border_margin=cfg.window // 2 + 1)
-
-
 def compute_descriptors(
-    model: Model,
-    img: GrayImage,
-    keypoints: list[Keypoint],
-    cfg: RunConfig,
-    batch_size: int = 64,
-) -> DescriptorSet:
-    """Batched descriptor inference for a list of keypoints."""
+    model: Model, sides: list[tuple[GrayImage, list[Keypoint]]], cfg: RunConfig
+) -> list[DescriptorSet]:
+    """One descriptor set per ``(image, keypoints)`` side.
+
+    The patches of all sides go through one loop of ``DESCRIPTOR_BATCH``
+    patch forwards, so small sides share a batch.
+    """
+    located = [(img, kp) for img, keypoints in sides for kp in keypoints]
     rows = []
-    for lo in range(0, len(keypoints), batch_size):
-        chunk = keypoints[lo : lo + batch_size]
+    for lo in range(0, len(located), DESCRIPTOR_BATCH):
         patches = np.stack(
-            [extract_patch(img, kp, cfg.window, cfg.input_size).data for kp in chunk]
+            [
+                extract_patch(img, kp, cfg.window, cfg.input_size).data
+                for img, kp in located[lo : lo + DESCRIPTOR_BATCH]
+            ]
         )
         rows.append(forward(model, Tensor(patches)).data)
     descriptors = (
@@ -45,7 +51,26 @@ def compute_descriptors(
         if rows
         else np.zeros((0, model.config.descriptor_dim), dtype=np.float32)
     )
-    return DescriptorSet(keypoints=list(keypoints), descriptors=descriptors)
+    ends = np.cumsum([len(keypoints) for _, keypoints in sides])
+    return [
+        DescriptorSet(list(keypoints), block)
+        for (_, keypoints), block in zip(sides, np.split(descriptors, ends[:-1]))
+    ]
+
+
+def match_images(
+    model: Model, img_a: GrayImage, img_b: GrayImage, cfg: RunConfig
+) -> tuple[MatchResult, DescriptorSet, DescriptorSet]:
+    """Enhance, detect, describe and match two images of one scene."""
+    sides = []
+    for img in (img_a, img_b):
+        enhanced = enhance(img, cfg)
+        # margin covers the plain extraction window plus sub-pixel overhang
+        keypoints = detect_keypoints(enhanced, cfg.max_keypoints, border_margin=cfg.window // 2 + 1)
+        sides.append((enhanced, keypoints))
+    set_a, set_b = compute_descriptors(model, sides, cfg)
+    result = match_nn(set_a, set_b, threshold=cfg.threshold, mutual=cfg.mutual)
+    return result, set_a, set_b
 
 
 @dataclass
@@ -61,18 +86,12 @@ class PairEvaluation:
 
 def evaluate_pair(model: Model, pair: AlignedPair, cfg: RunConfig) -> tuple[PairEvaluation, MatchResult, DescriptorSet, DescriptorSet]:
     """Match a registered pair against itself and score with identity truth."""
-    vis = enhance(pair.visible, cfg)
-    nir = enhance(pair.nir, cfg)
-    kps_a = detect_for_matching(vis, cfg)
-    kps_b = detect_for_matching(nir, cfg)
-    set_a = compute_descriptors(model, vis, kps_a, cfg)
-    set_b = compute_descriptors(model, nir, kps_b, cfg)
-    result = match_nn(set_a, set_b, threshold=cfg.threshold, mutual=cfg.mutual)
+    result, set_a, set_b = match_images(model, pair.visible, pair.nir, cfg)
     precision, matching_score = score(result, set_a, set_b, identity_alignment, eps=cfg.eps)
     summary = PairEvaluation(
         name=pair.name,
-        n_keypoints_a=len(kps_a),
-        n_keypoints_b=len(kps_b),
+        n_keypoints_a=len(set_a),
+        n_keypoints_b=len(set_b),
         n_matched=result.n_success,
         n_correct=result.n_correct or 0,
         precision=precision,

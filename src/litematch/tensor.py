@@ -67,9 +67,6 @@ class Tensor:
         """View of the same data with no tape participation."""
         return Tensor._wrap(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return (
             f"Tensor(shape={tuple(self.data.shape)}, dtype={self.data.dtype}, "
@@ -196,8 +193,4 @@ class SGD:
             np.multiply(v, self.momentum, out=v)
             v += p.grad
             p.data -= self.lr * v
-            p.grad = None
-
-    def zero_grad(self) -> None:
-        for p in self.params:
             p.grad = None

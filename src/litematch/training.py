@@ -89,15 +89,12 @@ class TripletSource:
 
     def batch_arrays(self, indices: np.ndarray) -> np.ndarray:
         """Stacked [3b, 1, S, S] array: anchors, then positives, then negatives."""
-        anchors, positives, negatives = [], [], []
-        for i in indices:
-            rec = self.manifest.records[int(i)]
-            vis, nir = self.enhanced[rec.pair]
-            t = materialize_triplet(rec, vis, nir, self.manifest.window, self.manifest.out_size)
-            anchors.append(t.anchor.data)
-            positives.append(t.positive.data)
-            negatives.append(t.negative.data)
-        return np.concatenate([np.stack(anchors), np.stack(positives), np.stack(negatives)])
+        m = self.manifest
+        records = [m.records[int(i)] for i in indices]
+        triplets = [
+            materialize_triplet(r, *self.enhanced[r.pair], m.window, m.out_size) for r in records
+        ]
+        return np.concatenate([np.stack(side) for side in zip(*triplets)])
 
 
 def train_step(model: Model, opt: SGD, batch_data: np.ndarray, loss_mode: str) -> float:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from litematch import dataset
 from litematch.dataset import (
     AlignedPair,
     DatasetManifest,
@@ -16,16 +17,30 @@ from litematch.dataset import (
     synth_pair,
     write_dataset,
 )
-from litematch.detector import detect_keypoints
+from litematch.detector import Keypoint, detect_keypoints
 from litematch.errors import DatasetError
-from litematch.image import clahe
-from litematch.patch import required_margin
+from litematch.image import GrayImage, clahe
+from litematch.patch import (
+    MAX_TRANSLATION,
+    ROTATION_DEGREES,
+    SCALE_FACTORS,
+    PatchTransform,
+    apply_transform,
+    required_margin,
+)
 
 
 def make_keypoints(pair, max_points=80):
     return detect_keypoints(
         clahe(pair.visible), max_points=max_points, border_margin=required_margin()
     )
+
+
+def materialize_all(manifest, visible, nir):
+    return [
+        materialize_triplet(rec, visible, nir, manifest.window, manifest.out_size)
+        for rec in manifest.records
+    ]
 
 
 def test_synth_pair_deterministic():
@@ -66,23 +81,25 @@ def test_synth_pair_rejects_small_size():
 def test_build_triplets_deterministic_and_counted():
     pair = synth_pair(1, size=384)
     kps = make_keypoints(pair)
-    t1, m1 = build_triplets(pair, kps, count=24, seed=9)
-    t2, m2 = build_triplets(pair, kps, count=24, seed=9)
+    m1 = build_triplets(pair, kps, count=24, seed=9)
+    m2 = build_triplets(pair, kps, count=24, seed=9)
     assert m1.to_json() == m2.to_json()
-    assert len(t1) == 24 and m1.count == 24
+    assert m1.count == 24
     assert sum(m1.transform_counts().values()) == 24
+    t1 = materialize_all(m1, pair.visible, pair.nir)
+    t2 = materialize_all(m2, pair.visible, pair.nir)
+    assert len(t1) == 24
     for a, b in zip(t1, t2):
-        assert np.array_equal(a.anchor.data, b.anchor.data)
-        assert np.array_equal(a.positive.data, b.positive.data)
-        assert np.array_equal(a.negative.data, b.negative.data)
-    _, m3 = build_triplets(pair, kps, count=24, seed=10)
+        for pa, pb in zip(a, b):
+            assert np.array_equal(pa, pb)
+    m3 = build_triplets(pair, kps, count=24, seed=10)
     assert m3.to_json() != m1.to_json()
 
 
 def test_triplet_negative_distance_constraint():
     pair = synth_pair(2, size=384)
     kps = make_keypoints(pair)
-    triplets, manifest = build_triplets(pair, kps, count=40, seed=3)
+    manifest = build_triplets(pair, kps, count=40, seed=3)
     for rec in manifest.records:
         d = np.hypot(rec.anchor_x - rec.negative_x, rec.anchor_y - rec.negative_y)
         assert d > manifest.window
@@ -91,39 +108,39 @@ def test_triplet_negative_distance_constraint():
 def test_triplet_patch_shapes_and_range():
     pair = synth_pair(3, size=384)
     kps = make_keypoints(pair)
-    triplets, _ = build_triplets(pair, kps, count=8, seed=1)
-    for t in triplets:
-        for patch in (t.anchor, t.positive, t.negative):
-            assert patch.shape == (1, 128, 128)
-            assert 0.0 <= patch.data.min() and patch.data.max() <= 1.0
+    manifest = build_triplets(pair, kps, count=8, seed=1)
+    for t in materialize_all(manifest, pair.visible, pair.nir):
+        for patch in t:
+            assert patch.shape == (1, 128, 128) and patch.dtype == np.float32
+            assert 0.0 <= patch.min() and patch.max() <= 1.0
 
 
 def test_identity_only_transforms_on_identical_modalities():
     pair = synth_pair(4, size=384)
     same = AlignedPair(name="same", visible=pair.visible, nir=pair.visible)
     kps = make_keypoints(same)
-    triplets, _ = build_triplets(same, kps, count=6, seed=2, kinds=("identity",))
-    for t in triplets:
-        assert np.array_equal(t.anchor.data, t.positive.data)
+    manifest = build_triplets(same, kps, count=6, seed=2, kinds=("identity",))
+    for anchor, positive, _ in materialize_all(manifest, same.visible, same.nir):
+        assert np.array_equal(anchor, positive)
 
 
 def test_manifest_regenerates_bit_exact(tmp_path):
     pair = synth_pair(5, size=384)
     kps = make_keypoints(pair)
     vis_e, nir_e = clahe(pair.visible), clahe(pair.nir)
-    triplets, manifest = build_triplets(
-        pair, kps, count=12, seed=4, visible_enhanced=vis_e, nir_enhanced=nir_e
-    )
+    manifest = build_triplets(pair, kps, count=12, seed=4)
+    triplets = materialize_all(manifest, vis_e, nir_e)
     write_dataset(tmp_path, [pair], manifest)
     pairs2, manifest2 = load_dataset(tmp_path)
     assert manifest2.to_json() == manifest.to_json()
     vis2, nir2 = enhanced_pair(pairs2["pair0005"], manifest2)
     assert np.array_equal(vis2.pixels, vis_e.pixels)
-    for t, rec in zip(triplets, manifest2.records):
-        again = materialize_triplet(rec, vis2, nir2, manifest2.window, manifest2.out_size)
-        assert np.array_equal(t.anchor.data, again.anchor.data)
-        assert np.array_equal(t.positive.data, again.positive.data)
-        assert np.array_equal(t.negative.data, again.negative.data)
+    assert np.array_equal(nir2.pixels, nir_e.pixels)
+    again = materialize_all(manifest2, vis2, nir2)
+    assert len(again) == len(triplets) == 12
+    for t, t2 in zip(triplets, again):
+        for pa, pb in zip(t, t2):
+            assert np.array_equal(pa, pb)
 
 
 def test_build_triplets_requires_keypoints():
@@ -135,6 +152,54 @@ def test_build_triplets_requires_keypoints():
         build_triplets(pair, kps, count=4, seed=0)
 
 
+def test_build_triplets_extracts_no_patches(monkeypatch):
+    pair = synth_pair(7, size=384)
+    kps = make_keypoints(pair)
+
+    def no_pixels(*args, **kwargs):
+        raise AssertionError("build_triplets sampled a patch")
+
+    monkeypatch.setattr(dataset, "extract_patch", no_pixels)
+    monkeypatch.setattr(dataset, "apply_transform", no_pixels)
+    manifest = build_triplets(pair, kps, count=50, seed=5)
+    assert isinstance(manifest, DatasetManifest) and manifest.count == 50
+
+
+@pytest.mark.parametrize("window, out_size", [(64, 128), (64, 32), (31, 64)])
+def test_build_triplets_rejects_keypoint_inside_margin(window, out_size):
+    margin = required_margin(window, out_size)
+    size = 2 * margin + 3 * window
+    pixels = np.random.default_rng(0).integers(0, 256, (size, size), dtype=np.uint8)
+    pair = AlignedPair("p", GrayImage(pixels), GrayImage(pixels))
+    lo, hi = margin - 0.49, size - margin + 0.49  # round() lands on the margin
+    corners = [Keypoint(x, y, 1.6, 1.0) for x in (lo, hi) for y in (lo, hi)]
+    build_triplets(pair, corners, count=4, seed=0, window=window, out_size=out_size)
+    for bad in ((margin - 1, size / 2), (size / 2, margin - 0.51), (size - margin + 1, size / 2),
+                (size / 2, size - margin + 0.51)):
+        kps = corners + [Keypoint(*bad, 1.6, 1.0)]
+        with pytest.raises(DatasetError, match=f"{margin} px patch margin"):
+            build_triplets(pair, kps, count=4, seed=0, window=window, out_size=out_size)
+
+
+@pytest.mark.parametrize("window, out_size", [(64, 128), (64, 32), (31, 64)])
+def test_required_margin_admits_every_transform(window, out_size):
+    # the keypoints build_triplets admits nearest each border materialize
+    # under the extreme of every supported transform
+    margin = required_margin(window, out_size)
+    size = 2 * margin + 3 * window
+    img = GrayImage(np.random.default_rng(1).integers(0, 256, (size, size), dtype=np.uint8))
+    m = MAX_TRANSLATION
+    transforms = [PatchTransform()]
+    transforms += [PatchTransform(kind="scale", scale_factor=f) for f in SCALE_FACTORS]
+    transforms += [PatchTransform(kind="rotate", angle_deg=s * a) for a in ROTATION_DEGREES for s in (1, -1)]
+    transforms += [PatchTransform(kind="translate", dx=dx, dy=dy) for dx in (-m, 0, m) for dy in (-m, 0, m)]
+    for x in (margin - 0.49, size - margin + 0.49):
+        for y in (margin - 0.49, size - margin + 0.49):
+            for t in transforms:
+                patch = apply_transform(img, Keypoint(x, y, 1.6, 1.0), t, window, out_size)
+                assert patch.shape == (1, out_size, out_size)
+
+
 def test_split_by_pair_grouping():
     manifests = []
     pairs = []
@@ -142,7 +207,7 @@ def test_split_by_pair_grouping():
         pair = synth_pair(seed, size=384)
         pairs.append(pair)
         kps = make_keypoints(pair, max_points=40)
-        _, m = build_triplets(pair, kps, count=6, seed=seed)
+        m = build_triplets(pair, kps, count=6, seed=seed)
         manifests.append(m)
     merged = merge_manifests(manifests, seed=123)
     train, val = split(merged, ratio=0.8)
@@ -159,7 +224,7 @@ def test_split_by_pair_grouping():
 def test_split_rejects_degenerate():
     pair = synth_pair(0, size=384)
     kps = make_keypoints(pair, max_points=40)
-    _, m = build_triplets(pair, kps, count=4, seed=0)
+    m = build_triplets(pair, kps, count=4, seed=0)
     with pytest.raises(DatasetError):
         split(m, ratio=0.5)  # one pair cannot be split
     with pytest.raises(DatasetError):
