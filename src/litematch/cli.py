@@ -1,32 +1,14 @@
-"""Command-line interface: gen-data, train, match, evaluate."""
+"""Command-line interface: gen-data, train, match, evaluate.
+
+Importing this module changes nothing outside it. The BLAS/OpenMP thread
+pools size themselves from ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``,
+so set those in the environment that starts ``litematch``.
+"""
 
 from __future__ import annotations
 
-import os
-import sys
-
-
-def _configure_threads_early() -> None:
-    """Pin BLAS thread counts before numpy loads (the --threads flag)."""
-    argv = sys.argv
-    value = None
-    for i, tok in enumerate(argv):
-        if tok == "--threads" and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif tok.startswith("--threads="):
-            value = tok.split("=", 1)[1]
-    if value is not None:
-        try:
-            n = max(1, int(value))
-        except ValueError:
-            return  # argparse reports the error later
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
-_configure_threads_early()
-
 import argparse
+import sys
 import time
 from pathlib import Path
 
@@ -48,13 +30,12 @@ from .matching import annotate_matches, score, write_matches
 from .model import Model
 from .patch import required_margin
 from .pipeline import enhance, evaluate_pair, evaluation_table, match_images
-from .training import select_records, train
+from .training import check_model_config, select_records, train
 
 
 def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="flat key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the run seed")
-    parser.add_argument("--threads", type=int, default=None, help="BLAS thread count")
     parser.add_argument(
         "--set",
         action="append",
@@ -65,7 +46,10 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace, cfg: RunConfig) -> RunConfig:
-    """``cfg`` under --config, then --set, then --seed."""
+    """``cfg`` under --config, then --set, then the dedicated flags, validated once.
+
+    The dedicated flags are --seed and, for gen-data, --pairs and --triplets.
+    """
     if args.config is not None:
         cfg = load_config_file(args.config, cfg)
     overrides: dict[str, str] = {}
@@ -75,23 +59,24 @@ def _build_config(args: argparse.Namespace, cfg: RunConfig) -> RunConfig:
         key, value = item.split("=", 1)
         overrides[key.strip()] = value
     apply_overrides(cfg, overrides)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    for key in ("seed", "pairs", "triplets"):
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
     return cfg.validate()
 
 
 def _load_model(args: argparse.Namespace) -> tuple[Model, RunConfig]:
-    """The checkpoint's model and its run config under the command-line overrides."""
+    """The checkpoint's model and its run config under the command-line overrides,
+    which may not change the checkpoint's model fields."""
     ckpt = load_checkpoint(args.checkpoint)
-    return model_from_checkpoint(ckpt), _build_config(args, run_config_from_meta(ckpt.meta))
+    model = model_from_checkpoint(ckpt)
+    cfg = _build_config(args, run_config_from_meta(ckpt.meta))
+    check_model_config(model, cfg)
+    return model, cfg
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _build_config(args, RunConfig())
-    if args.pairs is not None:
-        cfg.pairs = args.pairs
-    if args.triplets is not None:
-        cfg.triplets = args.triplets
     out_dir = Path(args.out)
     if args.from_pairs is not None:
         src = Path(args.from_pairs)
@@ -170,14 +155,7 @@ def cmd_match(args: argparse.Namespace) -> int:
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_matches(prefix.with_suffix(".matches.tsv"), result, set_a, set_b)
-    composite = annotate_matches(
-        AlignedPair(name=prefix.name, visible=img_a, nir=img_b),
-        result,
-        set_a,
-        set_b,
-        identity_alignment,
-        eps=cfg.eps,
-    )
+    composite = annotate_matches(img_a, img_b, result, set_a, set_b)
     save_ppm(composite, prefix.with_suffix(".matches.ppm"))
     print(f"{line}; wall {time.perf_counter() - t0:.1f}s; outputs at {prefix}.matches.*")
     return 0
@@ -210,8 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="generate synthetic pairs and a triplet manifest")
     _add_shared(g)
     g.add_argument("--out", required=True, help="output dataset directory")
-    g.add_argument("--synthetic", action="store_true", help="use the synthetic pair generator")
-    g.add_argument("--from-pairs", default=None, help="directory of registered *_vis.pgm/*_nir.pgm")
+    source = g.add_mutually_exclusive_group(required=True)
+    source.add_argument("--synthetic", action="store_true", help="use the synthetic pair generator")
+    source.add_argument("--from-pairs", default=None, help="directory of registered *_vis.pgm/*_nir.pgm")
     g.add_argument("--pairs", type=int, default=None, help="number of synthetic pairs")
     g.add_argument("--triplets", type=int, default=None, help="total triplet count")
     g.set_defaults(func=cmd_gen_data)

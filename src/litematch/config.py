@@ -6,6 +6,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .loss import LOSS_MODES
 
 
 @dataclass
@@ -54,14 +55,13 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.lr <= 0 or not 0 <= self.momentum < 1:
             raise ConfigError("optimizer settings out of range")
-        if self.batch_size < 1 or self.epochs < 1 or self.triplets < 1:
-            raise ConfigError("batch_size, epochs and triplets must be positive")
-        if self.loss_mode not in ("corrected", "literal"):
-            raise ConfigError(f"unknown loss_mode {self.loss_mode!r}")
+        for name in ("batch_size", "epochs", "triplets", "pairs", "max_keypoints"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.loss_mode not in LOSS_MODES:
+            raise ConfigError(f"unknown loss_mode {self.loss_mode!r}; expected one of {LOSS_MODES}")
         if self.threshold <= 0 or self.eps <= 0:
             raise ConfigError("threshold and eps must be positive")
-        if self.max_keypoints < 1:
-            raise ConfigError(f"max_keypoints must be at least 1, got {self.max_keypoints}")
         if not 0 < self.split_ratio < 1:
             raise ConfigError("split_ratio must lie in (0, 1)")
         return self

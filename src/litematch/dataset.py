@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,25 @@ class TripletRecord:
         )
 
 
+# (TripletRecord field, manifest key, type) of every record entry; operator.index
+# takes an int and refuses a float, which int() would truncate
+RECORD_KEYS = (
+    ("pair", "pair", str),
+    ("anchor_x", "ax", float),
+    ("anchor_y", "ay", float),
+    ("anchor_scale", "ascale", float),
+    ("anchor_response", "aresp", float),
+    ("kind", "kind", str),
+    ("scale_factor", "sf", float),
+    ("angle_deg", "deg", float),
+    ("dx", "dx", operator.index),
+    ("dy", "dy", operator.index),
+    ("negative_x", "nx", float),
+    ("negative_y", "ny", float),
+    ("negative_index", "nidx", operator.index),
+)
+
+
 @dataclass
 class DatasetManifest:
     seed: int
@@ -117,22 +137,7 @@ class DatasetManifest:
             "pairs": self.pairs,
             "transform_counts": self.transform_counts(),
             "records": [
-                {
-                    "pair": r.pair,
-                    "ax": r.anchor_x,
-                    "ay": r.anchor_y,
-                    "ascale": r.anchor_scale,
-                    "aresp": r.anchor_response,
-                    "kind": r.kind,
-                    "sf": r.scale_factor,
-                    "deg": r.angle_deg,
-                    "dx": r.dx,
-                    "dy": r.dy,
-                    "nx": r.negative_x,
-                    "ny": r.negative_y,
-                    "nidx": r.negative_index,
-                }
-                for r in self.records
+                {key: getattr(r, name) for name, key, _ in RECORD_KEYS} for r in self.records
             ],
         }
         return json.dumps(doc, sort_keys=True, indent=1)
@@ -152,21 +157,7 @@ class DatasetManifest:
         )
         for r in doc["records"]:
             manifest.records.append(
-                TripletRecord(
-                    pair=r["pair"],
-                    anchor_x=r["ax"],
-                    anchor_y=r["ay"],
-                    anchor_scale=r["ascale"],
-                    anchor_response=r["aresp"],
-                    kind=r["kind"],
-                    scale_factor=r["sf"],
-                    angle_deg=r["deg"],
-                    dx=r["dx"],
-                    dy=r["dy"],
-                    negative_x=r["nx"],
-                    negative_y=r["ny"],
-                    negative_index=r["nidx"],
-                )
+                TripletRecord(**{name: kind(r[key]) for name, key, kind in RECORD_KEYS})
             )
         counts = doc.get("transform_counts")
         if counts is not None and sum(counts.values()) != manifest.count:
@@ -343,13 +334,7 @@ def merge_manifests(parts: list[DatasetManifest], seed: int) -> DatasetManifest:
     if not parts:
         raise DatasetError("nothing to merge")
     first = parts[0]
-    merged = DatasetManifest(
-        seed=seed,
-        window=first.window,
-        out_size=first.out_size,
-        clahe_clip=first.clahe_clip,
-        clahe_grid=first.clahe_grid,
-    )
+    merged = replace(first, seed=seed, pairs=[], records=[])
     for part in parts:
         if (part.window, part.out_size) != (first.window, first.out_size):
             raise DatasetError("manifests disagree on extraction settings")
@@ -377,16 +362,11 @@ def split(manifest: DatasetManifest, ratio: float) -> tuple[DatasetManifest, Dat
     train_names = {names[i] for i in order[:n_train]}
 
     def _side(selected: set[str]) -> DatasetManifest:
-        side = DatasetManifest(
-            seed=manifest.seed,
-            window=manifest.window,
-            out_size=manifest.out_size,
-            clahe_clip=manifest.clahe_clip,
-            clahe_grid=manifest.clahe_grid,
+        return replace(
+            manifest,
             pairs=[n for n in manifest.pairs if n in selected],
+            records=[r for r in manifest.records if r.pair in selected],
         )
-        side.records = [r for r in manifest.records if r.pair in selected]
-        return side
 
     val_names = set(names) - train_names
     return _side(train_names), _side(val_names)
@@ -406,12 +386,19 @@ def write_dataset(out_dir: str | Path, pairs: list[AlignedPair], manifest: Datas
 
 
 def load_dataset(data_dir: str | Path) -> tuple[dict[str, AlignedPair], DatasetManifest]:
-    """Load the manifest and every source pair it references."""
+    """Load the manifest and every source pair it references.
+
+    A manifest that does not parse, or lacks or mistypes a key, raises
+    DatasetError naming its path.
+    """
     data_dir = Path(data_dir)
     manifest_path = data_dir / MANIFEST_NAME
     if not manifest_path.exists():
         raise DatasetError(f"no {MANIFEST_NAME} in {data_dir}")
-    manifest = DatasetManifest.from_json(manifest_path.read_text())
+    try:
+        manifest = DatasetManifest.from_json(manifest_path.read_text())
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise DatasetError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
     pairs: dict[str, AlignedPair] = {}
     for name in manifest.pairs:
         pairs[name] = AlignedPair(

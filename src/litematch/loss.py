@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ops
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .tensor import Tensor
 
 LOSS_MODES = ("corrected", "literal")
@@ -52,7 +52,7 @@ def triplet_loss(batch: TripletBatch, mode: str = "corrected") -> Tensor:
     with M = (d+ + d-)/2 held constant w.r.t. gradients.
     """
     if mode not in LOSS_MODES:
-        raise ValueError(f"unknown loss mode {mode!r}; expected one of {LOSS_MODES}")
+        raise ConfigError(f"unknown loss mode {mode!r}; expected one of {LOSS_MODES}")
     d_pos = pairwise_distance(batch.anchor, batch.positive)
     d_neg = pairwise_distance(batch.anchor, batch.negative)
     margin = ops.scale(ops.add(d_pos, d_neg), 0.5).detach()

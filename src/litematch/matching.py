@@ -1,7 +1,7 @@
 """Descriptor-space nearest-neighbor matching and evaluation metrics.
 
 A match is the Euclidean nearest neighbor in descriptor space, kept when
-its distance stays under the threshold (optionally also mutally nearest).
+its distance stays under the threshold (optionally also mutually nearest).
 Correctness is geometric: a kept match is correct when the matched
 keypoint lands within ``eps`` pixels of the ground-truth correspondence.
 """
@@ -14,9 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import AlignedPair
 from .detector import Keypoint
 from .errors import DimensionError, MatchingError
+from .image import GrayImage
 
 GtMap = Callable[[float, float], tuple[float, float]]
 
@@ -178,27 +178,24 @@ def _draw_segment(canvas: np.ndarray, x0: float, y0: float, x1: float, y1: float
 
 
 def annotate_matches(
-    pair: AlignedPair,
-    result: MatchResult,
-    a: DescriptorSet,
-    b: DescriptorSet,
-    gt_map: GtMap,
-    eps: float = DEFAULT_EPS,
+    img_a: GrayImage, img_b: GrayImage, result: MatchResult, a: DescriptorSet, b: DescriptorSet
 ) -> np.ndarray:
-    """Side-by-side RGB composite: green segments for correct matches, red
-    for incorrect. Returns an [H, W_vis + W_nir, 3] uint8 array."""
-    if result.correct_flags is None or len(result.correct_flags) != len(result.pairs):
-        score(result, a, b, gt_map, eps)
-    vis, nir = pair.visible.pixels, pair.nir.pixels
-    height = max(vis.shape[0], nir.shape[0])
-    offset = vis.shape[1]
-    canvas = np.zeros((height, offset + nir.shape[1], 3), dtype=np.uint8)
-    canvas[: vis.shape[0], :offset] = vis[..., None]
-    canvas[: nir.shape[0], offset:] = nir[..., None]
-    green, red = (0, 220, 0), (230, 0, 0)
+    """Side-by-side RGB composite with one segment per accepted match.
+
+    Once :func:`score` has run, correct matches are green and incorrect
+    ones red; unscored matches are all blue. Returns an
+    [max(H_a, H_b), W_a + W_b, 3] uint8 array.
+    """
+    pix_a, pix_b = img_a.pixels, img_b.pixels
+    offset = pix_a.shape[1]
+    canvas = np.zeros((max(pix_a.shape[0], pix_b.shape[0]), offset + pix_b.shape[1], 3), np.uint8)
+    canvas[: pix_a.shape[0], :offset] = pix_a[..., None]
+    canvas[: pix_b.shape[0], offset:] = pix_b[..., None]
+    green, red, blue = (0, 220, 0), (230, 0, 0), (40, 120, 255)
+    flags = result.correct_flags
     for n, match in enumerate(result.pairs):
         ka = a.keypoints[match.index_a]
         kb = b.keypoints[match.index_b]
-        color = green if result.correct_flags[n] else red
+        color = blue if flags is None else green if flags[n] else red
         _draw_segment(canvas, ka.x, ka.y, kb.x + offset, kb.y, color)
     return canvas

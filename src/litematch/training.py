@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +62,17 @@ class TrainReport:
 
 def model_config_for(cfg: RunConfig) -> ModelConfig:
     return ModelConfig(input_size=cfg.input_size, descriptor_dim=cfg.descriptor_dim)
+
+
+def check_model_config(model: Model, cfg: RunConfig) -> None:
+    """Raise ConfigError naming the first model field ``cfg`` sets differently."""
+    wanted = model_config_for(cfg)
+    for f in fields(ModelConfig):
+        want, have = getattr(wanted, f.name), getattr(model.config, f.name)
+        if want != have:
+            raise ConfigError(
+                f"the run config sets {f.name}={want} but the checkpoint's model has {f.name}={have}"
+            )
 
 
 def select_records(manifest: DatasetManifest, cfg: RunConfig, subset: str) -> DatasetManifest:
@@ -151,8 +162,7 @@ def train(
     if resume is not None:
         ckpt = load_checkpoint(resume)
         model = model_from_checkpoint(ckpt)
-        if model.config != model_config_for(cfg):
-            raise ConfigError("checkpoint model configuration does not match the run config")
+        check_model_config(model, cfg)
         start_epoch = ckpt.epoch
         step = ckpt.step
     else:

@@ -1,12 +1,17 @@
 """Synthetic pairs, triplet construction, manifests, splits."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from litematch import dataset
 from litematch.dataset import (
+    RECORD_KEYS,
     AlignedPair,
     DatasetManifest,
+    TripletRecord,
     build_triplets,
     enhanced_pair,
     identity_alignment,
@@ -229,3 +234,45 @@ def test_split_rejects_degenerate():
         split(m, ratio=0.5)  # one pair cannot be split
     with pytest.raises(DatasetError):
         split(m, ratio=1.5)
+
+
+def _record(pair):
+    return TripletRecord(pair, 40.0, 41.5, 1.6, 0.02, "rotate", 1.0, -30.0, 0, 0, 90.0, 95.25, 3)
+
+
+def test_merge_and_split_keep_the_manifest_header():
+    parts = [
+        DatasetManifest(seed=s, window=48, out_size=32, clahe_clip=3.5, clahe_grid=4,
+                        pairs=[f"p{s}"], records=[_record(f"p{s}")])
+        for s in range(4)
+    ]
+    merged = merge_manifests(parts, seed=9)
+    assert merged.pairs == ["p0", "p1", "p2", "p3"] and merged.count == 4
+    assert parts[0].pairs == ["p0"] and parts[0].count == 1
+    for m in (merged, *split(merged, 0.5)):
+        assert (m.seed, m.window, m.out_size, m.clahe_clip, m.clahe_grid) == (9, 48, 32, 3.5, 4)
+
+
+def _malformed_manifests():
+    text = DatasetManifest(seed=1, pairs=["p"], records=[_record("p")]).to_json()
+    cases = []
+    for _, key, _ in RECORD_KEYS:
+        doc = json.loads(text)
+        del doc["records"][0][key]
+        cases.append(pytest.param(json.dumps(doc), id=f"no-{key}"))
+    for cut in (1, 40, len(text) // 2, len(text) - 1):
+        cases.append(pytest.param(text[:cut], id=f"cut-{cut}"))
+    for key, value in (("ax", "left"), ("nidx", "three"), ("ay", None), ("dx", 2.5)):
+        doc = json.loads(text)
+        doc["records"][0][key] = value
+        cases.append(pytest.param(json.dumps(doc), id=f"{key}-{value}"))
+    cases.append(pytest.param("[]", id="not-an-object"))
+    return cases
+
+
+@pytest.mark.parametrize("text", _malformed_manifests())
+def test_load_dataset_names_a_malformed_manifest(tmp_path, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: malformed manifest")):
+        load_dataset(tmp_path)

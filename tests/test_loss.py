@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from litematch import ops
-from litematch.errors import DimensionError
+from litematch.errors import ConfigError, DimensionError
 from litematch.loss import TripletBatch, pairwise_distance, triplet_loss
 from litematch.tensor import Tape, Tensor, backward
 
@@ -121,6 +121,8 @@ def test_corrected_zero_iff_neg_at_least_three_pos():
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
+        triplet_loss(rand_batch(0), mode="fixed")
+    with pytest.raises(ConfigError, match="unknown loss mode 'fixed'"):
         triplet_loss(rand_batch(0), mode="fixed")
 
 

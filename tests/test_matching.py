@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litematch.dataset import AlignedPair, identity_alignment
+from litematch.dataset import identity_alignment
 from litematch.detector import Keypoint
 from litematch.errors import DimensionError, MatchingError
 from litematch.image import GrayImage
@@ -188,14 +188,14 @@ def test_write_matches_format(tmp_path):
 def test_annotate_matches_segments():
     vis = GrayImage(np.zeros((64, 64), dtype=np.uint8))
     nir = GrayImage(np.zeros((64, 64), dtype=np.uint8))
-    pair = AlignedPair(name="p", visible=vis, nir=nir)
     kps_a = [Keypoint(10.0, 20.0, 1.6, 1.0), Keypoint(40.0, 50.0, 1.6, 1.0)]
     kps_b = [Keypoint(10.0, 20.0, 1.6, 1.0), Keypoint(40.0, 10.0, 1.6, 1.0)]
     desc = np.eye(2, 8, dtype=np.float32)
     a = DescriptorSet(keypoints=kps_a, descriptors=desc)
     b = DescriptorSet(keypoints=kps_b, descriptors=desc)
     result = match_nn(a, b, threshold=0.5)
-    img = annotate_matches(pair, result, a, b, identity_alignment, eps=5.0)
+    score(result, a, b, identity_alignment, eps=5.0)
+    img = annotate_matches(vis, nir, result, a, b)
     assert img.shape == (64, 128, 3)
     # correct match drawn green at both endpoints (B pane offset by 64)
     assert tuple(img[20, 10]) == (0, 220, 0)
@@ -207,7 +207,6 @@ def test_annotate_matches_segments():
 
 def test_annotate_empty_result_no_segments():
     vis = GrayImage(np.full((32, 32), 7, dtype=np.uint8))
-    pair = AlignedPair(name="p", visible=vis, nir=vis)
     kps = [Keypoint(5.0, 5.0, 1.6, 1.0)]
     a = DescriptorSet(keypoints=kps, descriptors=np.eye(1, 4, dtype=np.float32))
     far = np.zeros((1, 4), dtype=np.float32)
@@ -215,6 +214,25 @@ def test_annotate_empty_result_no_segments():
     b = DescriptorSet(keypoints=kps, descriptors=far)
     result = match_nn(a, b, threshold=0.5)  # distance sqrt(2) rejected
     assert result.n_success == 0
-    img = annotate_matches(pair, result, a, b, identity_alignment)
+    score(result, a, b, identity_alignment)
+    img = annotate_matches(vis, vis, result, a, b)
     gray = np.unique(img)
     assert set(gray.tolist()) <= {0, 7}
+
+
+def test_annotate_unscored_matches_one_colour_on_different_sizes():
+    vis = GrayImage(np.zeros((40, 64), dtype=np.uint8))
+    nir = GrayImage(np.zeros((64, 48), dtype=np.uint8))
+    kps_a = [Keypoint(10.0, 20.0, 1.6, 1.0), Keypoint(40.0, 30.0, 1.6, 1.0)]
+    kps_b = [Keypoint(10.0, 20.0, 1.6, 1.0), Keypoint(40.0, 60.0, 1.6, 1.0)]
+    desc = np.eye(2, 8, dtype=np.float32)
+    a = DescriptorSet(keypoints=kps_a, descriptors=desc)
+    b = DescriptorSet(keypoints=kps_b, descriptors=desc)
+    result = match_nn(a, b, threshold=0.5)
+    assert result.n_success == 2 and result.correct_flags is None
+    img = annotate_matches(vis, nir, result, a, b)
+    assert img.shape == (64, 112, 3)
+    assert result.correct_flags is None  # drawing scores nothing
+    drawn = {tuple(int(c) for c in px) for px in img.reshape(-1, 3)} - {(0, 0, 0)}
+    assert drawn == {(40, 120, 255)}
+    assert tuple(img[20, 10]) == tuple(img[60, 40 + 64]) == (40, 120, 255)
