@@ -2,8 +2,15 @@
 
 Layout: a magic line, ``key=value`` metadata lines, a ``blobs <count>``
 separator, then per blob one header line ``<name> <ndim> <dims...>``
-followed immediately by the raw little-endian float32 data. Saving a
-loaded checkpoint reproduces the file byte for byte.
+followed immediately by the raw little-endian float32 data. The metadata
+keys are ``format_version`` (1), ``stages`` (per stage
+``stride,channels,reduction,heads,mlp_ratio,depth``, joined by ``;``),
+``input_size``, ``descriptor_dim``, ``step``, ``epoch``, ``final_loss``
+and ``run.<field>`` for every RunConfig field. Loading validates each of
+them, the ``run.*`` values together under ``RunConfig.validate`` and
+against the model's size and descriptor width, and skips other keys, such
+as the input channel count older files carry. Saving a loaded checkpoint
+reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .config import RunConfig, apply_overrides
 from .errors import ContractError
-from .model import Model, ModelConfig, StageConfig, count_param_tensors, describe_shapes
+from .model import Model, ModelConfig, StageConfig, describe_shapes
 from .tensor import Tensor
 
 MAGIC = b"LMCHECKPOINT 1"
@@ -24,22 +31,14 @@ MAGIC = b"LMCHECKPOINT 1"
 
 @dataclass
 class Checkpoint:
-    """Parsed checkpoint: ordered metadata and parameter blobs."""
+    """A parsed checkpoint: the model and run configs, counters and parameter blobs."""
 
-    meta: dict[str, str]
+    config: ModelConfig
+    run: RunConfig
+    step: int
+    epoch: int
+    final_loss: float
     blobs: dict[str, np.ndarray]
-
-    @property
-    def step(self) -> int:
-        return int(self.meta["step"])
-
-    @property
-    def epoch(self) -> int:
-        return int(self.meta["epoch"])
-
-    @property
-    def final_loss(self) -> float:
-        return float(self.meta["final_loss"])
 
 
 def _stages_to_text(config: ModelConfig) -> str:
@@ -57,45 +56,33 @@ def _stages_from_text(text: str) -> tuple[StageConfig, ...]:
     return tuple(stages)
 
 
-def model_config_from_meta(meta: dict[str, str]) -> ModelConfig:
-    return ModelConfig(
-        stages=_stages_from_text(meta["stages"]),
-        input_size=int(meta["input_size"]),
-        input_channels=int(meta["input_channels"]),
-        descriptor_dim=int(meta["descriptor_dim"]),
-    )
-
-
-def run_config_from_meta(meta: dict[str, str]) -> RunConfig:
-    overrides = {
-        key[4:]: value for key, value in meta.items() if key.startswith("run.")
-    }
-    return apply_overrides(RunConfig(), overrides)
+def _run_meta(run: RunConfig) -> dict[str, str]:
+    return {f.name: str(getattr(run, f.name)) for f in fields(RunConfig)}
 
 
 def build_checkpoint(
     model: Model, run_config: RunConfig, step: int, epoch: int, final_loss: float
 ) -> Checkpoint:
-    meta: dict[str, str] = {
-        "format_version": "1",
-        "stages": _stages_to_text(model.config),
-        "input_size": str(model.config.input_size),
-        "input_channels": str(model.config.input_channels),
-        "descriptor_dim": str(model.config.descriptor_dim),
-        "step": str(step),
-        "epoch": str(epoch),
-        "final_loss": repr(float(final_loss)),
-    }
-    for f in fields(RunConfig):
-        meta[f"run.{f.name}"] = str(getattr(run_config, f.name))
+    """Snapshot ``model``; the run values are stored as loading parses them
+    (``eps=5`` becomes ``5.0``), so a saved file re-saves byte for byte."""
+    run = apply_overrides(RunConfig(), _run_meta(run_config)).validate()
     blobs = {name: p.data for name, p in model.params.items()}
-    return Checkpoint(meta=meta, blobs=blobs)
+    return Checkpoint(model.config, run, int(step), int(epoch), float(final_loss), blobs)
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
+    meta = {
+        "format_version": "1",
+        "stages": _stages_to_text(ckpt.config),
+        "input_size": str(ckpt.config.input_size),
+        "descriptor_dim": str(ckpt.config.descriptor_dim),
+        "step": str(ckpt.step),
+        "epoch": str(ckpt.epoch),
+        "final_loss": repr(ckpt.final_loss),
+    }
+    meta.update((f"run.{key}", value) for key, value in _run_meta(ckpt.run).items())
     parts = [MAGIC, b"\n"]
-    for key, value in ckpt.meta.items():
-        parts.append(f"{key}={value}\n".encode("utf-8"))
+    parts += [f"{key}={value}\n".encode("utf-8") for key, value in meta.items()]
     parts.append(f"blobs {len(ckpt.blobs)}\n".encode("ascii"))
     for name, arr in ckpt.blobs.items():
         dims = " ".join(str(d) for d in arr.shape)
@@ -105,72 +92,70 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Parse and validate: every blob shape must match describe_shapes.
+    """Parse and validate every metadata value and blob of the file at ``path``.
 
-    The blob count is compared with :func:`count_param_tensors` first, so a
-    corrupt stage depth is rejected without building its shape table. A
-    malformed file (cut short, a corrupt count, dimension or metadata
-    value) raises ContractError naming ``path``.
+    The blobs are checked against :func:`describe_shapes` in lockstep, so the
+    first missing, extra, misnamed or misshaped blob stops the walk. Any
+    malformed content raises ContractError naming ``path``.
     """
     buf = Path(path).read_bytes()
     if not buf.startswith(MAGIC + b"\n"):
         raise ContractError(f"{path}: not a checkpoint file")
     try:
-        meta, blobs = _parse(path, buf, len(MAGIC) + 1)
-        config = model_config_from_meta(meta)
+        return _parse(buf)
     except (ValueError, LookupError, ArithmeticError) as exc:
         raise ContractError(f"{path}: malformed checkpoint: {exc!r}") from exc
-    n_expected = count_param_tensors(config)
-    if n_expected != len(blobs):
-        raise ContractError(
-            f"{path}: {len(blobs)} parameter blobs, the config implies {n_expected}"
-        )
-    expected = describe_shapes(config).params
-    if set(expected) != set(blobs):
-        missing = sorted(set(expected) ^ set(blobs))
-        raise ContractError(f"{path}: parameter names do not match the config: {missing[:4]}")
-    for name, shape in expected.items():
-        if blobs[name].shape != shape:
-            raise ContractError(
-                f"{path}: blob {name} has shape {blobs[name].shape}, expected {shape}"
-            )
-    return Checkpoint(meta=meta, blobs=blobs)
 
 
-def _parse(path: str | Path, buf: bytes, pos: int) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+def _parse(buf: bytes) -> Checkpoint:
+    pos = len(MAGIC) + 1
     meta: dict[str, str] = {}
-    while True:
+    while not buf.startswith(b"blobs ", pos):
         eol = buf.index(b"\n", pos)
-        line = buf[pos:eol].decode("utf-8")
-        pos = eol + 1
-        if line.startswith("blobs "):
-            n_blobs = int(line.split(" ", 1)[1])
-            break
-        if "=" not in line:
-            raise ContractError(f"{path}: malformed metadata line {line!r}")
-        key, value = line.split("=", 1)
+        key, sep, value = buf[pos:eol].decode("utf-8").partition("=")
+        if not sep or key in meta:
+            raise ValueError(f"malformed or repeated metadata line for {key!r}")
         meta[key] = value
+        pos = eol + 1
+    if meta["format_version"] != "1":
+        raise ValueError(f"unsupported format_version {meta['format_version']!r}")
+    config = ModelConfig(
+        stages=_stages_from_text(meta["stages"]),
+        input_size=int(meta["input_size"]),
+        descriptor_dim=int(meta["descriptor_dim"]),
+    )
+    step, epoch, final_loss = int(meta["step"]), int(meta["epoch"]), float(meta["final_loss"])
+    run_meta = {key[4:]: value for key, value in meta.items() if key.startswith("run.")}
+    run = apply_overrides(RunConfig(), run_meta).validate()
+    if (run.input_size, run.descriptor_dim) != (config.input_size, config.descriptor_dim):
+        raise ValueError("run.input_size or run.descriptor_dim differs from the model's")
+
+    eol = buf.index(b"\n", pos)
+    n_blobs = int(buf[pos + len(b"blobs ") : eol])
+    pos = eol + 1
+    walk = describe_shapes(config)
     blobs: dict[str, np.ndarray] = {}
     for _ in range(n_blobs):
         eol = buf.index(b"\n", pos)
         header = buf[pos:eol].decode("ascii").split()
         pos = eol + 1
-        name, ndim = header[0], int(header[1])
-        shape = tuple(int(v) for v in header[2:])
-        if len(shape) != ndim or min(shape, default=0) < 0:
-            raise ContractError(f"{path}: malformed header for blob {name}: {header!r}")
+        name, ndim, shape = header[0], int(header[1]), tuple(int(v) for v in header[2:])
+        expected = next(walk, None)
+        if len(shape) != ndim or (name, shape) != expected:
+            raise ValueError(f"blob header {header} where the config implies {expected}")
         nbytes = 4 * math.prod(shape)
         data = np.frombuffer(buf[pos : pos + nbytes], dtype="<f4")
         if data.nbytes != nbytes:
-            raise ContractError(f"{path}: truncated blob {name}")
+            raise ValueError(f"truncated blob {name}")
         pos += nbytes
         blobs[name] = data.reshape(shape).copy()
-    return meta, blobs
+    if (missing := next(walk, None)) is not None:
+        raise ValueError(f"{n_blobs} blobs; the config implies more, next {missing}")
+    if pos != len(buf):
+        raise ValueError(f"{len(buf) - pos} bytes after the last blob")
+    return Checkpoint(config, run, step, epoch, final_loss, blobs)
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
-    config = model_config_from_meta(ckpt.meta)
-    params = {
-        name: Tensor(arr.copy(), requires_grad=True) for name, arr in ckpt.blobs.items()
-    }
-    return Model(config=config, params=params)
+    params = {name: Tensor(arr.copy(), requires_grad=True) for name, arr in ckpt.blobs.items()}
+    return Model(config=ckpt.config, params=params)

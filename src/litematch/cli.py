@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from .checkpoint import load_checkpoint, model_from_checkpoint, run_config_from_meta
+from .checkpoint import load_checkpoint, model_from_checkpoint
 from .config import RunConfig, apply_overrides, load_config_file
 from .dataset import (
     AlignedPair,
@@ -70,7 +70,7 @@ def _load_model(args: argparse.Namespace) -> tuple[Model, RunConfig]:
     which may not change the checkpoint's model fields."""
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
-    cfg = _build_config(args, run_config_from_meta(ckpt.meta))
+    cfg = _build_config(args, ckpt.run)
     check_model_config(model, cfg)
     return model, cfg
 
@@ -79,6 +79,10 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _build_config(args, RunConfig())
     out_dir = Path(args.out)
     if args.from_pairs is not None:
+        if args.pairs is not None:
+            raise ConfigError(
+                "--pairs applies to --synthetic; with --from-pairs the directory decides the count"
+            )
         src = Path(args.from_pairs)
         names = sorted(p.name[: -len("_vis.pgm")] for p in src.glob("*_vis.pgm"))
         if not names:
@@ -191,7 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
     source = g.add_mutually_exclusive_group(required=True)
     source.add_argument("--synthetic", action="store_true", help="use the synthetic pair generator")
     source.add_argument("--from-pairs", default=None, help="directory of registered *_vis.pgm/*_nir.pgm")
-    g.add_argument("--pairs", type=int, default=None, help="number of synthetic pairs")
+    g.add_argument(
+        "--pairs",
+        type=int,
+        default=None,
+        help="number of synthetic pairs (with --from-pairs the directory decides the count)",
+    )
     g.add_argument("--triplets", type=int, default=None, help="total triplet count")
     g.set_defaults(func=cmd_gen_data)
 

@@ -155,10 +155,13 @@ class DatasetManifest:
             clahe_grid=doc["clahe_grid"],
             pairs=list(doc["pairs"]),
         )
-        for r in doc["records"]:
-            manifest.records.append(
-                TripletRecord(**{name: kind(r[key]) for name, key, kind in RECORD_KEYS})
-            )
+        known = set(manifest.pairs)
+        for i, r in enumerate(doc["records"]):
+            record = TripletRecord(**{name: kind(r[key]) for name, key, kind in RECORD_KEYS})
+            if record.pair not in known:
+                raise DatasetError(f"record {i} names pair {record.pair!r}, not one of the pairs")
+            record.transform()  # raises on a kind or a magnitude outside the supported set
+            manifest.records.append(record)
         counts = doc.get("transform_counts")
         if counts is not None and sum(counts.values()) != manifest.count:
             raise DatasetError("manifest transform counts do not sum to the record count")
@@ -388,8 +391,9 @@ def write_dataset(out_dir: str | Path, pairs: list[AlignedPair], manifest: Datas
 def load_dataset(data_dir: str | Path) -> tuple[dict[str, AlignedPair], DatasetManifest]:
     """Load the manifest and every source pair it references.
 
-    A manifest that does not parse, or lacks or mistypes a key, raises
-    DatasetError naming its path.
+    A manifest that does not parse, lacks or mistypes a key, or holds a
+    record whose pair is not listed or whose transform is unsupported,
+    raises DatasetError naming its path.
     """
     data_dir = Path(data_dir)
     manifest_path = data_dir / MANIFEST_NAME

@@ -9,14 +9,16 @@ depthwise convolution inside each feed-forward provides position.
 
 Activations are channels-last, [B, H, W, C], from the patch embedding to
 the final pooling; the token view [B, H*W, C] that attention and pooling
-use is a free reshape of them. Parameters keep their stored layouts
-(see :func:`describe_shapes`), so checkpoints do not depend on the
-activation layout.
+use is a free reshape of them. Parameters keep their stored layouts, which
+:func:`describe_shapes` walks in parameter order for both
+:func:`init_model` and checkpoint loading, so checkpoints do not depend on
+the activation layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -54,7 +56,6 @@ class ModelConfig:
 
     stages: tuple[StageConfig, ...] = DEFAULT_STAGES
     input_size: int = 128
-    input_channels: int = 1
     descriptor_dim: int = 128
 
     def __post_init__(self):
@@ -64,8 +65,6 @@ class ModelConfig:
             raise ConfigError(
                 f"descriptor_dim must be one of {ALLOWED_DESCRIPTOR_DIMS}, got {self.descriptor_dim}"
             )
-        if self.input_channels < 1:
-            raise ConfigError("input_channels must be >= 1")
         total_stride = 1
         for st in self.stages:
             total_stride *= st.stride
@@ -88,113 +87,63 @@ class ModelConfig:
                 )
 
 
-@dataclass(frozen=True)
-class StageShapes:
-    """Activation geometry of one stage for a given input size."""
-
-    channels: int
-    spatial: int
-    tokens: int
-    reduced_tokens: int
-
-
-@dataclass(frozen=True)
-class ShapeTable:
-    """Every parameter shape plus per-stage activation geometry."""
-
-    params: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    stages: tuple[StageShapes, ...] = ()
-    descriptor_dim: int = 0
-
-    def total_params(self) -> int:
-        return sum(int(np.prod(s)) for s in self.params.values())
-
-
 def _embed_kernel(stride: int) -> tuple[int, int]:
     """Overlapping patch embedding: kernel 2*stride - 1, padding stride - 1."""
     return 2 * stride - 1, stride - 1
 
 
-# Parameter tensors of a stage outside its blocks (the patch embedding's
-# conv weight, bias and norm, and the stage's final norm), and of the head.
-_STAGE_TENSORS = 6
-_HEAD_TENSORS = 2
-
-
-def _block_params(blk: str, st: StageConfig) -> dict[str, tuple[int, ...]]:
+def _block_shapes(blk: str, st: StageConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Parameter shapes of one transformer block of stage ``st``, named under ``blk``."""
     c = st.channels
     hidden = st.mlp_ratio * c
-    params: dict[str, tuple[int, ...]] = {
-        f"{blk}.norm1.gamma": (c,),
-        f"{blk}.norm1.beta": (c,),
-        f"{blk}.attn.q.weight": (c, c),
-        f"{blk}.attn.q.bias": (c,),
-        # no key bias: softmax is invariant to a per-query shift, so a
-        # key bias would be a permanently zero-gradient parameter
-        f"{blk}.attn.k.weight": (c, c),
-        f"{blk}.attn.v.weight": (c, c),
-        f"{blk}.attn.v.bias": (c,),
-    }
+    yield f"{blk}.norm1.gamma", (c,)
+    yield f"{blk}.norm1.beta", (c,)
+    yield f"{blk}.attn.q.weight", (c, c)
+    yield f"{blk}.attn.q.bias", (c,)
+    # no key bias: softmax is invariant to a per-query shift, so a
+    # key bias would be a permanently zero-gradient parameter
+    yield f"{blk}.attn.k.weight", (c, c)
+    yield f"{blk}.attn.v.weight", (c, c)
+    yield f"{blk}.attn.v.bias", (c,)
     if st.reduction > 1:
-        params[f"{blk}.attn.sr.weight"] = (c, c, st.reduction, st.reduction)
-        params[f"{blk}.attn.sr.bias"] = (c,)
-        params[f"{blk}.attn.sr_norm.gamma"] = (c,)
-        params[f"{blk}.attn.sr_norm.beta"] = (c,)
-    params[f"{blk}.attn.proj.weight"] = (c, c)
-    params[f"{blk}.attn.proj.bias"] = (c,)
-    params[f"{blk}.norm2.gamma"] = (c,)
-    params[f"{blk}.norm2.beta"] = (c,)
-    params[f"{blk}.ffn.fc1.weight"] = (hidden, c)
-    params[f"{blk}.ffn.fc1.bias"] = (hidden,)
-    params[f"{blk}.ffn.dw.weight"] = (hidden, 1, 3, 3)
-    params[f"{blk}.ffn.dw.bias"] = (hidden,)
-    params[f"{blk}.ffn.fc2.weight"] = (c, hidden)
-    params[f"{blk}.ffn.fc2.bias"] = (c,)
-    return params
+        yield f"{blk}.attn.sr.weight", (c, c, st.reduction, st.reduction)
+        yield f"{blk}.attn.sr.bias", (c,)
+        yield f"{blk}.attn.sr_norm.gamma", (c,)
+        yield f"{blk}.attn.sr_norm.beta", (c,)
+    yield f"{blk}.attn.proj.weight", (c, c)
+    yield f"{blk}.attn.proj.bias", (c,)
+    yield f"{blk}.norm2.gamma", (c,)
+    yield f"{blk}.norm2.beta", (c,)
+    yield f"{blk}.ffn.fc1.weight", (hidden, c)
+    yield f"{blk}.ffn.fc1.bias", (hidden,)
+    yield f"{blk}.ffn.dw.weight", (hidden, 1, 3, 3)
+    yield f"{blk}.ffn.dw.bias", (hidden,)
+    yield f"{blk}.ffn.fc2.weight", (c, hidden)
+    yield f"{blk}.ffn.fc2.bias", (c,)
 
 
-def count_param_tensors(config: ModelConfig) -> int:
-    """Number of named parameters in :func:`describe_shapes`, without building the table.
+def describe_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Yield ``(name, shape)`` of every parameter, in parameter order.
 
-    Arithmetic on the stage depths, so a corrupt depth read from a file costs
-    nothing to check.
+    The walk is lazy, so a consumer that stops at the first disagreement
+    pays nothing for a corrupt stage depth.
     """
-    blocks = sum(st.depth * len(_block_params("", st)) for st in config.stages)
-    return _STAGE_TENSORS * len(config.stages) + blocks + _HEAD_TENSORS
-
-
-def describe_shapes(config: ModelConfig) -> ShapeTable:
-    """Enumerate parameter shapes and activation sizes implied by ``config``."""
-    params: dict[str, tuple[int, ...]] = {}
-    stages: list[StageShapes] = []
-    in_ch = config.input_channels
-    spatial = config.input_size
+    in_ch = 1
     for i, st in enumerate(config.stages, start=1):
         c = st.channels
         k, _ = _embed_kernel(st.stride)
-        spatial //= st.stride
-        stages.append(
-            StageShapes(
-                channels=c,
-                spatial=spatial,
-                tokens=spatial * spatial,
-                reduced_tokens=(spatial // st.reduction) ** 2,
-            )
-        )
         pre = f"stage{i}"
-        params[f"{pre}.embed.conv.weight"] = (c, in_ch, k, k)
-        params[f"{pre}.embed.conv.bias"] = (c,)
-        params[f"{pre}.embed.norm.gamma"] = (c,)
-        params[f"{pre}.embed.norm.beta"] = (c,)
+        yield f"{pre}.embed.conv.weight", (c, in_ch, k, k)
+        yield f"{pre}.embed.conv.bias", (c,)
+        yield f"{pre}.embed.norm.gamma", (c,)
+        yield f"{pre}.embed.norm.beta", (c,)
         for j in range(1, st.depth + 1):
-            params.update(_block_params(f"{pre}.block{j}", st))
-        params[f"{pre}.norm.gamma"] = (c,)
-        params[f"{pre}.norm.beta"] = (c,)
+            yield from _block_shapes(f"{pre}.block{j}", st)
+        yield f"{pre}.norm.gamma", (c,)
+        yield f"{pre}.norm.beta", (c,)
         in_ch = c
-    params["head.weight"] = (config.descriptor_dim, in_ch)
-    params["head.bias"] = (config.descriptor_dim,)
-    return ShapeTable(params=params, stages=tuple(stages), descriptor_dim=config.descriptor_dim)
+    yield "head.weight", (config.descriptor_dim, in_ch)
+    yield "head.bias", (config.descriptor_dim,)
 
 
 @dataclass
@@ -220,10 +169,9 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 
     Weights are truncated-normal (std 0.02), biases zero, norm gains one.
     """
-    table = describe_shapes(config)
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
-    for name, shape in table.params.items():
+    for name, shape in describe_shapes(config):
         if name.endswith(".gamma"):
             data = np.ones(shape, dtype=np.float32)
         elif name.endswith((".beta", ".bias")):
@@ -232,11 +180,6 @@ def init_model(config: ModelConfig, seed: int) -> Model:
             data = _truncated_normal(rng, shape)
         params[name] = Tensor(data, requires_grad=True)
     return Model(config=config, params=params)
-
-
-def param_count(model: Model) -> int:
-    """Exact number of scalar parameters."""
-    return sum(p.size for p in model.params.values())
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
@@ -278,21 +221,19 @@ def _feed_forward(x: Tensor, p: dict[str, Tensor], blk: str) -> Tensor:
 
 
 def forward(model: Model, patches: Tensor) -> Tensor:
-    """Map [B, C, S, S] patches in [0, 1] to [B, descriptor_dim] unit rows.
+    """Map [B, 1, S, S] patches in [0, 1] to [B, descriptor_dim] unit rows.
 
-    The patches become channels-last at entry: a reshape when C == 1, one
-    transpose otherwise.
+    The patches become channels-last at entry by a free reshape.
     """
     cfg = model.config
     p = model.params
-    expected = (cfg.input_channels, cfg.input_size, cfg.input_size)
-    if patches.ndim != 4 or patches.shape[1:] != expected:
+    s = cfg.input_size
+    if patches.ndim != 4 or patches.shape[1:] != (1, s, s):
         raise DimensionError(
-            f"expected patches of shape [B, {expected[0]}, {expected[1]}, {expected[2]}], "
-            f"got {tuple(patches.shape)}"
+            f"expected patches of shape [B, 1, {s}, {s}], got {tuple(patches.shape)}"
         )
-    b, cin, s, _ = patches.shape
-    x = ops.reshape(patches, (b, s, s, 1)) if cin == 1 else ops.transpose(patches, (0, 2, 3, 1))
+    b = patches.shape[0]
+    x = ops.reshape(patches, (b, s, s, 1))
     # fixed input standardization: [0,1] -> mean 0.5, std 0.25
     x = ops.scale(ops.shift(x, -0.5), 4.0)
     for i, st in enumerate(cfg.stages, start=1):

@@ -149,11 +149,19 @@ def train(
         raise DatasetError("no triplets selected for training")
     if cfg.batch_size > n:
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds triplet count {n}")
-    if selected.out_size != cfg.input_size:
-        raise ConfigError(
-            f"manifest patches are {selected.out_size} px but the model expects "
-            f"{cfg.input_size} px"
-        )
+    # the checkpoint records cfg, so it must hold the settings the patches were made with
+    for field_name, manifest_field in (
+        ("window", "window"),
+        ("input_size", "out_size"),
+        ("clahe_clip", "clahe_clip"),
+        ("clahe_grid", "clahe_grid"),
+    ):
+        want, have = getattr(cfg, field_name), getattr(selected, manifest_field)
+        if want != have:
+            raise ConfigError(
+                f"the run config sets {field_name}={want} but the manifest was built "
+                f"with {manifest_field}={have}"
+            )
     source = TripletSource(pairs, selected)
     del pairs  # the source holds the enhanced images; the raw ones can go
 

@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litematch import checkpoint, model
-from litematch.checkpoint import build_checkpoint, load_checkpoint, save_checkpoint
+from litematch import checkpoint, cli
+from litematch.checkpoint import (
+    build_checkpoint,
+    load_checkpoint,
+    model_from_checkpoint,
+    save_checkpoint,
+)
 from litematch.config import RunConfig
 from litematch.errors import ContractError
-from litematch.model import ModelConfig, init_model
+from litematch.image import GrayImage, save_pgm
+from litematch.model import ModelConfig, describe_shapes, forward, init_model
+from litematch.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +60,12 @@ def test_truncated_anywhere_raises_contract_error(saved):
         _assert_rejected(folder, buf[:cut])
 
 
+@pytest.mark.parametrize("extra", [b"\0", b"\0" * 4, b"head.bias 1 128\n"])
+def test_bytes_after_the_last_blob_raise_contract_error(saved, extra):
+    folder, buf = saved
+    _assert_rejected(folder, buf + extra)
+
+
 @pytest.mark.parametrize("count", [b"x", b"", b"2.5", b"-1", b"3", b"999999999"])
 def test_corrupt_blob_count_raises_contract_error(saved, count):
     folder, buf = saved
@@ -71,17 +84,115 @@ def test_corrupt_blob_header_raises_contract_error(saved, header):
 
 def test_huge_stage_depth_rejected_before_building_shape_table(saved, monkeypatch):
     folder, buf = saved
+    n_blobs = len(load_checkpoint(folder / "valid.ckpt").blobs)
+    walked = []
+    real_walk = checkpoint.describe_shapes
 
-    def refuse(config):
-        raise AssertionError("describe_shapes called for a checkpoint with the wrong blob count")
+    def counted_walk(config):
+        for item in real_walk(config):
+            walked.append(item)
+            yield item
 
-    monkeypatch.setattr(checkpoint, "describe_shapes", refuse)
-    monkeypatch.setattr(model, "describe_shapes", refuse)
+    monkeypatch.setattr(checkpoint, "describe_shapes", counted_walk)
     start = buf.index(b"\nstages=") + len(b"\nstages=")
     stop = buf.index(b";", start)
     first = buf[start:stop].split(b",")
     huge = b",".join(first[:-1] + [str(10**9).encode()])
     _assert_rejected(folder, buf[:start] + huge + buf[stop:])
+    assert 0 < len(walked) <= n_blobs + 1
+
+
+def _edit_meta(buf: bytes, key: str, line: "bytes | None") -> bytes:
+    """``buf`` with the metadata line of ``key`` replaced by ``line``, or removed
+    when ``line`` is None; a key the file lacks is added after the magic line."""
+    start = buf.find(b"\n" + key.encode() + b"=") + 1
+    if start == 0:
+        start = stop = buf.index(b"\n") + 1
+    else:
+        stop = buf.index(b"\n", start) + 1
+    return buf[:start] + (b"" if line is None else line + b"\n") + buf[stop:]
+
+
+BAD_METADATA = [
+    ("epoch", b"epoch=x"),
+    ("epoch", None),
+    ("step", b"step=1.5"),
+    ("final_loss", b"final_loss=abc"),
+    ("run.lr", b"run.lr=abc"),
+    ("run.bogus", b"run.bogus=1"),
+    ("run.batch_size", b"run.batch_size=0"),
+    ("run.input_size", b"run.input_size=64"),
+    ("format_version", b"format_version=2"),
+    ("stages", b"stages=4,16,8,1,8,2"),
+]
+BAD_METADATA_IDS = [(line or b"no-" + key.encode()).decode() for key, line in BAD_METADATA]
+
+
+@pytest.mark.parametrize("key, line", BAD_METADATA, ids=BAD_METADATA_IDS)
+def test_bad_metadata_value_raises_contract_error(saved, key, line):
+    folder, buf = saved
+    _assert_rejected(folder, _edit_meta(buf, key, line))
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A 32 px dataset and an image for the commands that read a checkpoint."""
+    root = tmp_path_factory.mktemp("cli")
+    argv = ["gen-data", "--synthetic", "--out", str(root / "data"), "--pairs", "1",
+            "--triplets", "4", "--set", "input_size=32", "--set", "synth_size=256"]
+    assert cli.main(argv) == 0
+    save_pgm(GrayImage(np.full((64, 64), 128, dtype=np.uint8)), root / "a.pgm")
+    return root
+
+
+@pytest.mark.parametrize("command", ["train", "match"])
+@pytest.mark.parametrize("key, line", BAD_METADATA[:2], ids=BAD_METADATA_IDS[:2])
+def test_commands_name_a_bad_checkpoint(saved, cli_inputs, tmp_path, capsys, command, key, line):
+    _, buf = saved
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_edit_meta(buf, key, line))
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--data", str(cli_inputs / "data"), "--out", str(out), "--resume", str(bad),
+                  "--set", "input_size=32", "--set", "batch_size=2", "--set", "epochs=3"],
+        "match": ["match", str(bad), str(cli_inputs / "a.pgm"), str(cli_inputs / "a.pgm"), str(out)],
+    }[command]
+    assert cli.main(argv) == 1
+    assert f"error: {bad}: malformed checkpoint" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
+def test_file_with_an_input_channels_line_loads_the_same(saved):
+    # files written while the model config had an input_channels field carry
+    # this line; it loads to the same values and is not written back
+    folder, buf = saved
+    legacy, resaved = folder / "legacy.ckpt", folder / "resaved.ckpt"
+    legacy.write_bytes(buf.replace(b"\ndescriptor_dim=", b"\ninput_channels=1\ndescriptor_dim=", 1))
+    ckpt = load_checkpoint(legacy)
+    assert ckpt.run == load_checkpoint(folder / "valid.ckpt").run
+    save_checkpoint(resaved, ckpt)
+    assert resaved.read_bytes() == buf
+
+
+def test_walk_init_and_blob_orders_agree(saved):
+    folder, _ = saved
+    ckpt = load_checkpoint(folder / "valid.ckpt")
+    walk = list(describe_shapes(ckpt.config))
+    assert [(n, p.shape) for n, p in init_model(ckpt.config, seed=3).params.items()] == walk
+    assert [(n, a.shape) for n, a in ckpt.blobs.items()] == walk
+
+
+def test_run_values_saved_in_the_canonical_form_of_their_type(tmp_path):
+    model = init_model(ModelConfig(input_size=32), seed=0)
+    run = RunConfig(input_size=32, eps=5, lr=1, momentum=0, use_scale=0)
+    path, again = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(path, build_checkpoint(model, run, 3, 1, 2))
+    buf = path.read_bytes()
+    for line in (b"run.eps=5.0", b"run.lr=1.0", b"run.momentum=0.0", b"run.use_scale=False",
+                 b"final_loss=2.0"):
+        assert b"\n" + line + b"\n" in buf
+    save_checkpoint(again, load_checkpoint(path))
+    assert again.read_bytes() == buf
 
 
 @settings(max_examples=150, deadline=None)
@@ -98,6 +209,26 @@ def test_fuzzed_header_loads_or_raises_contract_error(saved, data):
     path = folder / "fuzzed.ckpt"
     path.write_bytes(bytes(mutated))
     try:
-        load_checkpoint(path)
+        ckpt = load_checkpoint(path)
     except ContractError as exc:
         assert str(path) in str(exc)
+        return
+    assert isinstance(ckpt.step, int) and isinstance(ckpt.epoch, int)
+    assert isinstance(ckpt.final_loss, float) and isinstance(ckpt.run, RunConfig)
+    assert ckpt.run.validate() is ckpt.run
+    model = model_from_checkpoint(ckpt)
+    assert model.config == ckpt.config
+    assert [(n, p.shape) for n, p in model.params.items()] == list(describe_shapes(ckpt.config))
+    size = model.config.input_size
+    if size <= 128:  # a fuzzed size of thousands of px would need gigabytes
+        patch = np.random.default_rng(0).random((1, 1, size, size), dtype=np.float32)
+        out = forward(model, Tensor(patch))
+        assert out.shape == (1, model.config.descriptor_dim)
+    # what loads re-saves to a file that loads to the same values
+    resaved = folder / "resaved.ckpt"
+    save_checkpoint(resaved, ckpt)
+    again = load_checkpoint(resaved)
+    assert (again.config, again.run, again.step, again.epoch) == (
+        ckpt.config, ckpt.run, ckpt.step, ckpt.epoch
+    )
+    assert repr(again.final_loss) == repr(ckpt.final_loss)

@@ -87,6 +87,17 @@ def test_gen_data_validates_every_flag(tmp_path, capsys, flags, key):
     assert not out.exists()
 
 
+def test_gen_data_from_pairs_refuses_a_pair_count(files, tmp_path, capsys):
+    out = tmp_path / "data"
+    argv = ["gen-data", "--from-pairs", str(files / "data" / "pairs"), "--out", str(out), "--pairs", "7"]
+    assert cli.main(argv) == 1
+    assert "error: --pairs applies to --synthetic" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit):
+        cli.main(["gen-data", "--help"])
+    assert "with --from-pairs the directory decides the count" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("source", [[], ["--synthetic", "--from-pairs", "x"]], ids=["neither", "both"])
 def test_gen_data_needs_exactly_one_pair_source(tmp_path, source):
     with pytest.raises(SystemExit) as exc:

@@ -237,7 +237,7 @@ def test_split_rejects_degenerate():
 
 
 def _record(pair):
-    return TripletRecord(pair, 40.0, 41.5, 1.6, 0.02, "rotate", 1.0, -30.0, 0, 0, 90.0, 95.25, 3)
+    return TripletRecord(pair, 40.0, 41.5, 1.6, 0.02, "rotate", 1.0, -15.0, 0, 0, 90.0, 95.25, 3)
 
 
 def test_merge_and_split_keep_the_manifest_header():
@@ -253,6 +253,14 @@ def test_merge_and_split_keep_the_manifest_header():
         assert (m.seed, m.window, m.out_size, m.clahe_clip, m.clahe_grid) == (9, 48, 32, 3.5, 4)
 
 
+def test_load_dataset_reads_the_unedited_manifest(tmp_path):
+    # the manifest every malformed case below starts from is itself valid
+    img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
+    manifest = DatasetManifest(seed=1, pairs=["p"], records=[_record("p")])
+    write_dataset(tmp_path, [AlignedPair("p", img, img)], manifest)
+    assert load_dataset(tmp_path)[1].records == manifest.records
+
+
 def _malformed_manifests():
     text = DatasetManifest(seed=1, pairs=["p"], records=[_record("p")]).to_json()
     cases = []
@@ -262,7 +270,10 @@ def _malformed_manifests():
         cases.append(pytest.param(json.dumps(doc), id=f"no-{key}"))
     for cut in (1, 40, len(text) // 2, len(text) - 1):
         cases.append(pytest.param(text[:cut], id=f"cut-{cut}"))
-    for key, value in (("ax", "left"), ("nidx", "three"), ("ay", None), ("dx", 2.5)):
+    for key, value in (
+        ("ax", "left"), ("nidx", "three"), ("ay", None), ("dx", 2.5),
+        ("kind", "shear"), ("deg", -30.0), ("pair", "ghost"),
+    ):
         doc = json.loads(text)
         doc["records"][0][key] = value
         cases.append(pytest.param(json.dumps(doc), id=f"{key}-{value}"))

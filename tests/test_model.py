@@ -1,5 +1,7 @@
 """Architecture fidelity, initialization determinism, forward contracts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,17 +12,24 @@ from litematch.model import (
     DEFAULT_STAGES,
     ModelConfig,
     StageConfig,
-    count_param_tensors,
     describe_shapes,
     forward,
     init_model,
-    param_count,
 )
 from litematch.tensor import Tape, Tensor, backward
 
 
 def small_config(descriptor_dim=128):
     return ModelConfig(input_size=32, descriptor_dim=descriptor_dim)
+
+
+def walk_params(cfg):
+    """Scalar parameter count the shape walk implies."""
+    return sum(math.prod(shape) for _, shape in describe_shapes(cfg))
+
+
+def model_params(model):
+    return sum(p.size for p in model.params.values())
 
 
 def test_default_config_matches_reference_table():
@@ -31,20 +40,23 @@ def test_default_config_matches_reference_table():
     assert tuple(s.heads for s in cfg.stages) == (1, 2, 4, 8)
     assert tuple(s.mlp_ratio for s in cfg.stages) == (8, 8, 4, 8)
     assert tuple(s.depth for s in cfg.stages) == (2, 2, 2, 2)
-    assert cfg.input_size == 128 and cfg.input_channels == 1 and cfg.descriptor_dim == 128
+    assert cfg.input_size == 128 and cfg.descriptor_dim == 128
 
 
 def test_describe_shapes_stage_geometry():
-    tbl = describe_shapes(ModelConfig())
-    assert [s.spatial for s in tbl.stages] == [32, 16, 8, 4]
-    assert [s.channels for s in tbl.stages] == [16, 32, 64, 128]
-    # stage-1 keys/values reduced from 32x32 tokens to 4x4 under reduction 8
-    assert tbl.stages[0].tokens == 1024 and tbl.stages[0].reduced_tokens == 16
+    shapes = dict(describe_shapes(ModelConfig()))
+    embeds = [shapes[f"stage{i}.embed.conv.weight"] for i in range(1, 5)]
+    assert embeds == [(16, 1, 7, 7), (32, 16, 3, 3), (64, 32, 3, 3), (128, 64, 3, 3)]
+    # keys/values reduced by 8, 4 and 2 in stages 1-3; stage 4 attends over every token
+    assert [shapes.get(f"stage{i}.block1.attn.sr.weight") for i in range(1, 5)] == [
+        (16, 16, 8, 8), (32, 32, 4, 4), (64, 64, 2, 2), None,
+    ]
+    assert shapes["head.weight"] == (128, 128)
 
 
 def test_describe_shapes_input_64():
-    tbl = describe_shapes(ModelConfig(input_size=64))
-    assert [s.spatial for s in tbl.stages] == [16, 8, 4, 2]
+    # parameter shapes do not depend on the input size
+    assert list(describe_shapes(ModelConfig(input_size=64))) == list(describe_shapes(ModelConfig()))
 
 
 def test_stage1_patch_embed_weight_shape():
@@ -78,10 +90,7 @@ def test_init_biases_zero_gains_one_weights_truncated():
 
 def test_param_count_matches_shape_table_sum():
     cfg = ModelConfig()
-    m = init_model(cfg, seed=0)
-    tbl = describe_shapes(cfg)
-    by_hand = sum(int(np.prod(shape)) for shape in tbl.params.values())
-    assert param_count(m) == by_hand == tbl.total_params()
+    assert model_params(init_model(cfg, seed=0)) == walk_params(cfg) == 1059552
 
 
 @pytest.mark.parametrize("depths, reductions", [((2, 2, 2, 2), (8, 4, 2, 1)), ((1, 3, 5, 2), (1, 1, 2, 1))])
@@ -93,12 +102,14 @@ def test_count_param_tensors_matches_shape_table(depths, reductions):
         )
         for s, d, r in zip(DEFAULT_STAGES, depths, reductions)
     )
-    cfg = ModelConfig(stages=stages)
-    assert count_param_tensors(cfg) == len(describe_shapes(cfg).params)
+    names = [name for name, _ in describe_shapes(ModelConfig(stages=stages))]
+    # 6 stage tensors outside the blocks, 17 per block plus 4 for a reduction, 2 for the head
+    by_hand = 6 * 4 + sum(d * (17 + 4 * (r > 1)) for d, r in zip(depths, reductions)) + 2
+    assert len(names) == len(set(names)) == by_hand
 
 
 def test_param_count_independent_of_seed():
-    assert param_count(init_model(small_config(), 1)) == param_count(init_model(small_config(), 2))
+    assert model_params(init_model(small_config(), 1)) == model_params(init_model(small_config(), 2))
 
 
 def test_param_count_below_wider_channel_variant():
@@ -110,21 +121,19 @@ def test_param_count_below_wider_channel_variant():
         )
         for s, c in zip(DEFAULT_STAGES, (32, 64, 160, 256))
     )
-    slim = describe_shapes(ModelConfig()).total_params()
-    wide = describe_shapes(ModelConfig(stages=wide_stages)).total_params()
-    assert slim < wide
+    assert walk_params(ModelConfig()) < walk_params(ModelConfig(stages=wide_stages))
 
 
 def test_descriptor_dim_changes_only_head():
-    t128 = describe_shapes(small_config(128))
-    t256 = describe_shapes(small_config(256))
-    for name in t128.params:
+    t128 = dict(describe_shapes(small_config(128)))
+    t256 = dict(describe_shapes(small_config(256)))
+    for name in t128:
         if name.startswith("head."):
             continue
-        assert t128.params[name] == t256.params[name]
-    assert t256.params["head.weight"][0] == 256
-    diff = t256.total_params() - t128.total_params()
-    assert diff == (256 - 128) * (t128.params["head.weight"][1] + 1)
+        assert t128[name] == t256[name]
+    assert t256["head.weight"][0] == 256
+    diff = walk_params(small_config(256)) - walk_params(small_config(128))
+    assert diff == (256 - 128) * (t128["head.weight"][1] + 1)
 
 
 def test_invalid_configs_rejected():
@@ -178,15 +187,14 @@ def test_batch_permutation_permutes_rows():
     np.testing.assert_array_equal(out_p, out[perm])
 
 
-@pytest.mark.parametrize("channels", [1, 3])
-def test_forward_batch_matches_single_patch_calls(channels):
+def test_forward_batch_matches_single_patch_calls():
     # a batch or spatial axis mixed up anywhere in the network makes rows
     # depend on their batch neighbours; input 64 keeps every stage above 1x1
-    m = init_model(ModelConfig(input_size=64, input_channels=channels), seed=10)
+    m = init_model(ModelConfig(input_size=64), seed=10)
     for name, prm in m.params.items():
         if prm.ndim >= 2:  # init-scale branches barely move the descriptors
             prm.data *= 10
-    x = np.random.default_rng(11).random((4, channels, 64, 64)).astype(np.float32)
+    x = np.random.default_rng(11).random((4, 1, 64, 64)).astype(np.float32)
     batched = forward(m, Tensor(x)).data
     singles = np.concatenate([forward(m, Tensor(x[i : i + 1])).data for i in range(4)])
     np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-6)

@@ -6,7 +6,7 @@ import pytest
 from litematch import cli, dataset, ops, training
 from litematch.checkpoint import build_checkpoint, load_checkpoint, model_from_checkpoint, save_checkpoint
 from litematch.config import RunConfig
-from litematch.errors import TrainingError
+from litematch.errors import ConfigError, TrainingError
 from litematch.model import ModelConfig, init_model
 from litematch.tensor import SGD
 
@@ -61,3 +61,38 @@ def test_train_reads_each_pair_image_once(tmp_path, monkeypatch):
     training.train(cfg, data, tmp_path / "model.ckpt", echo=False)
     assert len(reads) == 4  # two pairs, a visible and a NIR image each
     assert len(set(reads)) == 4
+
+
+@pytest.fixture(scope="module")
+def data_48(tmp_path_factory):
+    """A 32 px dataset made with window 48 and CLAHE clip 3.0 on a 4x4 grid."""
+    data = tmp_path_factory.mktemp("data48")
+    argv = ["gen-data", "--synthetic", "--out", str(data), "--pairs", "1", "--triplets", "4",
+            "--seed", "3", "--set", "input_size=32", "--set", "synth_size=256",
+            "--set", "window=48", "--set", "clahe_clip=3.0", "--set", "clahe_grid=4"]
+    assert cli.main(argv) == 0
+    return data
+
+
+MADE_WITH = dict(input_size=32, window=48, clahe_clip=3.0, clahe_grid=4)
+
+
+@pytest.mark.parametrize(
+    "field, value, made",
+    [("window", 64, "window=48"), ("input_size", 64, "out_size=32"),
+     ("clahe_clip", 2.0, "clahe_clip=3.0"), ("clahe_grid", 8, "clahe_grid=4")],
+)
+def test_train_refuses_settings_the_dataset_was_not_made_with(data_48, tmp_path, field, value, made):
+    cfg = RunConfig(**{**MADE_WITH, field: value}, batch_size=2, epochs=1, checkpoint_every=0)
+    with pytest.raises(ConfigError, match=f"sets {field}={value} but the manifest was built with {made}"):
+        training.train(cfg.validate(), data_48, tmp_path / "model.ckpt", echo=False)
+    assert not list(tmp_path.iterdir())
+
+
+def test_checkpoint_records_the_settings_the_dataset_was_made_with(data_48, tmp_path):
+    out = tmp_path / "model.ckpt"
+    argv = ["train", "--data", str(data_48), "--out", str(out), "--set", "batch_size=2",
+            "--set", "epochs=1"] + [arg for k, v in MADE_WITH.items() for arg in ("--set", f"{k}={v}")]
+    assert cli.main(argv) == 0
+    run = load_checkpoint(out).run
+    assert {k: getattr(run, k) for k in MADE_WITH} == MADE_WITH
