@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -53,15 +54,21 @@ class RunConfig:
         return tuple(kinds)
 
     def validate(self) -> "RunConfig":
-        if self.lr <= 0 or not 0 <= self.momentum < 1:
-            raise ConfigError("optimizer settings out of range")
+        # written so that NaN, which fails every comparison, is refused too
+        for name in ("lr", "threshold", "eps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         for name in ("batch_size", "epochs", "triplets", "pairs", "max_keypoints"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # the patch sampler's own limit on its window and output size
+        for name in ("window", "input_size"):
+            if getattr(self, name) < 2:
+                raise ConfigError(f"{name} must be at least 2, got {getattr(self, name)}")
         if self.loss_mode not in LOSS_MODES:
             raise ConfigError(f"unknown loss_mode {self.loss_mode!r}; expected one of {LOSS_MODES}")
-        if self.threshold <= 0 or self.eps <= 0:
-            raise ConfigError("threshold and eps must be positive")
         if not 0 < self.split_ratio < 1:
             raise ConfigError("split_ratio must lie in (0, 1)")
         return self

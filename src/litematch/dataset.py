@@ -87,21 +87,29 @@ class TripletRecord:
         )
 
 
-# (TripletRecord field, manifest key, type) of every record entry; operator.index
+def _finite(value) -> float:
+    """``float(value)``, refusing the NaN and infinities that JSON parsing admits."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite value {value!r}")
+    return number
+
+
+# (TripletRecord field, manifest key, parser) of every record entry; operator.index
 # takes an int and refuses a float, which int() would truncate
 RECORD_KEYS = (
     ("pair", "pair", str),
-    ("anchor_x", "ax", float),
-    ("anchor_y", "ay", float),
-    ("anchor_scale", "ascale", float),
-    ("anchor_response", "aresp", float),
+    ("anchor_x", "ax", _finite),
+    ("anchor_y", "ay", _finite),
+    ("anchor_scale", "ascale", _finite),
+    ("anchor_response", "aresp", _finite),
     ("kind", "kind", str),
-    ("scale_factor", "sf", float),
-    ("angle_deg", "deg", float),
+    ("scale_factor", "sf", _finite),
+    ("angle_deg", "deg", _finite),
     ("dx", "dx", operator.index),
     ("dy", "dy", operator.index),
-    ("negative_x", "nx", float),
-    ("negative_y", "ny", float),
+    ("negative_x", "nx", _finite),
+    ("negative_y", "ny", _finite),
     ("negative_index", "nidx", operator.index),
 )
 
@@ -176,13 +184,26 @@ def _unit_noise(rng: np.random.Generator, size: int, sigma: float) -> np.ndarray
     return (n - n.mean()) / (n.std() + 1e-12)
 
 
+def _shape_box(cx: float, cy: float, reach: float, size: int) -> tuple[slice, slice]:
+    """Rows and columns of the pixels within ``reach`` px of (cx, cy) along
+    each axis, plus 1 px for rounding in a shape's own test, clipped to the
+    image."""
+    return tuple(
+        slice(max(0, math.floor(c - reach) - 1), min(size, math.floor(c + reach) + 2))
+        for c in (cy, cx)
+    )
+
+
 def synth_pair(seed: int, size: int = 512, name: "str | None" = None) -> AlignedPair:
     """Generate one registered visible/NIR-like pair with identity alignment.
 
     The visible image is smoothed multi-scale texture plus sharp geometric
     shapes; the NIR image applies a monotone gamma curve and a smooth
     positive gain field to the same geometry, then adds sigma=3 Gaussian
-    pixel noise.
+    pixel noise. Every value comes from one generator seeded by ``seed`` in
+    a fixed draw order (texture, shapes, gamma, gain, noise), which is what
+    makes a seed's dataset reproducible: reordering or skipping a draw
+    changes every pixel after it.
     """
     if size < 256:
         raise DatasetError(f"synthetic pair size must be >= 256, got {size}")
@@ -190,7 +211,6 @@ def synth_pair(seed: int, size: int = 512, name: "str | None" = None) -> Aligned
     tex = 1.0 * _unit_noise(rng, size, 10.0) + 1.6 * _unit_noise(rng, size, 30.0)
     tex = (tex - tex.min()) / (tex.max() - tex.min())
     vis = 60.0 + 130.0 * tex
-    yy, xx = np.mgrid[0:size, 0:size]
     n_shapes = max(40, round(140 * (size / 512.0) ** 2))
     for _ in range(n_shapes):
         cx = rng.uniform(0.06 * size, 0.94 * size)
@@ -198,16 +218,20 @@ def synth_pair(seed: int, size: int = 512, name: "str | None" = None) -> Aligned
         delta = rng.choice([-1.0, 1.0]) * rng.uniform(55.0, 110.0)
         if rng.random() < 0.6:
             r = rng.uniform(2.5, 7.0)
+            rows, cols = _shape_box(cx, cy, r, size)
+            yy, xx = np.ogrid[rows, cols]
             mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
         else:
             hw = rng.uniform(2.5, 9.0)
             hh = rng.uniform(2.5, 9.0)
             ang = rng.uniform(0, math.pi)
             ca, sa = math.cos(ang), math.sin(ang)
+            rows, cols = _shape_box(cx, cy, math.hypot(hw, hh), size)
+            yy, xx = np.ogrid[rows, cols]
             ux = ca * (xx - cx) + sa * (yy - cy)
             uy = -sa * (xx - cx) + ca * (yy - cy)
             mask = (np.abs(ux) <= hw) & (np.abs(uy) <= hh)
-        vis = np.where(mask, vis + delta, vis)
+        vis[rows, cols][mask] += delta  # a basic slice: writes through to vis
     vis = gaussian_filter(vis, 0.8)
     vis_u8 = np.clip(np.floor(vis + 0.5), 0, 255).astype(np.uint8)
 
@@ -392,8 +416,8 @@ def load_dataset(data_dir: str | Path) -> tuple[dict[str, AlignedPair], DatasetM
     """Load the manifest and every source pair it references.
 
     A manifest that does not parse, lacks or mistypes a key, or holds a
-    record whose pair is not listed or whose transform is unsupported,
-    raises DatasetError naming its path.
+    record with a non-finite number, a pair that is not listed or an
+    unsupported transform, raises DatasetError naming its path.
     """
     data_dir = Path(data_dir)
     manifest_path = data_dir / MANIFEST_NAME

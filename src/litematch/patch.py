@@ -67,11 +67,17 @@ def required_margin(window: int = DEFAULT_WINDOW, out_size: int = DEFAULT_OUT_SI
 
 
 def _sample_grid(window: int, out_size: int, t: PatchTransform) -> tuple[np.ndarray, np.ndarray]:
-    """Source offsets (relative to window center) for each output pixel."""
+    """Source (x, y) of each output pixel, relative to the window's top-left pixel.
+
+    The two arrays broadcast against each other to ``[out_size, out_size]``
+    without a dense grid: for identity, scale and translate x depends only on
+    the output column and y only on the row, so x is ``[1, N]`` and y is
+    ``[N, 1]``; rotate mixes both axes and returns two ``[N, N]`` arrays.
+    """
     u = (np.arange(out_size, dtype=np.float64) + 0.5) * (window / out_size) - 0.5
     center = (window - 1) / 2.0
     du = u - center
-    gx, gy = np.meshgrid(du, du)
+    gx, gy = du[None, :], du[:, None]
     if t.kind == "identity":
         pass
     elif t.kind == "scale":
@@ -96,12 +102,14 @@ def apply_transform(
 ) -> Tensor:
     """Sample a transformed window around ``kp`` into a [1, out, out] tensor.
 
-    Values are scaled to [0, 1]. Raises BorderError when any bilinear
-    sample falls outside the image.
+    Values are scaled to [0, 1]. Raises BorderError when the keypoint is
+    not finite or any bilinear sample falls outside the image.
     """
     if window < 2 or out_size < 2:
         raise ConfigError("window and out_size must be >= 2")
     height, width = img.pixels.shape
+    if not (math.isfinite(kp.x) and math.isfinite(kp.y)):
+        raise BorderError(f"keypoint ({kp.x}, {kp.y}) is not finite")
     x0 = int(round(kp.x)) - window // 2
     y0 = int(round(kp.y)) - window // 2
     sx, sy = _sample_grid(window, out_size, t)
@@ -119,9 +127,12 @@ def apply_transform(
     # weight is exactly 0 whenever the +1 neighbor would leave the image
     fx1 = np.minimum(fx + 1, width - 1)
     fy1 = np.minimum(fy + 1, height - 1)
-    px = img.pixels
-    top = (1.0 - wx) * px[fy, fx] + wx * px[fy, fx1]
-    bot = (1.0 - wx) * px[fy1, fx] + wx * px[fy1, fx1]
+    # pixels is C-contiguous (GrayImage), so ravel() is a view and the row
+    # offsets broadcast against the columns to [N, N] flat indices
+    flat = img.pixels.ravel()
+    row, row1 = fy * width, fy1 * width
+    top = (1.0 - wx) * np.take(flat, row + fx) + wx * np.take(flat, row + fx1)
+    bot = (1.0 - wx) * np.take(flat, row1 + fx) + wx * np.take(flat, row1 + fx1)
     values = ((1.0 - wy) * top + wy * bot) / 255.0
     return Tensor(values[None, :, :].astype(np.float32))
 

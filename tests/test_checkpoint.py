@@ -119,6 +119,7 @@ BAD_METADATA = [
     ("step", b"step=1.5"),
     ("final_loss", b"final_loss=abc"),
     ("run.lr", b"run.lr=abc"),
+    ("run.lr", b"run.lr=nan"),
     ("run.bogus", b"run.bogus=1"),
     ("run.batch_size", b"run.batch_size=0"),
     ("run.input_size", b"run.input_size=64"),

@@ -1,5 +1,6 @@
 """The command line: one validated config path, no import-time side effects."""
 
+import math
 import os
 import subprocess
 import sys
@@ -87,6 +88,15 @@ def test_gen_data_validates_every_flag(tmp_path, capsys, flags, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["input_size=0", "input_size=-8", "window=0", "window=-4", "window=1"])
+def test_gen_data_refuses_sizes_the_sampler_cannot_take(tmp_path, capsys, setting):
+    out = tmp_path / "data"
+    assert cli.main(["gen-data", "--synthetic", "--out", str(out), "--set", setting]) == 1
+    key, value = setting.split("=")
+    assert f"error: {key} must be at least 2, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_data_from_pairs_refuses_a_pair_count(files, tmp_path, capsys):
     out = tmp_path / "data"
     argv = ["gen-data", "--from-pairs", str(files / "data" / "pairs"), "--out", str(out), "--pairs", "7"]
@@ -167,3 +177,10 @@ def test_run_config_validates_loss_mode_against_loss_modes():
         assert RunConfig(loss_mode=mode).validate().loss_mode == mode
     with pytest.raises(ConfigError, match=r"unknown loss_mode 'fixed'; expected one of \('corrected', 'literal'\)"):
         RunConfig(loss_mode="fixed").validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("key", ["lr", "threshold", "eps"])
+def test_run_config_refuses_rates_and_radii_that_are_not_positive_and_finite(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be positive and finite, got {value}$"):
+        RunConfig(**{key: value}).validate()

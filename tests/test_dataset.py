@@ -1,6 +1,7 @@
 """Synthetic pairs, triplet construction, manifests, splits."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -22,6 +23,8 @@ from litematch.dataset import (
     synth_pair,
     write_dataset,
 )
+from scipy.ndimage import gaussian_filter
+
 from litematch.detector import Keypoint, detect_keypoints
 from litematch.errors import DatasetError
 from litematch.image import GrayImage, clahe
@@ -72,6 +75,47 @@ def test_synth_pair_modality_gap_and_keypoint_overlap():
     cn = np.array([[k.x, k.y] for k in kn])
     dists = np.sqrt(((cv[:, None, :] - cn[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
     assert (dists <= 3.0).mean() >= 0.6
+
+
+def whole_image_synth_pair(seed, size):
+    """Transcription of ``synth_pair`` drawing every shape with a mask and an
+    ``np.where`` over the whole image."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(901,)))
+    tex = 1.0 * dataset._unit_noise(rng, size, 10.0) + 1.6 * dataset._unit_noise(rng, size, 30.0)
+    tex = (tex - tex.min()) / (tex.max() - tex.min())
+    vis = 60.0 + 130.0 * tex
+    yy, xx = np.mgrid[0:size, 0:size]
+    for _ in range(max(40, round(140 * (size / 512.0) ** 2))):
+        cx = rng.uniform(0.06 * size, 0.94 * size)
+        cy = rng.uniform(0.06 * size, 0.94 * size)
+        delta = rng.choice([-1.0, 1.0]) * rng.uniform(55.0, 110.0)
+        if rng.random() < 0.6:
+            r = rng.uniform(2.5, 7.0)
+            mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+        else:
+            hw = rng.uniform(2.5, 9.0)
+            hh = rng.uniform(2.5, 9.0)
+            ang = rng.uniform(0, math.pi)
+            ca, sa = math.cos(ang), math.sin(ang)
+            ux = ca * (xx - cx) + sa * (yy - cy)
+            uy = -sa * (xx - cx) + ca * (yy - cy)
+            mask = (np.abs(ux) <= hw) & (np.abs(uy) <= hh)
+        vis = np.where(mask, vis + delta, vis)
+    vis = gaussian_filter(vis, 0.8)
+    vis_u8 = np.clip(np.floor(vis + 0.5), 0, 255).astype(np.uint8)
+    gamma = rng.uniform(0.65, 0.8)
+    gain = np.clip(1.0 + 0.1 * dataset._unit_noise(rng, size, size / 6.0), 0.85, 1.15)
+    nir = 255.0 * (vis_u8.astype(np.float64) / 255.0) ** gamma * gain
+    nir = nir + rng.normal(0.0, 3.0, size=(size, size))
+    return vis_u8, np.clip(np.floor(nir + 0.5), 0, 255).astype(np.uint8)
+
+
+@pytest.mark.parametrize("seed, size", [(0, 256), (1, 257), (2, 301), (3, 448), (4, 517)])
+def test_synth_pair_matches_the_whole_image_shape_loop(seed, size):
+    pair = synth_pair(seed, size=size)
+    vis, nir = whole_image_synth_pair(seed, size)
+    assert np.array_equal(pair.visible.pixels, vis)
+    assert np.array_equal(pair.nir.pixels, nir)
 
 
 def test_synth_pair_identity_alignment():
@@ -274,6 +318,12 @@ def _malformed_manifests():
         ("ax", "left"), ("nidx", "three"), ("ay", None), ("dx", 2.5),
         ("kind", "shear"), ("deg", -30.0), ("pair", "ghost"),
     ):
+        doc = json.loads(text)
+        doc["records"][0][key] = value
+        cases.append(pytest.param(json.dumps(doc), id=f"{key}-{value}"))
+    for key, value in [(key, math.nan) for key in ("ax", "ay", "ascale", "aresp", "sf", "deg", "nx", "ny")] + [
+        ("ax", math.inf), ("ny", -math.inf),
+    ]:
         doc = json.loads(text)
         doc["records"][0][key] = value
         cases.append(pytest.param(json.dumps(doc), id=f"{key}-{value}"))

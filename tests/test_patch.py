@@ -1,13 +1,20 @@
 """Patch sampling: crops, transforms, border rejection."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litematch.detector import Keypoint
 from litematch.errors import BorderError, ConfigError
 from litematch.image import GrayImage
 from litematch.patch import (
     IDENTITY,
+    MAX_TRANSLATION,
+    ROTATION_DEGREES,
+    SCALE_FACTORS,
     PatchTransform,
     apply_transform,
     extract_patch,
@@ -133,3 +140,87 @@ def test_required_margin_admits_all_transforms():
         PatchTransform(kind="translate", dx=-8, dy=-8),
     ):
         apply_transform(img, safe, t)  # must not raise
+
+
+@pytest.mark.parametrize("x, y", [(math.inf, 80.0), (80.0, -math.inf), (math.nan, 80.0), (80.0, math.nan)])
+def test_non_finite_keypoint_raises_border_error(x, y):
+    with pytest.raises(BorderError, match="not finite"):
+        extract_patch(textured_image(), kp(x, y))
+
+
+def meshgrid_sampler(img, keypoint, t, window, out_size):
+    """The sampler on dense ``np.meshgrid`` coordinates with four 2-D gathers."""
+    height, width = img.pixels.shape
+    x0 = int(round(keypoint.x)) - window // 2
+    y0 = int(round(keypoint.y)) - window // 2
+    u = (np.arange(out_size, dtype=np.float64) + 0.5) * (window / out_size) - 0.5
+    center = (window - 1) / 2.0
+    gx, gy = np.meshgrid(u - center, u - center)
+    if t.kind == "scale":
+        gx, gy = gx / t.scale_factor, gy / t.scale_factor
+    elif t.kind == "rotate":
+        rad = math.radians(t.angle_deg)
+        c, s = math.cos(rad), math.sin(rad)
+        gx, gy = c * gx + s * gy, -s * gx + c * gy
+    elif t.kind == "translate":
+        gx, gy = gx + t.dx, gy + t.dy
+    sx = (gx + center) + x0
+    sy = (gy + center) + y0
+    if sx.min() < 0.0 or sy.min() < 0.0 or sx.max() > width - 1 or sy.max() > height - 1:
+        raise BorderError("escapes the image")
+    fx = np.floor(sx).astype(np.intp)
+    fy = np.floor(sy).astype(np.intp)
+    wx, wy = sx - fx, sy - fy
+    fx1 = np.minimum(fx + 1, width - 1)
+    fy1 = np.minimum(fy + 1, height - 1)
+    px = img.pixels
+    top = (1.0 - wx) * px[fy, fx] + wx * px[fy, fx1]
+    bot = (1.0 - wx) * px[fy1, fx] + wx * px[fy1, fx1]
+    return (((1.0 - wy) * top + wy * bot) / 255.0)[None].astype(np.float32)
+
+
+# not square, so a swapped width and height would show
+ORACLE_IMAGE = GrayImage(np.random.default_rng(7).integers(0, 256, (150, 190)).astype(np.uint8))
+
+transforms = st.one_of(
+    st.just(IDENTITY),
+    st.builds(PatchTransform, kind=st.just("scale"), scale_factor=st.sampled_from(SCALE_FACTORS)),
+    st.builds(
+        PatchTransform,
+        kind=st.just("rotate"),
+        angle_deg=st.sampled_from(ROTATION_DEGREES).flatmap(lambda d: st.sampled_from((d, -d))),
+    ),
+    st.builds(
+        PatchTransform,
+        kind=st.just("translate"),
+        dx=st.integers(-MAX_TRANSLATION, MAX_TRANSLATION),
+        dy=st.integers(-MAX_TRANSLATION, MAX_TRANSLATION),
+    ),
+)
+
+
+def coordinate(extent):
+    # anywhere from just past one border to just past the other, or near the middle
+    return st.one_of(
+        st.floats(-3.0, extent + 3.0),
+        st.floats(extent / 2 - 12.0, extent / 2 + 12.0),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=transforms,
+    window=st.sampled_from((31, 48, 64)),
+    out_size=st.sampled_from((32, 64, 128)),
+    x=coordinate(ORACLE_IMAGE.width),
+    y=coordinate(ORACLE_IMAGE.height),
+)
+def test_sampler_matches_the_dense_meshgrid_sampler(t, window, out_size, x, y):
+    try:
+        expected = meshgrid_sampler(ORACLE_IMAGE, kp(x, y), t, window, out_size)
+    except BorderError:
+        with pytest.raises(BorderError):
+            apply_transform(ORACLE_IMAGE, kp(x, y), t, window=window, out_size=out_size)
+        return
+    got = apply_transform(ORACLE_IMAGE, kp(x, y), t, window=window, out_size=out_size)
+    assert np.array_equal(got.data, expected)
