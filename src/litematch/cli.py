@@ -16,10 +16,10 @@ from .checkpoint import load_checkpoint, model_from_checkpoint
 from .config import RunConfig, apply_overrides, load_config_file
 from .dataset import (
     AlignedPair,
+    DatasetManifest,
     build_triplets,
     identity_alignment,
     load_dataset,
-    merge_manifests,
     synth_pair,
     write_dataset,
 )
@@ -79,9 +79,11 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _build_config(args, RunConfig())
     out_dir = Path(args.out)
     if args.from_pairs is not None:
-        if args.pairs is not None:
+        # from --pairs, --set or --config alike
+        if args.pairs is not None or cfg.pairs != RunConfig().pairs:
             raise ConfigError(
-                "--pairs applies to --synthetic; with --from-pairs the directory decides the count"
+                f"--pairs applies to --synthetic (got pairs={cfg.pairs}); "
+                "with --from-pairs the directory decides the count"
             )
         src = Path(args.from_pairs)
         names = sorted(p.name[: -len("_vis.pgm")] for p in src.glob("*_vis.pgm"))
@@ -104,27 +106,31 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     per_pair = [cfg.triplets // len(pairs)] * len(pairs)
     for i in range(cfg.triplets % len(pairs)):
         per_pair[i] += 1
-    manifests = []
+    records = []
     for pair, count in zip(pairs, per_pair):
         keypoints = detect_keypoints(
             enhance(pair.visible, cfg), cfg.max_keypoints, border_margin=margin
         )
-        manifests.append(
-            build_triplets(
-                pair,
-                keypoints,
-                count=count,
-                seed=cfg.seed,
-                window=cfg.window,
-                out_size=cfg.input_size,
-                kinds=cfg.transform_kinds(),
-            )
+        records += build_triplets(
+            pair,
+            keypoints,
+            count=count,
+            seed=cfg.seed,
+            window=cfg.window,
+            out_size=cfg.input_size,
+            kinds=cfg.transform_kinds(),
         )
-    merged = merge_manifests(manifests, seed=cfg.seed)
-    merged.clahe_clip = cfg.clahe_clip
-    merged.clahe_grid = cfg.clahe_grid
-    write_dataset(out_dir, pairs, merged)
-    print(f"wrote {len(pairs)} pairs, {merged.count} triplet records to {out_dir}")
+    manifest = DatasetManifest(
+        seed=cfg.seed,
+        window=cfg.window,
+        out_size=cfg.input_size,
+        clahe_clip=cfg.clahe_clip,
+        clahe_grid=cfg.clahe_grid,
+        pairs=[pair.name for pair in pairs],
+        records=records,
+    )
+    write_dataset(out_dir, pairs, manifest)
+    print(f"wrote {len(pairs)} pairs, {manifest.count} triplet records to {out_dir}")
     return 0
 
 

@@ -1,13 +1,14 @@
 """Triplet dataset construction from registered visible/near-infrared pairs.
 
-Triplets are never stored as pixels: :func:`build_triplets` records
-keypoint coordinates, the sampled transform and the negative index in a
-manifest without extracting a patch, and :func:`materialize_triplet` is the
-one place that samples a record's patches, bit-exactly, from the enhanced
-source images when training needs them. A synthetic
-pair generator provides desk-scale data with exact (identity) ground
-truth: the "NIR" side is a monotone radiometric remap of the visible side
-with a smooth per-region gain field and pixel noise.
+Triplets are never stored as pixels: :func:`build_triplets` returns
+records of keypoint coordinates, the sampled transform and the negative
+index without extracting a patch; the caller gathers every pair's records
+into one :class:`DatasetManifest` with the settings they were made with.
+:func:`materialize_triplet` is the one place that samples a record's
+patches, bit-exactly, from the enhanced source images when training needs
+them. A synthetic pair generator provides desk-scale data with exact
+(identity) ground truth: the "NIR" side is a monotone radiometric remap of
+the visible side with a smooth per-region gain field and pixel noise.
 """
 
 from __future__ import annotations
@@ -292,8 +293,11 @@ def build_triplets(
     window: int = DEFAULT_WINDOW,
     out_size: int = DEFAULT_OUT_SIZE,
     kinds: tuple[str, ...] = TRANSFORM_KINDS,
-) -> DatasetManifest:
+) -> list[TripletRecord]:
     """Sample ``count`` triplet records from one registered pair.
+
+    Returns the records only; the caller builds the manifest that holds
+    them, with the same ``window`` and ``out_size``.
 
     Anchors are visible-image patches at detected keypoints; positives
     sample the NIR image at the same location under a uniformly drawn
@@ -328,7 +332,7 @@ def build_triplets(
         raise DatasetError(
             f"pair {pair.name}: no keypoint has a negative more than {window} px away"
         )
-    manifest = DatasetManifest(seed=seed, window=window, out_size=out_size, pairs=[pair.name])
+    records = []
     for i in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         a_idx = usable[int(rng.integers(len(usable)))]
@@ -352,22 +356,8 @@ def build_triplets(
             negative_y=nkp.y,
             negative_index=n_idx,
         )
-        manifest.records.append(record)
-    return manifest
-
-
-def merge_manifests(parts: list[DatasetManifest], seed: int) -> DatasetManifest:
-    """Concatenate per-pair manifests built with shared extraction settings."""
-    if not parts:
-        raise DatasetError("nothing to merge")
-    first = parts[0]
-    merged = replace(first, seed=seed, pairs=[], records=[])
-    for part in parts:
-        if (part.window, part.out_size) != (first.window, first.out_size):
-            raise DatasetError("manifests disagree on extraction settings")
-        merged.pairs.extend(part.pairs)
-        merged.records.extend(part.records)
-    return merged
+        records.append(record)
+    return records
 
 
 def split(manifest: DatasetManifest, ratio: float) -> tuple[DatasetManifest, DatasetManifest]:

@@ -40,7 +40,6 @@ SCALES_PER_OCTAVE = 3
 BASE_SIGMA = 1.6
 CONTRAST_THRESHOLD = 0.03
 EDGE_RATIO = 10.0
-DEFAULT_BORDER_MARGIN = 33  # window 64 -> half window + 1 for sub-pixel sampling
 
 
 def _gaussian_levels(base: np.ndarray, sigma0: float, k: float, count: int) -> list[np.ndarray]:
@@ -153,7 +152,7 @@ def _refine(dogs: np.ndarray, cand: np.ndarray) -> np.ndarray:
 def detect_keypoints(
     img,
     max_points: int,
-    border_margin: int = DEFAULT_BORDER_MARGIN,
+    border_margin: int,
     contrast_threshold: float = CONTRAST_THRESHOLD,
 ) -> list[Keypoint]:
     """Scale-space extrema sorted by descending response.

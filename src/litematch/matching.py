@@ -8,6 +8,7 @@ keypoint lands within ``eps`` pixels of the ground-truth correspondence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -93,8 +94,8 @@ def match_nn(
     With ``mutual`` the reverse nearest neighbor must agree. An empty set
     on either side gives an empty result.
     """
-    if threshold <= 0:
-        raise MatchingError(f"threshold must be positive, got {threshold}")
+    if not 0 < threshold < math.inf:  # refuses NaN too
+        raise MatchingError(f"threshold must be positive and finite, got {threshold}")
     if a.descriptors.shape[1] != b.descriptors.shape[1]:
         raise DimensionError("descriptor dimensions differ between the two sets")
     if len(a) == 0 or len(b) == 0:
@@ -133,8 +134,8 @@ def score(
     by accepted matches (0 when none); matching score divides by
     min(|A|, |B|). Fills ``result.n_correct`` and ``result.correct_flags``.
     """
-    if eps <= 0:
-        raise MatchingError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:  # refuses NaN too
+        raise MatchingError(f"eps must be positive and finite, got {eps}")
     flags: list[bool] = []
     for pair in result.pairs:
         ka = a.keypoints[pair.index_a]

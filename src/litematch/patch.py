@@ -54,6 +54,19 @@ class PatchTransform:
 IDENTITY = PatchTransform()
 
 
+def plain_margin(window: int) -> int:
+    """Border margin admitting a plain (untransformed) patch at any output size.
+
+    A patch centred on pixel ``c`` samples ``c - window // 2`` to
+    ``c + (window - 1) // 2``, overhanging each end by up to half a pixel
+    when the output is larger than the window. Detection keeps
+    ``margin <= c <= size - margin`` and the last pixel is ``size - 1``, so
+    the far end needs ``(window - 1) // 2 + 2``: ``window // 2 + 1`` for an
+    even window and one more for an odd one.
+    """
+    return (window + 1) // 2 + 1
+
+
 def required_margin(window: int = DEFAULT_WINDOW, out_size: int = DEFAULT_OUT_SIZE) -> int:
     """Conservative border margin admitting every supported transform."""
     half = (window - 1) / 2.0

@@ -18,7 +18,7 @@ from .detector import Keypoint, detect_keypoints
 from .image import GrayImage, clahe
 from .matching import DescriptorSet, MatchResult, match_nn, score
 from .model import Model, forward
-from .patch import extract_patch
+from .patch import extract_patch, plain_margin
 from .tensor import Tensor
 
 DESCRIPTOR_BATCH = 64  # patches per model forward
@@ -65,8 +65,7 @@ def match_images(
     sides = []
     for img in (img_a, img_b):
         enhanced = enhance(img, cfg)
-        # margin covers the plain extraction window plus sub-pixel overhang
-        keypoints = detect_keypoints(enhanced, cfg.max_keypoints, border_margin=cfg.window // 2 + 1)
+        keypoints = detect_keypoints(enhanced, cfg.max_keypoints, border_margin=plain_margin(cfg.window))
         sides.append((enhanced, keypoints))
     set_a, set_b = compute_descriptors(model, sides, cfg)
     result = match_nn(set_a, set_b, threshold=cfg.threshold, mutual=cfg.mutual)

@@ -1,16 +1,16 @@
 """Minimal tensor engine with tape-based reverse-mode differentiation.
 
 Tensors wrap numpy arrays (float32 by default; float64 is accepted so the
-same graph can be replayed at high precision for finite-difference
-verification). Differentiable operations live in :mod:`litematch.ops`;
-each one appends an entry to the active :class:`Tape`, and
-:func:`backward` walks the tape once in reverse, accumulating gradients
-into every tensor marked ``requires_grad``.
+tests can replay a graph at high precision against finite differences).
+Differentiable operations live in :mod:`litematch.ops`; each one appends
+an entry to the active :class:`Tape`, of which there is at most one at a
+time, and :func:`backward` walks the tape once in reverse, accumulating
+gradients into every tensor marked ``requires_grad``.
 """
 
 from __future__ import annotations
 
-import threading
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -84,20 +84,11 @@ class _TapeEntry:
         self.needs = needs
 
 
-_TLS = threading.local()
-
-
-def _stack() -> list:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = []
-        _TLS.stack = stack
-    return stack
+_active: "Tape | None" = None
 
 
 def active_tape() -> "Tape | None":
-    stack = _stack()
-    return stack[-1] if stack else None
+    return _active
 
 
 class Tape:
@@ -105,7 +96,8 @@ class Tape:
 
     Entries are appended in execution order, so every operation's inputs
     precede it and a single reverse sweep visits each operation exactly
-    once. Use as a context manager; tapes may nest (innermost records).
+    once. Use as a context manager. One tape records at a time: opening
+    a tape while another is recording raises ContractError.
     """
 
     def __init__(self):
@@ -113,13 +105,15 @@ class Tape:
         self._tracked: set[int] = set()
 
     def __enter__(self) -> "Tape":
-        _stack().append(self)
+        global _active
+        if _active is not None:
+            raise ContractError("a tape is already recording; tapes do not nest")
+        _active = self
         return self
 
     def __exit__(self, *exc) -> bool:
-        popped = _stack().pop()
-        if popped is not self:  # pragma: no cover - misuse guard
-            raise ContractError("tape context exited out of order")
+        global _active
+        _active = None
         return False
 
     def tracks(self, t: Tensor) -> bool:
@@ -178,8 +172,8 @@ class SGD:
 
     def __init__(self, params: Iterable[Tensor], lr: float = 1e-3, momentum: float = 0.9):
         self.params = list(params)
-        if lr <= 0:
-            raise ContractError(f"learning rate must be positive, got {lr}")
+        if not 0 < lr < math.inf:  # refuses NaN too
+            raise ContractError(f"learning rate must be positive and finite, got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ContractError(f"momentum must lie in [0, 1), got {momentum}")
         self.lr = lr

@@ -108,6 +108,19 @@ def test_gen_data_from_pairs_refuses_a_pair_count(files, tmp_path, capsys):
     assert "with --from-pairs the directory decides the count" in " ".join(capsys.readouterr().out.split())
 
 
+@pytest.mark.parametrize("route", ["set", "config"])
+def test_gen_data_from_pairs_refuses_a_pair_count_setting(files, tmp_path, capsys, route):
+    out = tmp_path / "data"
+    argv = ["gen-data", "--from-pairs", str(files / "data" / "pairs"), "--out", str(out), "--triplets", "4"]
+    (tmp_path / "run.cfg").write_text("pairs=7\n")
+    setting = ["--set", "pairs=7"] if route == "set" else ["--config", str(tmp_path / "run.cfg")]
+    assert cli.main(argv + setting) == 1
+    assert "applies to --synthetic (got pairs=7)" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(argv) == 0  # the directory's one pair
+    assert f"wrote 1 pairs, 4 triplet records to {out}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("source", [[], ["--synthetic", "--from-pairs", "x"]], ids=["neither", "both"])
 def test_gen_data_needs_exactly_one_pair_source(tmp_path, source):
     with pytest.raises(SystemExit) as exc:

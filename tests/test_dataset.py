@@ -18,7 +18,6 @@ from litematch.dataset import (
     identity_alignment,
     load_dataset,
     materialize_triplet,
-    merge_manifests,
     split,
     synth_pair,
     write_dataset,
@@ -34,6 +33,7 @@ from litematch.patch import (
     SCALE_FACTORS,
     PatchTransform,
     apply_transform,
+    plain_margin,
     required_margin,
 )
 
@@ -42,6 +42,12 @@ def make_keypoints(pair, max_points=80):
     return detect_keypoints(
         clahe(pair.visible), max_points=max_points, border_margin=required_margin()
     )
+
+
+def build_manifest(pair, keypoints, count, seed, **kwargs):
+    """One pair's records in a manifest; both sides default to the same window and out_size."""
+    records = build_triplets(pair, keypoints, count, seed, **kwargs)
+    return DatasetManifest(seed=seed, pairs=[pair.name], records=records)
 
 
 def materialize_all(manifest, visible, nir):
@@ -68,8 +74,8 @@ def test_synth_pair_modality_gap_and_keypoint_overlap():
         pair.visible.pixels.astype(np.float64) - pair.nir.pixels.astype(np.float64)
     ).mean()
     assert mad > 10.0
-    kv = detect_keypoints(clahe(pair.visible), max_points=300)
-    kn = detect_keypoints(clahe(pair.nir), max_points=300)
+    kv = detect_keypoints(clahe(pair.visible), max_points=300, border_margin=plain_margin(64))
+    kn = detect_keypoints(clahe(pair.nir), max_points=300, border_margin=plain_margin(64))
     assert len(kv) >= 30 and len(kn) >= 30
     cv = np.array([[k.x, k.y] for k in kv])
     cn = np.array([[k.x, k.y] for k in kn])
@@ -130,8 +136,8 @@ def test_synth_pair_rejects_small_size():
 def test_build_triplets_deterministic_and_counted():
     pair = synth_pair(1, size=384)
     kps = make_keypoints(pair)
-    m1 = build_triplets(pair, kps, count=24, seed=9)
-    m2 = build_triplets(pair, kps, count=24, seed=9)
+    m1 = build_manifest(pair, kps, count=24, seed=9)
+    m2 = build_manifest(pair, kps, count=24, seed=9)
     assert m1.to_json() == m2.to_json()
     assert m1.count == 24
     assert sum(m1.transform_counts().values()) == 24
@@ -141,14 +147,14 @@ def test_build_triplets_deterministic_and_counted():
     for a, b in zip(t1, t2):
         for pa, pb in zip(a, b):
             assert np.array_equal(pa, pb)
-    m3 = build_triplets(pair, kps, count=24, seed=10)
+    m3 = build_manifest(pair, kps, count=24, seed=10)
     assert m3.to_json() != m1.to_json()
 
 
 def test_triplet_negative_distance_constraint():
     pair = synth_pair(2, size=384)
     kps = make_keypoints(pair)
-    manifest = build_triplets(pair, kps, count=40, seed=3)
+    manifest = build_manifest(pair, kps, count=40, seed=3)
     for rec in manifest.records:
         d = np.hypot(rec.anchor_x - rec.negative_x, rec.anchor_y - rec.negative_y)
         assert d > manifest.window
@@ -157,7 +163,7 @@ def test_triplet_negative_distance_constraint():
 def test_triplet_patch_shapes_and_range():
     pair = synth_pair(3, size=384)
     kps = make_keypoints(pair)
-    manifest = build_triplets(pair, kps, count=8, seed=1)
+    manifest = build_manifest(pair, kps, count=8, seed=1)
     for t in materialize_all(manifest, pair.visible, pair.nir):
         for patch in t:
             assert patch.shape == (1, 128, 128) and patch.dtype == np.float32
@@ -168,7 +174,7 @@ def test_identity_only_transforms_on_identical_modalities():
     pair = synth_pair(4, size=384)
     same = AlignedPair(name="same", visible=pair.visible, nir=pair.visible)
     kps = make_keypoints(same)
-    manifest = build_triplets(same, kps, count=6, seed=2, kinds=("identity",))
+    manifest = build_manifest(same, kps, count=6, seed=2, kinds=("identity",))
     for anchor, positive, _ in materialize_all(manifest, same.visible, same.nir):
         assert np.array_equal(anchor, positive)
 
@@ -177,7 +183,7 @@ def test_manifest_regenerates_bit_exact(tmp_path):
     pair = synth_pair(5, size=384)
     kps = make_keypoints(pair)
     vis_e, nir_e = clahe(pair.visible), clahe(pair.nir)
-    manifest = build_triplets(pair, kps, count=12, seed=4)
+    manifest = build_manifest(pair, kps, count=12, seed=4)
     triplets = materialize_all(manifest, vis_e, nir_e)
     write_dataset(tmp_path, [pair], manifest)
     pairs2, manifest2 = load_dataset(tmp_path)
@@ -210,8 +216,8 @@ def test_build_triplets_extracts_no_patches(monkeypatch):
 
     monkeypatch.setattr(dataset, "extract_patch", no_pixels)
     monkeypatch.setattr(dataset, "apply_transform", no_pixels)
-    manifest = build_triplets(pair, kps, count=50, seed=5)
-    assert isinstance(manifest, DatasetManifest) and manifest.count == 50
+    records = build_triplets(pair, kps, count=50, seed=5)
+    assert len(records) == 50 and all(isinstance(r, TripletRecord) for r in records)
 
 
 @pytest.mark.parametrize("window, out_size", [(64, 128), (64, 32), (31, 64)])
@@ -250,30 +256,26 @@ def test_required_margin_admits_every_transform(window, out_size):
 
 
 def test_split_by_pair_grouping():
-    manifests = []
-    pairs = []
-    for seed in range(10):
-        pair = synth_pair(seed, size=384)
-        pairs.append(pair)
-        kps = make_keypoints(pair, max_points=40)
-        m = build_triplets(pair, kps, count=6, seed=seed)
-        manifests.append(m)
-    merged = merge_manifests(manifests, seed=123)
-    train, val = split(merged, ratio=0.8)
+    pairs = [synth_pair(seed, size=384) for seed in range(10)]
+    records = []
+    for seed, pair in enumerate(pairs):
+        records += build_triplets(pair, make_keypoints(pair, max_points=40), count=6, seed=seed)
+    manifest = DatasetManifest(seed=123, pairs=[p.name for p in pairs], records=records)
+    train, val = split(manifest, ratio=0.8)
     assert len(train.pairs) == 8 and len(val.pairs) == 2
     assert set(train.pairs).isdisjoint(val.pairs)
-    assert sorted(train.pairs + val.pairs) == sorted(merged.pairs)
-    assert train.count + val.count == merged.count
+    assert sorted(train.pairs + val.pairs) == sorted(manifest.pairs)
+    assert train.count + val.count == manifest.count
     assert all(r.pair in set(train.pairs) for r in train.records)
     # deterministic: same manifest seed gives the same split
-    train2, val2 = split(merged, ratio=0.8)
+    train2, val2 = split(manifest, ratio=0.8)
     assert train2.pairs == train.pairs and val2.pairs == val.pairs
 
 
 def test_split_rejects_degenerate():
     pair = synth_pair(0, size=384)
     kps = make_keypoints(pair, max_points=40)
-    m = build_triplets(pair, kps, count=4, seed=0)
+    m = build_manifest(pair, kps, count=4, seed=0)
     with pytest.raises(DatasetError):
         split(m, ratio=0.5)  # one pair cannot be split
     with pytest.raises(DatasetError):
@@ -284,16 +286,13 @@ def _record(pair):
     return TripletRecord(pair, 40.0, 41.5, 1.6, 0.02, "rotate", 1.0, -15.0, 0, 0, 90.0, 95.25, 3)
 
 
-def test_merge_and_split_keep_the_manifest_header():
-    parts = [
-        DatasetManifest(seed=s, window=48, out_size=32, clahe_clip=3.5, clahe_grid=4,
-                        pairs=[f"p{s}"], records=[_record(f"p{s}")])
-        for s in range(4)
-    ]
-    merged = merge_manifests(parts, seed=9)
-    assert merged.pairs == ["p0", "p1", "p2", "p3"] and merged.count == 4
-    assert parts[0].pairs == ["p0"] and parts[0].count == 1
-    for m in (merged, *split(merged, 0.5)):
+def test_split_keeps_the_manifest_header():
+    manifest = DatasetManifest(seed=9, window=48, out_size=32, clahe_clip=3.5, clahe_grid=4,
+                               pairs=[f"p{s}" for s in range(4)],
+                               records=[_record(f"p{s}") for s in range(4)])
+    train, val = split(manifest, 0.5)
+    assert sorted(train.pairs + val.pairs) == manifest.pairs and train.count + val.count == 4
+    for m in (manifest, train, val):
         assert (m.seed, m.window, m.out_size, m.clahe_clip, m.clahe_grid) == (9, 48, 32, 3.5, 4)
 
 

@@ -9,6 +9,9 @@ from litematch.config import RunConfig
 from litematch.detector import Keypoint, detect_keypoints
 from litematch.errors import ConfigError
 from litematch.image import GrayImage
+from litematch.patch import plain_margin
+
+MARGIN = plain_margin(64)  # the default window's
 
 
 def gaussian_blob(size=160, cx=80.0, cy=76.0, sigma=2.5, amplitude=255.0):
@@ -19,12 +22,12 @@ def gaussian_blob(size=160, cx=80.0, cy=76.0, sigma=2.5, amplitude=255.0):
 
 def test_constant_image_no_keypoints():
     img = GrayImage(np.full((128, 128), 77, dtype=np.uint8))
-    assert detect_keypoints(img, max_points=100) == []
+    assert detect_keypoints(img, max_points=100, border_margin=MARGIN) == []
 
 
 def test_single_blob_single_keypoint_near_center():
     img = gaussian_blob()
-    kps = detect_keypoints(img, max_points=50)
+    kps = detect_keypoints(img, max_points=50, border_margin=MARGIN)
     assert len(kps) == 1
     kp = kps[0]
     assert abs(kp.x - 80.0) <= 2.0 and abs(kp.y - 76.0) <= 2.0
@@ -34,8 +37,8 @@ def test_single_blob_single_keypoint_near_center():
 def test_detection_deterministic():
     rng = np.random.default_rng(3)
     img = GrayImage((rng.random((200, 200)) * 255).astype(np.uint8))
-    a = detect_keypoints(img, max_points=100)
-    b = detect_keypoints(img, max_points=100)
+    a = detect_keypoints(img, max_points=100, border_margin=MARGIN)
+    b = detect_keypoints(img, max_points=100, border_margin=MARGIN)
     assert a == b
 
 
@@ -45,19 +48,19 @@ def test_sorted_by_response_and_truncated():
     y, x = np.mgrid[0:160, 0:160]
     weak = 120.0 * np.exp(-(((x - 120.0) ** 2 + (y - 120.0) ** 2) / (2 * 2.5 ** 2)))
     px = np.clip(img.pixels.astype(np.float64) + weak, 0, 255).astype(np.uint8)
-    kps = detect_keypoints(GrayImage(px), max_points=10)
+    kps = detect_keypoints(GrayImage(px), max_points=10, border_margin=MARGIN)
     assert len(kps) >= 2
     responses = [kp.response for kp in kps]
     assert responses == sorted(responses, reverse=True)
-    assert detect_keypoints(GrayImage(px), max_points=1) == kps[:1]
+    assert detect_keypoints(GrayImage(px), max_points=1, border_margin=MARGIN) == kps[:1]
 
 
 @pytest.mark.parametrize("budget", [0, -3])
 def test_non_positive_keypoint_budget_rejected(budget):
     img = gaussian_blob()
-    assert len(detect_keypoints(img, max_points=1)) == 1
+    assert len(detect_keypoints(img, max_points=1, border_margin=MARGIN)) == 1
     with pytest.raises(ConfigError, match=f"max_points must be at least 1, got {budget}"):
-        detect_keypoints(img, max_points=budget)
+        detect_keypoints(img, max_points=budget, border_margin=MARGIN)
 
 
 @pytest.mark.parametrize("budget", [0, -3])

@@ -1,5 +1,7 @@
 """Matcher exactness against a brute-force oracle, metrics, annotations."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,17 @@ def test_empty_set_gives_empty_result():
     wide = DescriptorSet(keypoints=[], descriptors=np.zeros((0, 16), dtype=np.float32))
     with pytest.raises(DimensionError):
         match_nn(s, wide)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.5])
+def test_threshold_and_eps_must_be_positive_and_finite(value):
+    rng = np.random.default_rng(8)
+    a, b = random_set(rng, 4, 8), random_set(rng, 4, 8)
+    with pytest.raises(MatchingError, match=f"^threshold must be positive and finite, got {value}$"):
+        match_nn(a, b, threshold=value)
+    result = match_nn(a, b, threshold=0.5)
+    with pytest.raises(MatchingError, match=f"^eps must be positive and finite, got {value}$"):
+        score(result, a, b, identity_alignment, eps=value)
 
 
 def test_non_unit_rows_rejected():

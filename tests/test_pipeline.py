@@ -9,11 +9,11 @@ from litematch import cli, pipeline
 from litematch.checkpoint import build_checkpoint, save_checkpoint
 from litematch.config import RunConfig
 from litematch.dataset import AlignedPair, load_dataset
-from litematch.detector import detect_keypoints
+from litematch.detector import Keypoint, detect_keypoints
 from litematch.image import GrayImage, save_pgm
 from litematch.matching import write_matches
 from litematch.model import forward, init_model
-from litematch.patch import extract_patch
+from litematch.patch import extract_patch, plain_margin
 from litematch.pipeline import compute_descriptors, evaluate_pair, evaluation_table, match_images
 from litematch.tensor import Tensor
 from litematch.training import model_config_for
@@ -70,9 +70,25 @@ def test_cli_match_featureless_pair_writes_empty_outputs(setup, tmp_path, capsys
 
 
 def _keypoints(img, n, cfg):
-    kps = detect_keypoints(img, max_points=64, border_margin=cfg.window // 2 + 1)[:n]
+    kps = detect_keypoints(img, max_points=64, border_margin=plain_margin(cfg.window))[:n]
     assert len(kps) == n
     return kps
+
+
+@pytest.mark.parametrize("window", [16, 17, 48, 49])  # input_size 32 above and below the window
+def test_match_images_describes_keypoints_on_the_border_margin(setup, window, monkeypatch):
+    # every keypoint the detector keeps, down to a rounded centre on the
+    # margin at either side, gets a plain patch
+    cfg = replace(setup[0], window=window)
+    size = 160
+
+    def on_the_margin(img, max_points, border_margin):
+        lo, hi = border_margin - 0.49, size - border_margin + 0.49  # round() lands on the margin
+        return [Keypoint(x, y, 1.6, 1.0) for x in (lo, hi) for y in (lo, hi)]
+
+    monkeypatch.setattr(pipeline, "detect_keypoints", on_the_margin)
+    _, set_a, set_b = match_images(setup[1], _textured(size), _textured(size, 6), cfg)
+    assert len(set_a) == len(set_b) == 4
 
 
 @pytest.mark.parametrize("n_a, n_b", [(0, 40), (40, 0), (40, 40), (64, 3)])

@@ -1,11 +1,13 @@
 """Engine core: tape semantics, backward accumulation, SGD updates."""
 
+import math
+
 import numpy as np
 import pytest
 
 from litematch import ops
 from litematch.errors import ContractError
-from litematch.tensor import SGD, Tape, Tensor, backward
+from litematch.tensor import SGD, Tape, Tensor, active_tape, backward
 
 
 def test_tensor_stores_float32_by_default():
@@ -91,6 +93,34 @@ def test_detach_blocks_gradient():
     np.testing.assert_allclose(x.grad, [9.0], rtol=1e-6)
 
 
+def test_nested_tape_raises_and_the_outer_tape_keeps_recording():
+    x = Tensor([3.0], requires_grad=True)
+    with Tape() as outer:
+        with pytest.raises(ContractError, match="already recording"):
+            with Tape():
+                pass
+        assert active_tape() is outer
+        loss = ops.mul(x, x)
+    assert active_tape() is None
+    backward(loss, outer)
+    np.testing.assert_allclose(x.grad, [6.0], rtol=1e-6)
+
+
+def test_exception_inside_a_tape_leaves_no_tape_active():
+    x = Tensor([1.0], requires_grad=True)
+    tape = Tape()
+    with pytest.raises(RuntimeError, match="forward failed"):
+        with tape:
+            ops.mul(x, x)
+            raise RuntimeError("forward failed")
+    assert active_tape() is None
+    ops.mul(x, x)  # records nothing
+    assert len(tape.ops) == 1
+    with Tape() as again:  # and a new tape opens
+        ops.mul(x, x)
+    assert len(again.ops) == 1 and active_tape() is None
+
+
 def test_no_tape_records_nothing():
     x = Tensor([1.0], requires_grad=True)
     tape = Tape()
@@ -138,3 +168,9 @@ def test_sgd_rejects_bad_hyperparameters():
         SGD([p], lr=0.0)
     with pytest.raises(ContractError):
         SGD([p], lr=0.1, momentum=1.0)
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -0.1])
+def test_sgd_learning_rate_must_be_positive_and_finite(lr):
+    with pytest.raises(ContractError, match=f"^learning rate must be positive and finite, got {lr}$"):
+        SGD([Tensor([1.0], requires_grad=True)], lr=lr)
