@@ -13,14 +13,25 @@ and [C, 1, 3, 3] for :func:`depthwise_conv2d`, and their gradients come
 back in the same layouts.
 
 The heavy elementwise kernels make as few passes over memory as they can.
-:func:`depthwise_conv2d` is one ``np.einsum`` over a strided 3x3 tap-window
-view of a copy padded with zero rows, whose taps that would wrap across a
-row edge are zeroed. :func:`layer_norm` and :func:`softmax` take their row
-sums with ``np.einsum``: numpy's ``mean``/``sum`` over a short trailing axis
-is mostly per-row overhead, and a BLAS GEMV, though faster, rounds rows
-differently depending on their position, so equal inputs would not give
-equal outputs. :func:`gelu` runs its in-place sequence over flat blocks
-that fit the L2 cache.
+:func:`depthwise_conv2d` is one ``np.einsum`` per chunk of samples over a
+strided 3x3 tap-window view of a copy padded with zero rows, whose taps
+that would wrap across a row edge are zeroed. :func:`gelu` runs its
+in-place sequence over flat blocks that fit the L2 cache.
+
+Reductions over a short axis follow three rules, because numpy's
+``sum``/``mean``/``max`` over such an axis spend most of their time on
+per-row overhead:
+
+- Row sums (the statistics of :func:`layer_norm` and :func:`softmax`) are
+  ``np.einsum`` reductions. A BLAS GEMV would be faster, but it rounds
+  rows differently depending on their position, so equal inputs would
+  not give equal outputs.
+- Column sums (every bias and gain gradient) are one BLAS GEMV,
+  ``ones @ a`` (:func:`_column_sums`). Each column is one dot product, so
+  position-dependent rounding across rows does not arise.
+- The row max of :func:`softmax` is a fold over the columns,
+  ``np.maximum(top, x[..., j], out=top)``: attention has a few to a few
+  dozen keys, so a handful of whole-array passes beats a per-row loop.
 """
 
 from __future__ import annotations
@@ -31,12 +42,23 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import DegenerateDescriptorError, DimensionError
-from .tensor import Tensor, record
+from .tensor import Tensor, active_tape, record
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
-# Elementwise sequences run over flat blocks of this size to stay in the L2 cache.
+# Elementwise sequences and depthwise sample chunks run over blocks of about
+# this size to stay in the L2 cache.
 _BLOCK_BYTES = 1 << 18
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over every leading axis of ``a``, as one BLAS GEMV ``ones @ a``.
+
+    ``a.sum(axis=0)`` over a short trailing axis pays per-row overhead; the
+    GEMV does not. An empty leading axis gives zeros.
+    """
+    a2 = a.reshape(-1, a.shape[-1])
+    return np.ones(a2.shape[0], dtype=a2.dtype) @ a2
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -183,7 +205,7 @@ def linear(x: Tensor, w: Tensor, b: "Tensor | None") -> Tensor:
         gw = g2.T @ x2
         if b is None:
             return gx, gw
-        return gx, gw, g2.sum(axis=0)
+        return gx, gw, _column_sums(g2)
 
     record((x, w) if b is None else (x, w, b), out, grad_fn)
     return out
@@ -198,8 +220,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     against ``ones / d`` would be faster still, but BLAS rounds the rows of
     its remainder block differently, so equal rows at different positions
     would normalize to different values; einsum runs one loop for every row.
+    The gamma and beta gradients are column sums (:func:`_column_sums`).
     """
-    d = x.shape[-1]
+    d = x.shape[-1] if x.ndim else 0
+    if d == 0:
+        raise DimensionError(f"layer_norm: the normalized trailing axis is empty, shape {x.shape}")
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"layer_norm: gamma/beta must have shape ({d},)")
     if eps <= 0:
@@ -221,24 +246,33 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         dxhat -= m1[:, None]
         dxhat -= xhat * m2[:, None]
         dxhat *= inv
-        ggamma = (g2 * xhat).sum(axis=0)
-        gbeta = g2.sum(axis=0)
-        return dxhat.reshape(x.shape), ggamma, gbeta
+        return dxhat.reshape(x.shape), _column_sums(g2 * xhat), _column_sums(g2)
 
     record((x, gamma, beta), out, grad_fn)
     return out
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Softmax over the trailing axis, computed with max subtraction."""
-    y = x.data - x.data.max(axis=-1, keepdims=True)
+    """Softmax over the trailing axis, computed with max subtraction.
+
+    The row max folds the key columns into one running maximum; the row
+    sums and the backward row dot are einsum reductions (see the module
+    docstring).
+    """
+    xd = x.data
+    n = xd.shape[-1] if xd.ndim else 0
+    if n == 0:
+        raise DimensionError(f"softmax: the trailing axis is empty, shape {xd.shape}")
+    top = xd[..., 0].copy()
+    for j in range(1, n):
+        np.maximum(top, xd[..., j], out=top)
+    y = xd - top[..., None]
     np.exp(y, out=y)
-    # einsum row sums: sum over a short trailing axis is mostly per-row overhead
     y /= np.einsum("...j->...", y)[..., None]
     out = Tensor._wrap(y)
 
     def grad_fn(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
+        dot = np.einsum("...j,...j->...", g, y)[..., None]
         return (y * (g - dot),)
 
     record((x,), out, grad_fn)
@@ -331,11 +365,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     col = np.ascontiguousarray(win).reshape(bsz * hp * wp, cin * k * k)
     wmat = w.data.reshape(cout, -1)
     out = Tensor._wrap((col @ wmat.T + b.data).reshape(bsz, hp, wp, cout))
+    # stage 1 embeds the untracked patch batch, whose input gradient nothing reads
+    tape = active_tape()
+    needs_gx = tape is not None and tape.tracks(x)
 
     def grad_fn(g):
         gmat = g.reshape(bsz * hp * wp, cout)
-        gb = gmat.sum(axis=0)
+        gb = _column_sums(gmat)
         gw = (gmat.T @ col).reshape(w.shape)
+        if not needs_gx:
+            return None, gw, gb
         gcol = (gmat @ wmat).reshape(bsz, hp, wp, cin, k, k)
         gxp = np.zeros(xp.shape, dtype=g.dtype)
         for ki in range(k):
@@ -389,14 +428,26 @@ def _edge_taps(taps: np.ndarray, w: int) -> np.ndarray:
     return tiled
 
 
+def _sample_chunks(a: np.ndarray):
+    """Yield slices of the leading axis of ``a``, about ``_BLOCK_BYTES`` of samples each.
+
+    Every chunk holds at least one sample, so empty samples and an empty
+    leading axis need no special case.
+    """
+    step = max(1, _BLOCK_BYTES // max(1, a[:1].nbytes))
+    for lo in range(0, a.shape[0], step):
+        yield slice(lo, lo + step)
+
+
 def _correlate3x3(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Zero-padded 3x3 correlation of [B, H, W, C] with per-channel [3, 3, C] taps."""
     bsz, h, w, c = a.shape
     out = np.empty(a.shape, dtype=np.result_type(a, taps))
-    # one pass: every output element sums its nine window products in place
-    np.einsum(
-        "bhrij,ijr->bhr", _tap_windows(a), _edge_taps(taps, w), out=out.reshape(bsz, h, w * c)
-    )
+    rows = out.reshape(bsz, h, w * c)
+    tiled = _edge_taps(taps, w)
+    # one pass per chunk: every output element sums its nine window products in place
+    for s in _sample_chunks(a):
+        np.einsum("bhrij,ijr->bhr", _tap_windows(a[s]), tiled, out=rows[s])
     return out
 
 
@@ -406,11 +457,14 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ``x``: [B, H, W, C] channels-last; ``w``: [C, 1, 3, 3] (the stored layout,
     also that of its gradient); ``b``: [C]. Returns [B, H, W, C].
 
-    The forward pass and the input gradient are each one ``np.einsum`` over
-    a strided tap-window view of a row-padded copy (:func:`_tap_windows`)
+    The op runs over chunks of samples of about ``_BLOCK_BYTES``, so its
+    padded scratch copy is chunk-sized and stays in cache. Per chunk, the
+    forward pass and the input gradient are each one ``np.einsum`` over a
+    strided tap-window view of a row-padded copy (:func:`_tap_windows`)
     with edge-zeroed taps (:func:`_edge_taps`), instead of nine shifted
     multiply-adds. The weight gradient is one einsum per tap over the same
-    view, rebuilt in backward so the padded copy is not kept alive.
+    view, accumulated across chunks into [3, 3, W*C] before its wrapping
+    edge columns are zeroed.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError("depthwise_conv2d expects 4-d input and weight")
@@ -426,21 +480,23 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = Tensor._wrap(y)
 
     def grad_fn(g):
-        gb = g.reshape(-1, c).sum(axis=0)
         # the input gradient correlates the output gradient with the flipped taps
         gx = _correlate3x3(g, taps[::-1, ::-1])
-        win = _tap_windows(x.data)
         g3 = g.reshape(bsz, h, ww * c)
-        gtaps = np.empty_like(taps)
-        for i in range(3):
-            for j in range(3):
-                # at [48, 16, 16, 128] nine of these took 7.0 ms, one "bhr,bhrij->ijr" 10.3
-                col = np.einsum("bhr,bhr->r", g3, win[..., i, j]).reshape(ww, c)
-                if j != 1:
-                    col[0 if j == 0 else -1] = 0
-                gtaps[i, j] = col.sum(axis=0)
-        gw = np.ascontiguousarray(gtaps.transpose(2, 0, 1)[:, None])
-        return gx, gw, gb
+        gtaps = np.zeros((3, 3, ww * c), dtype=g.dtype)
+        # at [48, 16, 16, 128] float32, window copies included, the nine einsums took
+        # 7.0 ms over chunks, 8.9 over the whole batch; one "bhr,bhrij->ijr" took 9.6
+        for s in _sample_chunks(g3):
+            gs, win = g3[s], _tap_windows(x.data[s])
+            for i in range(3):
+                for j in range(3):
+                    gtaps[i, j] += np.einsum("bhr,bhr->r", gs, win[..., i, j])
+        # drop the taps that read across a row edge, as :func:`_edge_taps` does
+        gtaps[:, 0, :c] = 0
+        gtaps[:, 2, -c:] = 0
+        gw = gtaps.reshape(3, 3, ww, c).sum(axis=2)
+        gw = np.ascontiguousarray(gw.transpose(2, 0, 1)[:, None])
+        return gx, gw, _column_sums(g)
 
     record((x, w, b), out, grad_fn)
     return out
@@ -450,6 +506,8 @@ def token_mean(x: Tensor) -> Tensor:
     """Mean over the token axis: [B, N, C] -> [B, C]."""
     if x.ndim != 3:
         raise DimensionError("token_mean expects a [B, N, C] tensor")
+    if x.shape[1] == 0:
+        raise DimensionError(f"token_mean: no tokens to average, shape {x.shape}")
     out = Tensor._wrap(x.data.mean(axis=1))
     n = x.shape[1]
 

@@ -156,6 +156,30 @@ def test_conv2d_reduction_gradcheck():
     )
 
 
+def test_conv2d_untracked_input_builds_no_input_gradient():
+    rng = np.random.default_rng(24)
+    xd = rng.standard_normal((2, 9, 9, 1)).astype(np.float32)
+    wd = rng.standard_normal((3, 1, 3, 3)).astype(np.float32)
+    bd = rng.standard_normal(3).astype(np.float32)
+    v = Tensor(rng.standard_normal((2, 5, 5, 3)), dtype=np.float32)
+
+    def grads(x_tracked):
+        x = Tensor(xd, requires_grad=x_tracked)
+        w, b = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
+        with Tape() as tape:
+            y = ops.conv2d(x, w, b, stride=2, padding=1)
+            loss = ops.mean_all(ops.mul(y, v))
+        gx = tape.ops[0].grad_fn(np.ones(y.shape, dtype=np.float32))[0]
+        backward(loss, tape)
+        return x.grad, gx, w.grad, b.grad
+
+    x_grad, gx, gw, gb = grads(False)
+    assert x_grad is None and gx is None
+    tracked_x_grad, tracked_gx, tracked_gw, tracked_gb = grads(True)
+    assert tracked_x_grad.shape == xd.shape and tracked_gx.shape == xd.shape
+    assert np.array_equal(gw, tracked_gw) and np.array_equal(gb, tracked_gb)
+
+
 # ------------------------------------------------------ depthwise_conv2d
 
 
@@ -226,6 +250,64 @@ def test_depthwise_single_column_gradcheck():
     assert_gradcheck(
         lambda: ops.mean_all(ops.mul(ops.depthwise_conv2d(x, w, b), v)), [x, w, b]
     )
+
+
+def unchunked_depthwise_backward(x, w, g):
+    """Input, weight and bias gradients over the whole batch at once: nine
+    per-tap einsums of the output gradient with a zero-padded input."""
+    _, h, wd, _ = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    gp = np.pad(g, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    for i in range(3):
+        for j in range(3):
+            gw[:, 0, i, j] = np.einsum("bhwc,bhwc->c", g, xp[:, i : i + h, j : j + wd])
+            gx += gp[:, 2 - i : 2 - i + h, 2 - j : 2 - j + wd] * w[:, 0, i, j]
+    return gx, gw, g.sum(axis=(0, 1, 2))
+
+
+def depthwise_with_grads(x, w, b, g):
+    """Forward output and the x, w, b gradients for an output gradient of exactly ``g``."""
+    xt, wt, bt = t64(x), t64(w), t64(b)
+    with Tape() as tape:
+        y = ops.depthwise_conv2d(xt, wt, bt)
+        loss = ops.sum_last(ops.reshape(ops.mul(y, t64(g, requires_grad=False)), (g.size,)))
+    backward(loss, tape)
+    return y.data, xt.grad, wt.grad, bt.grad
+
+
+# W = 1 and H = 1 have every tap on an edge column or a padding row
+@pytest.mark.parametrize("sample", [(4, 5, 3), (3, 1, 4), (1, 6, 2), (1, 1, 3)])
+def test_depthwise_over_chunks_matches_unchunked(monkeypatch, sample):
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", 4096)
+    per_chunk = 4096 // (math.prod(sample) * 8)
+    # two full chunks and a ragged third
+    bsz = 2 * per_chunk + per_chunk // 2
+    assert per_chunk >= 2 and bsz % per_chunk
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((bsz, *sample))
+    w = rng.standard_normal((sample[2], 1, 3, 3))
+    b = rng.standard_normal(sample[2])
+    g = rng.standard_normal(x.shape)
+    y, gx, gw, gb = depthwise_with_grads(x, w, b, g)
+    np.testing.assert_allclose(y, naive_depthwise(x, w, b), rtol=0, atol=1e-12)
+    flipped = naive_depthwise(g, w[:, :, ::-1, ::-1], np.zeros_like(b))
+    np.testing.assert_allclose(gx, flipped, rtol=0, atol=1e-12)
+    ref_gx, ref_gw, ref_gb = unchunked_depthwise_backward(x, w, g)
+    np.testing.assert_allclose(gx, ref_gx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gw, ref_gw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gb, ref_gb, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 4, 3), (3, 0, 4, 3)])
+def test_depthwise_empty_batch_or_rows(monkeypatch, shape):
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", 4096)
+    rng = np.random.default_rng(26)
+    w = rng.standard_normal((3, 1, 3, 3))
+    y, gx, gw, gb = depthwise_with_grads(np.zeros(shape), w, rng.standard_normal(3), np.zeros(shape))
+    assert y.shape == gx.shape == shape
+    assert np.array_equal(gw, np.zeros_like(w)) and np.array_equal(gb, np.zeros(3))
 
 
 # ---------------------------------------------------------------- linear
@@ -304,6 +386,13 @@ def test_layer_norm_equal_rows_equal_outputs_at_every_position(d):
         assert np.array_equal(out, np.broadcast_to(out[0], out.shape)), n
 
 
+def test_layer_norm_empty_axis_raises_dimension_error():
+    x = Tensor(np.zeros((3, 0), dtype=np.float32))
+    g = Tensor(np.zeros(0, dtype=np.float32))
+    with pytest.raises(DimensionError, match="layer_norm"):
+        ops.layer_norm(x, g, g)
+
+
 def test_layer_norm_gradcheck():
     rng = np.random.default_rng(6)
     x = rand64(rng, 2, 4, 8)
@@ -341,6 +430,55 @@ def test_softmax_gradcheck():
     x = rand64(rng, 3, 6)
     v = rand64(rng, 3, 6, requires_grad=False)
     assert_gradcheck(lambda: ops.mean_all(ops.mul(ops.softmax(x), v)), [x])
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-15)])
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+def test_softmax_matches_float64_formula(dtype, tol, n):
+    rng = np.random.default_rng(n)
+    rows = [
+        rng.standard_normal((5, n)) * 10,
+        np.where(rng.random((3, n)) < 0.5, 1e4, -1e4),  # rows of +-1e4, tied at the max
+        np.full((2, n), 3.25),  # every key tied
+    ]
+    x = np.concatenate(rows).reshape(2, -1, n).astype(dtype)
+    expected = np.exp(x.astype(np.float64) - x.max(axis=-1, keepdims=True))
+    expected /= expected.sum(axis=-1, keepdims=True)
+    out = ops.softmax(Tensor(x, dtype=dtype)).data
+    assert out.dtype == dtype and np.isfinite(out).all()
+    np.testing.assert_allclose(out, expected, rtol=tol, atol=tol)
+    np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=0, atol=n * np.finfo(dtype).eps)
+
+
+def test_softmax_gradcheck_at_16_keys():
+    # the attention of the 128 px default has 16 keys
+    rng = np.random.default_rng(27)
+    x = rand64(rng, 2, 3, 16)
+    v = rand64(rng, 2, 3, 16, requires_grad=False)
+    assert_gradcheck(lambda: ops.mean_all(ops.mul(ops.softmax(x), v)), [x])
+
+
+def test_softmax_empty_axis_raises_dimension_error():
+    with pytest.raises(DimensionError, match="softmax"):
+        ops.softmax(Tensor(np.zeros((3, 0), dtype=np.float32)))
+
+
+# ----------------------------------------------------------- column sums
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+def test_column_sums_match_float64(dtype, rtol):
+    a = np.random.default_rng(28).standard_normal((12288, 16)).astype(dtype)
+    got = ops._column_sums(a)
+    expected = a.astype(np.float64).sum(axis=0)
+    assert got.dtype == dtype and got.shape == (16,)
+    # rounding grows with the sum of magnitudes, not with the (cancelling) sum
+    np.testing.assert_allclose(got, expected, rtol=0, atol=rtol * np.abs(a).sum(axis=0).max())
+
+
+def test_column_sums_of_an_empty_leading_axis_are_zero():
+    got = ops._column_sums(np.zeros((0, 4, 16), dtype=np.float32))
+    assert got.dtype == np.float32 and np.array_equal(got, np.zeros(16))
 
 
 # ------------------------------------------------------------------ gelu
@@ -396,6 +534,11 @@ def test_token_mean_constant_and_mean():
     np.testing.assert_allclose(ops.token_mean(x).data, 1.5, rtol=1e-6)
     y = Tensor(np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32).reshape(1, 4, 1))
     np.testing.assert_allclose(ops.token_mean(y).data, [[2.5]], rtol=1e-6)
+
+
+def test_token_mean_of_no_tokens_raises_dimension_error():
+    with pytest.raises(DimensionError, match="token_mean"):
+        ops.token_mean(Tensor(np.zeros((2, 0, 3), dtype=np.float32)))
 
 
 def test_token_mean_gradcheck():
