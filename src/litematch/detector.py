@@ -149,12 +149,7 @@ def _refine(dogs: np.ndarray, cand: np.ndarray) -> np.ndarray:
     return np.concatenate(fits, axis=1)
 
 
-def detect_keypoints(
-    img,
-    max_points: int,
-    border_margin: int,
-    contrast_threshold: float = CONTRAST_THRESHOLD,
-) -> list[Keypoint]:
+def detect_keypoints(img, max_points: int, border_margin: int) -> list[Keypoint]:
     """Scale-space extrema sorted by descending response.
 
     Keypoints closer than ``border_margin`` pixels to any image border are
@@ -173,11 +168,11 @@ def detect_keypoints(
             break
         levels = _gaussian_levels(octave_base, BASE_SIGMA, k, SCALES_PER_OCTAVE + 3)
         dogs = _dog_stack(levels)
-        fits = _refine(dogs, _extrema(dogs, 0.8 * contrast_threshold))
+        fits = _refine(dogs, _extrema(dogs, 0.8 * CONTRAST_THRESHOLD))
         factor = float(2 ** octave)
         # Python floats from here: numpy's vectorised pow may round k ** level differently
         for rx, ry, rlevel, value in fits.T.tolist():
-            if abs(value) < contrast_threshold:
+            if abs(value) < CONTRAST_THRESHOLD:
                 continue
             found.append(
                 Keypoint(

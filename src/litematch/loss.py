@@ -1,63 +1,58 @@
-"""Triplet objectives over descriptor batches.
+"""LT loss: the adaptive-margin triplet objective over a stacked descriptor batch.
 
-The margin adapts per triplet to half the sum of the positive and
-negative distances and is excluded from gradient flow. The default
-"corrected" mode is the hinge max(d+ - d- + M, 0); the "literal" mode
-max(d+ + d- - M, 0) is kept for comparison runs even though it
-algebraically collapses to (d+ + d-)/2 and therefore rewards shrinking
+:func:`triplet_loss` takes the [3B, D] rows the model produces for one
+training batch, anchors then positives then negatives, and records one
+tape entry. The margin adapts per triplet to half the sum of the positive
+and negative distances and is a plain array, so no gradient flows through
+it. The default "corrected" mode is the hinge max(d+ - d- + M, 0); the
+"literal" mode max(d+ + d- - M, 0) is kept for comparison runs even though
+it algebraically collapses to (d+ + d-)/2 and therefore rewards shrinking
 every distance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
-from . import ops
 from .errors import ConfigError, DimensionError
-from .tensor import Tensor
+from .tensor import Tensor, record
 
 LOSS_MODES = ("corrected", "literal")
 
 
-@dataclass
-class TripletBatch:
-    """Anchor/positive/negative descriptor rows of identical shape [B, D]."""
-
-    anchor: Tensor
-    positive: Tensor
-    negative: Tensor
-
-    def __post_init__(self):
-        if not (self.anchor.shape == self.positive.shape == self.negative.shape):
-            raise DimensionError(
-                f"triplet shapes differ: {self.anchor.shape} / "
-                f"{self.positive.shape} / {self.negative.shape}"
-            )
-        if self.anchor.ndim != 2 or self.anchor.shape[0] < 1:
-            raise DimensionError("triplet batch must be [B, D] with B >= 1")
-
-
-def pairwise_distance(a: Tensor, b: Tensor) -> Tensor:
-    """Rowwise Euclidean distance between matching rows of [B, D] inputs."""
-    if a.shape != b.shape or a.ndim != 2:
-        raise DimensionError(f"pairwise_distance: shapes {a.shape} vs {b.shape}")
-    diff = ops.sub(a, b)
-    return ops.sqrt(ops.sum_last(ops.mul(diff, diff)))
-
-
-def triplet_loss(batch: TripletBatch, mode: str = "corrected") -> Tensor:
-    """Mean adaptive-margin triplet loss over the batch.
+def triplet_loss(desc: Tensor, mode: str = "corrected") -> Tensor:
+    """Mean adaptive-margin triplet loss of stacked [anchors; positives; negatives] rows.
 
     corrected: mean(max(d+ - d- + M, 0)); literal: mean(max(d+ + d- - M, 0)),
-    with M = (d+ + d-)/2 held constant w.r.t. gradients.
+    with M = (d+ + d-)/2 held constant w.r.t. gradients. A distance of zero
+    gets a zero gradient: the backward pass clamps the denominator of the
+    square root's derivative at 1e-12, and the difference it scales is zero.
     """
     if mode not in LOSS_MODES:
         raise ConfigError(f"unknown loss mode {mode!r}; expected one of {LOSS_MODES}")
-    d_pos = pairwise_distance(batch.anchor, batch.positive)
-    d_neg = pairwise_distance(batch.anchor, batch.negative)
-    margin = ops.scale(ops.add(d_pos, d_neg), 0.5).detach()
-    if mode == "corrected":
-        hinge = ops.relu(ops.add(ops.sub(d_pos, d_neg), margin))
-    else:
-        hinge = ops.relu(ops.sub(ops.add(d_pos, d_neg), margin))
-    return ops.mean_all(hinge)
+    if desc.ndim != 2 or desc.shape[0] == 0 or desc.shape[0] % 3:
+        raise DimensionError(
+            f"triplet_loss expects [3B, D] descriptors with B >= 1, got shape {desc.shape}"
+        )
+    anchor, positive, negative = np.split(desc.data, 3)
+    diff_pos = anchor - positive
+    diff_neg = anchor - negative
+    d_pos = np.sqrt((diff_pos * diff_pos).sum(axis=-1))
+    d_neg = np.sqrt((diff_neg * diff_neg).sum(axis=-1))
+    margin = (d_pos + d_neg) * 0.5
+    hinge = (d_pos - d_neg) + margin if mode == "corrected" else (d_pos + d_neg) - margin
+    out = Tensor._wrap(np.asarray(np.maximum(hinge, 0.0).mean(), dtype=desc.dtype))
+
+    def grad_fn(g):
+        b = hinge.shape[0]
+        w = np.full(b, float(g) / b, dtype=g.dtype) * (hinge > 0)
+        t_pos = w / (2.0 * np.maximum(d_pos, 1e-12))
+        t_neg = (-w if mode == "corrected" else w) / (2.0 * np.maximum(d_neg, 1e-12))
+        g_pos = t_pos[:, None] * diff_pos
+        g_pos += g_pos
+        g_neg = t_neg[:, None] * diff_neg
+        g_neg += g_neg
+        return (np.concatenate([g_pos + g_neg, -g_pos, -g_neg]),)
+
+    record((desc,), out, grad_fn)
+    return out

@@ -1,9 +1,13 @@
 """Differentiable operations over :class:`~litematch.tensor.Tensor`.
 
-Each operation validates shapes, computes the forward result in the input
-dtype, and registers a backward rule on the active tape. No implicit
-broadcasting except over the leading dimensions of :func:`linear`; all
-other operations require exact shapes.
+These are the operations the descriptor network (:mod:`litematch.model`)
+calls, and no others; the triplet loss records its own single tape entry
+(:func:`litematch.loss.triplet_loss`). Each operation validates shapes,
+raising :class:`~litematch.errors.DimensionError` for an empty channel or
+feature axis before any numpy call fails on it, computes the forward
+result in the input dtype, and registers a backward rule on the active
+tape. No implicit broadcasting except over the leading dimensions of
+:func:`linear`; all other operations require exact shapes.
 
 Spatial activations are channels-last, [B, H, W, C], so a [B, N, C] token
 matrix is a free reshape of them and every trailing-axis op (:func:`linear`,
@@ -46,6 +50,7 @@ from .tensor import Tensor, active_tape, record
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+_LN_EPS = 1e-6
 # Elementwise sequences and depthwise sample chunks run over blocks of about
 # this size to stay in the L2 cache.
 _BLOCK_BYTES = 1 << 18
@@ -61,29 +66,11 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return np.ones(a2.shape[0], dtype=a2.dtype) @ a2
 
 
-def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shape mismatch {a.shape} vs {b.shape}")
     out = Tensor._wrap(a.data + b.data)
     record((a, b), out, lambda g: (g, g))
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    out = Tensor._wrap(a.data - b.data)
-    record((a, b), out, lambda g: (g, -g))
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "mul")
-    out = Tensor._wrap(a.data * b.data)
-    record((a, b), out, lambda g: (g * b.data, g * a.data))
     return out
 
 
@@ -133,54 +120,6 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return out
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice along the leading axis."""
-    if not 0 <= start < stop <= x.shape[0]:
-        raise DimensionError(f"slice_rows: [{start}:{stop}] out of range for {x.shape}")
-    out = Tensor._wrap(x.data[start:stop])
-
-    def grad_fn(g):
-        gx = np.zeros(x.shape, dtype=g.dtype)
-        gx[start:stop] = g
-        return (gx,)
-
-    record((x,), out, grad_fn)
-    return out
-
-
-def relu(x: Tensor) -> Tensor:
-    out = Tensor._wrap(np.maximum(x.data, 0.0))
-    record((x,), out, lambda g: (g * (x.data > 0.0),))
-    return out
-
-
-def sqrt(x: Tensor) -> Tensor:
-    """Elementwise square root; backward clamps the denominator near zero."""
-    y = np.sqrt(x.data)
-    out = Tensor._wrap(y)
-    record((x,), out, lambda g: (g / (2.0 * np.maximum(y, 1e-12)),))
-    return out
-
-
-def sum_last(x: Tensor) -> Tensor:
-    """Sum over the trailing axis."""
-    if x.ndim < 1:
-        raise DimensionError("sum_last requires at least 1-d input")
-    out = Tensor._wrap(x.data.sum(axis=-1))
-    n = x.shape[-1]
-    record((x,), out, lambda g: (np.repeat(g[..., None], n, axis=-1),))
-    return out
-
-
-def mean_all(x: Tensor) -> Tensor:
-    """Scalar mean over all elements."""
-    out = Tensor._wrap(np.asarray(x.data.mean(), dtype=x.dtype))
-    n = float(x.size)
-    shp = x.shape
-    record((x,), out, lambda g: (np.full(shp, float(g) / n, dtype=g.dtype),))
-    return out
-
-
 def linear(x: Tensor, w: Tensor, b: "Tensor | None") -> Tensor:
     """Affine map over the trailing axis, broadcast over leading axes.
 
@@ -192,6 +131,8 @@ def linear(x: Tensor, w: Tensor, b: "Tensor | None") -> Tensor:
     if x.shape[-1] != w.shape[1]:
         raise DimensionError(f"linear: input dim {x.shape[-1]} != weight Din {w.shape[1]}")
     din, dout = w.shape[1], w.shape[0]
+    if din == 0 or dout == 0:
+        raise DimensionError(f"linear: empty feature axis, weight shape {w.shape}")
     # one GEMM over all leading axes: a stack of small ones is far slower
     x2 = x.data.reshape(-1, din)
     y = x2 @ w.data.T
@@ -211,8 +152,10 @@ def linear(x: Tensor, w: Tensor, b: "Tensor | None") -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the trailing axis to zero mean, unit variance, then affine.
+
+    The variance gets ``_LN_EPS`` (1e-6) added before its square root.
 
     The row statistics, and the two row means of the backward pass, are
     ``np.einsum`` reductions over the [N, d] view: ``mean`` over a short
@@ -227,12 +170,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         raise DimensionError(f"layer_norm: the normalized trailing axis is empty, shape {x.shape}")
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"layer_norm: gamma/beta must have shape ({d},)")
-    if eps <= 0:
-        raise DimensionError("layer_norm: eps must be positive")
     x2 = x.data.reshape(-1, d)
     xhat = x2 - (np.einsum("ij->i", x2) / d)[:, None]
     var = np.einsum("ij,ij->i", xhat, xhat) / d
-    inv = (1.0 / np.sqrt(var + eps))[:, None]
+    inv = (1.0 / np.sqrt(var + _LN_EPS))[:, None]
     xhat *= inv
     y = xhat * gamma.data
     y += beta.data
@@ -350,6 +291,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         raise DimensionError(f"conv2d: input channels {cin} != weight channels {cw}")
     if kh != kw:
         raise DimensionError("conv2d: kernel must be square")
+    if cout == 0:
+        raise DimensionError(f"conv2d: no output channels, weight shape {w.shape}")
     if b.shape != (cout,):
         raise DimensionError(f"conv2d: bias must have shape ({cout},)")
     if stride < 1:
@@ -469,6 +412,8 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError("depthwise_conv2d expects 4-d input and weight")
     bsz, h, ww, c = x.shape
+    if c == 0:
+        raise DimensionError(f"depthwise_conv2d: no channels, input shape {x.shape}")
     if w.shape != (c, 1, 3, 3):
         raise DimensionError(f"depthwise_conv2d: weight must be ({c},1,3,3), got {w.shape}")
     if b.shape != (c,):

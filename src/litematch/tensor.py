@@ -63,10 +63,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """View of the same data with no tape participation."""
-        return Tensor._wrap(self.data)
-
     def __repr__(self) -> str:
         return (
             f"Tensor(shape={tuple(self.data.shape)}, dtype={self.data.dtype}, "

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ops
 from .checkpoint import (
     build_checkpoint,
     load_checkpoint,
@@ -34,7 +33,7 @@ from .dataset import (
 )
 from .errors import ConfigError, DatasetError, DegenerateDescriptorError, TrainingError
 from .image import GrayImage
-from .loss import TripletBatch, triplet_loss
+from .loss import triplet_loss
 from .model import Model, ModelConfig, forward, init_model
 from .tensor import SGD, Tape, Tensor, backward
 
@@ -114,15 +113,8 @@ def train_step(model: Model, opt: SGD, batch_data: np.ndarray, loss_mode: str) -
     Raises :class:`TrainingError` on a non-finite loss, before the backward
     pass, so the parameters and the optimizer state stay as they were.
     """
-    b = batch_data.shape[0] // 3
     with Tape() as tape:
-        desc = forward(model, Tensor(batch_data))
-        triplet = TripletBatch(
-            anchor=ops.slice_rows(desc, 0, b),
-            positive=ops.slice_rows(desc, b, 2 * b),
-            negative=ops.slice_rows(desc, 2 * b, 3 * b),
-        )
-        loss = triplet_loss(triplet, loss_mode)
+        loss = triplet_loss(forward(model, Tensor(batch_data)), loss_mode)
     value = loss.item()
     if not math.isfinite(value):
         raise TrainingError(f"non-finite loss {value}")

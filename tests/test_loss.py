@@ -1,18 +1,18 @@
-"""Triplet loss semantics: margin arithmetic, both modes, gradient freezing."""
+"""LT loss on stacked [anchors; positives; negatives] rows: margin arithmetic,
+both modes, shapes, and gradients with the margin held constant."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litematch import ops
 from litematch.errors import ConfigError, DimensionError
-from litematch.loss import TripletBatch, pairwise_distance, triplet_loss
+from litematch.loss import triplet_loss
 from litematch.tensor import Tape, Tensor, backward
 
 
-def unit_rows_at_distances(d_pos: float, d_neg: float, dim: int = 8) -> TripletBatch:
-    """Unit-norm rows with exact anchor-positive / anchor-negative distances.
+def unit_rows_at_distances(d_pos: float, d_neg: float, dim: int = 8) -> Tensor:
+    """Stacked [anchor; positive; negative] unit rows at exact distances from the anchor.
 
     For unit vectors at angle theta, distance = sqrt(2 - 2 cos theta); invert
     to place positive/negative on the plane spanned by e0, e1.
@@ -27,60 +27,71 @@ def unit_rows_at_distances(d_pos: float, d_neg: float, dim: int = 8) -> TripletB
 
     a = np.zeros(dim)
     a[0] = 1.0
-    return TripletBatch(
-        anchor=Tensor(a[None, :], dtype=np.float64),
-        positive=Tensor(at_distance(d_pos)[None, :], dtype=np.float64),
-        negative=Tensor(at_distance(d_neg)[None, :], dtype=np.float64),
-    )
+    return Tensor(np.stack([a, at_distance(d_pos), at_distance(d_neg)]), dtype=np.float64)
 
 
-def rand_batch(seed, b=16, d=32):
-    rng = np.random.default_rng(seed)
-
-    def unit(n):
-        x = rng.standard_normal((n, d))
-        return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-    return TripletBatch(
-        anchor=Tensor(unit(b), dtype=np.float64),
-        positive=Tensor(unit(b), dtype=np.float64),
-        negative=Tensor(unit(b), dtype=np.float64),
-    )
+def rand_desc(seed, b=16, d=32) -> np.ndarray:
+    """[3b, d] unit rows: b anchors, then b positives, then b negatives."""
+    x = np.random.default_rng(seed).standard_normal((3 * b, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-# ------------------------------------------------------ pairwise_distance
+def loop_distances(desc):
+    """(d+, d-) by a scalar loop over the stacked rows."""
+    b = desc.shape[0] // 3
+    d_pos, d_neg = [], []
+    for i in range(b):
+        for other, out in ((desc[b + i], d_pos), (desc[2 * b + i], d_neg)):
+            acc = 0.0
+            for j in range(desc.shape[1]):
+                acc += (desc[i, j] - other[j]) ** 2
+            out.append(np.sqrt(acc))
+    return np.array(d_pos), np.array(d_neg)
+
+
+def loss_value(desc, mode):
+    return triplet_loss(Tensor(desc, dtype=np.float64), mode).item()
+
+
+# -------------------------------------------------------------- distances
 
 
 def test_distance_of_identical_rows_is_zero():
-    x = Tensor(np.random.default_rng(0).standard_normal((4, 8)), dtype=np.float32)
-    assert np.all(pairwise_distance(x, x).data == 0.0)
+    row = np.random.default_rng(0).standard_normal(8).astype(np.float32)
+    desc = Tensor(np.tile(row, (6, 1)), requires_grad=True)
+    with Tape() as tape:
+        loss = triplet_loss(desc, "literal")
+    backward(loss, tape)
+    assert loss.item() == 0.0
+    assert np.all(np.isfinite(desc.grad)) and not np.any(desc.grad)
 
 
 def test_distance_orthogonal_unit_rows():
-    a = np.zeros((1, 5), dtype=np.float32)
-    b = np.zeros((1, 5), dtype=np.float32)
-    a[0, 0] = 1.0
-    b[0, 1] = 1.0
+    # anchor e0, positive e1, negative e0: d+ = sqrt(2), d- = 0, M = sqrt(2)/2
+    desc = np.zeros((3, 5), dtype=np.float32)
+    desc[0, 0] = desc[1, 1] = desc[2, 0] = 1.0
+    literal = triplet_loss(Tensor(desc), "literal")
+    assert literal.dtype == np.float32
+    np.testing.assert_allclose(literal.item(), np.sqrt(2.0) / 2.0, rtol=1e-6)
     np.testing.assert_allclose(
-        pairwise_distance(Tensor(a), Tensor(b)).data, np.sqrt(2.0), rtol=1e-6
+        triplet_loss(Tensor(desc), "corrected").item(), 1.5 * np.sqrt(2.0), rtol=1e-6
     )
 
 
 def test_distance_matches_scalar_loop_reference():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((10, 16))
-    b = rng.standard_normal((10, 16))
-    got = pairwise_distance(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)).data
-    for i in range(10):
-        acc = 0.0
-        for j in range(16):
-            acc += (a[i, j] - b[i, j]) ** 2
-        assert abs(got[i] - np.sqrt(acc)) < 1e-6
+    desc = np.random.default_rng(1).standard_normal((30, 16))
+    d_pos, d_neg = loop_distances(desc)
+    margin = (d_pos + d_neg) / 2.0
+    corrected = np.mean(np.maximum(d_pos - d_neg + margin, 0.0))
+    np.testing.assert_allclose(loss_value(desc, "corrected"), corrected, rtol=0, atol=1e-12)
+    literal = np.mean(np.maximum(d_pos + d_neg - margin, 0.0))
+    np.testing.assert_allclose(loss_value(desc, "literal"), literal, rtol=0, atol=1e-12)
 
 
-def test_distance_shape_mismatch_raises():
-    with pytest.raises(DimensionError):
-        pairwise_distance(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+@pytest.mark.parametrize("shape", [(0, 8), (4, 8), (9,)], ids=["no-rows", "not-three-blocks", "1-d"])
+def test_descriptor_shape_raises_dimension_error(shape):
+    with pytest.raises(DimensionError, match="triplet_loss expects \\[3B, D\\]"):
+        triplet_loss(Tensor(np.ones(shape)), "corrected")
 
 
 # ----------------------------------------------------------------- margin
@@ -89,27 +100,27 @@ def test_distance_shape_mismatch_raises():
 
 
 def test_margin_symmetric_case():
-    batch = unit_rows_at_distances(1.0, 1.0)
-    np.testing.assert_allclose(triplet_loss(batch, "corrected").item(), 1.0, atol=1e-9)
+    desc = unit_rows_at_distances(1.0, 1.0)
+    np.testing.assert_allclose(triplet_loss(desc, "corrected").item(), 1.0, atol=1e-9)
 
 
 def test_margin_zero_pos_two_neg():
-    batch = unit_rows_at_distances(0.0, 2.0)
-    np.testing.assert_allclose(triplet_loss(batch, "literal").item(), 2.0 - 1.0, atol=1e-9)
+    desc = unit_rows_at_distances(0.0, 2.0)
+    np.testing.assert_allclose(triplet_loss(desc, "literal").item(), 2.0 - 1.0, atol=1e-9)
 
 
 # ------------------------------------------------------------- loss modes
 
 
 def test_loss_worked_example_both_modes():
-    batch = unit_rows_at_distances(1.0, 2.0)
-    np.testing.assert_allclose(triplet_loss(batch, "corrected").item(), 0.5, atol=1e-7)
-    np.testing.assert_allclose(triplet_loss(batch, "literal").item(), 1.5, atol=1e-7)
+    desc = unit_rows_at_distances(1.0, 2.0)
+    np.testing.assert_allclose(triplet_loss(desc, "corrected").item(), 0.5, atol=1e-7)
+    np.testing.assert_allclose(triplet_loss(desc, "literal").item(), 1.5, atol=1e-7)
 
 
 def test_loss_zero_when_anchor_equals_positive():
-    batch = unit_rows_at_distances(0.0, 1.3)
-    np.testing.assert_allclose(triplet_loss(batch, "corrected").item(), 0.0, atol=1e-9)
+    desc = unit_rows_at_distances(0.0, 1.3)
+    np.testing.assert_allclose(triplet_loss(desc, "corrected").item(), 0.0, atol=1e-9)
 
 
 def test_corrected_zero_iff_neg_at_least_three_pos():
@@ -120,28 +131,30 @@ def test_corrected_zero_iff_neg_at_least_three_pos():
 
 
 def test_unknown_mode_rejected():
+    desc = Tensor(rand_desc(0))
     with pytest.raises(ValueError):
-        triplet_loss(rand_batch(0), mode="fixed")
+        triplet_loss(desc, mode="fixed")
     with pytest.raises(ConfigError, match="unknown loss mode 'fixed'"):
-        triplet_loss(rand_batch(0), mode="fixed")
+        triplet_loss(desc, mode="fixed")
 
 
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_loss_nonnegative_both_modes(seed):
-    batch = rand_batch(seed)
-    assert triplet_loss(batch, "corrected").item() >= 0.0
-    assert triplet_loss(batch, "literal").item() >= 0.0
+    desc = rand_desc(seed)
+    assert loss_value(desc, "corrected") >= 0.0
+    assert loss_value(desc, "literal") >= 0.0
 
 
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_literal_mode_equals_half_distance_sum(seed):
-    batch = rand_batch(seed)
-    lit = triplet_loss(batch, "literal").item()
-    d_pos = pairwise_distance(batch.anchor, batch.positive).data
-    d_neg = pairwise_distance(batch.anchor, batch.negative).data
-    np.testing.assert_allclose(lit, np.mean((d_pos + d_neg) / 2.0), atol=1e-6)
+    desc = rand_desc(seed)
+    a, p, n = np.split(desc, 3)
+    d_pos = np.linalg.norm(a - p, axis=1)
+    d_neg = np.linalg.norm(a - n, axis=1)
+    half_sum = np.mean((d_pos + d_neg) / 2.0)
+    np.testing.assert_allclose(loss_value(desc, "literal"), half_sum, atol=1e-6)
 
 
 def test_corrected_monotonic_in_distances():
@@ -161,55 +174,73 @@ def test_corrected_monotonic_in_distances():
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_loss_invariant_under_batch_permutation(seed):
-    batch = rand_batch(seed, b=9)
-    rng = np.random.default_rng(seed + 1)
-    perm = rng.permutation(9)
-    shuffled = TripletBatch(
-        anchor=Tensor(batch.anchor.data[perm], dtype=np.float64),
-        positive=Tensor(batch.positive.data[perm], dtype=np.float64),
-        negative=Tensor(batch.negative.data[perm], dtype=np.float64),
-    )
+    desc = rand_desc(seed, b=9)
+    perm = np.random.default_rng(seed + 1).permutation(9)
+    # the same triplet order in each of the three blocks
+    shuffled = desc[np.concatenate([perm, perm + 9, perm + 18])]
     for mode in ("corrected", "literal"):
         np.testing.assert_allclose(
-            triplet_loss(batch, mode).item(), triplet_loss(shuffled, mode).item(), atol=1e-12
+            loss_value(desc, mode), loss_value(shuffled, mode), rtol=0, atol=1e-12
         )
 
 
 # ----------------------------------------------- margin carries no gradient
 
 
-def frozen_margin_reference_grad(anchor, positive, negative, eps=1e-4):
-    """Central differences of the corrected loss with the margin pinned at its
-    base-point value; independent of the engine's backward rules."""
-    a0 = anchor.copy()
+def frozen_margin_reference_grad(desc, mode, eps=1e-4):
+    """Central differences of the loss over every one of the 3B rows, with
+    the margin pinned at its base-point value; independent of the engine's
+    backward rules."""
 
-    def d(u, v):
-        return np.sqrt(((u - v) ** 2).sum(axis=1))
+    def distances(x):
+        a, p, n = np.split(x, 3)
+        return np.sqrt(((a - p) ** 2).sum(axis=1)), np.sqrt(((a - n) ** 2).sum(axis=1))
 
-    m0 = (d(a0, positive) + d(a0, negative)) / 2.0
+    m0 = sum(distances(desc)) / 2.0
 
-    def loss_at(a):
-        return np.mean(np.maximum(d(a, positive) - d(a, negative) + m0, 0.0))
+    def loss_at(x):
+        d_pos, d_neg = distances(x)
+        hinge = d_pos - d_neg + m0 if mode == "corrected" else d_pos + d_neg - m0
+        return np.mean(np.maximum(hinge, 0.0))
 
-    grad = np.zeros_like(a0)
-    for idx in np.ndindex(*a0.shape):
-        a = a0.copy()
-        a[idx] += eps
-        hi = loss_at(a)
-        a[idx] -= 2 * eps
-        lo = loss_at(a)
+    grad = np.zeros_like(desc)
+    for idx in np.ndindex(*desc.shape):
+        x = desc.copy()
+        x[idx] += eps
+        hi = loss_at(x)
+        x[idx] -= 2 * eps
+        lo = loss_at(x)
         grad[idx] = (hi - lo) / (2 * eps)
     return grad
 
 
-def test_margin_frozen_in_gradient():
-    batch = rand_batch(42, b=4, d=6)
-    anchor = Tensor(batch.anchor.data.copy(), requires_grad=True, dtype=np.float64)
-    live = TripletBatch(anchor=anchor, positive=batch.positive, negative=batch.negative)
+def grad_of(desc, mode):
+    t = Tensor(desc.copy(), requires_grad=True, dtype=desc.dtype)
     with Tape() as tape:
-        loss = triplet_loss(live, "corrected")
+        loss = triplet_loss(t, mode)
     backward(loss, tape)
-    ref = frozen_margin_reference_grad(
-        batch.anchor.data, batch.positive.data, batch.negative.data
-    )
-    np.testing.assert_allclose(anchor.grad, ref, rtol=1e-3, atol=1e-6)
+    return t.grad
+
+
+def test_margin_frozen_in_gradient():
+    desc = rand_desc(42, b=4, d=6)
+    for mode in ("corrected", "literal"):
+        grad = grad_of(desc, mode)
+        assert grad.shape == desc.shape
+        ref = frozen_margin_reference_grad(desc, mode)
+        np.testing.assert_allclose(grad, ref, rtol=1e-3, atol=1e-6, err_msg=mode)
+        # not vacuous: every block of rows gets some gradient
+        assert all(np.any(block) for block in np.split(grad, 3)), mode
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_zero_positive_distance_gives_finite_zero_gradient_rows(dtype):
+    desc = rand_desc(5, b=3, d=8).astype(dtype)
+    desc[3] = desc[0]  # triplet 0 has d+ = 0
+    for mode in ("corrected", "literal"):
+        grad = grad_of(desc, mode)
+        assert grad.dtype == dtype and np.all(np.isfinite(grad))
+        assert not np.any(grad[3]), mode  # the positive row
+    # corrected: d+ = 0 gives the hinge -d-/2 < 0, so all three rows of the triplet are zero
+    grad = grad_of(desc, "corrected")
+    assert not np.any(grad[[0, 3, 6]])

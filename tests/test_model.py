@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from litematch import ops
 from litematch.errors import ConfigError, DimensionError
-from litematch.loss import TripletBatch, triplet_loss
+from litematch.loss import triplet_loss
 from litematch.model import (
     DEFAULT_STAGES,
     ModelConfig,
@@ -214,13 +213,7 @@ def test_gradient_flow_no_dead_parameters():
     rng = np.random.default_rng(9)
     patches = Tensor(rng.random((6, 1, 64, 64)).astype(np.float32))
     with Tape() as tape:
-        desc = forward(m, patches)
-        batch = TripletBatch(
-            anchor=ops.slice_rows(desc, 0, 2),
-            positive=ops.slice_rows(desc, 2, 4),
-            negative=ops.slice_rows(desc, 4, 6),
-        )
-        loss = triplet_loss(batch)
+        loss = triplet_loss(forward(m, patches))
     backward(loss, tape)
     dead = [n for n, p in m.params.items() if p.grad is None or not np.any(p.grad)]
     assert not dead, f"parameters with all-zero gradients: {dead}"

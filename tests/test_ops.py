@@ -11,6 +11,8 @@ from litematch import ops
 from litematch.errors import DegenerateDescriptorError, DimensionError
 from litematch.tensor import Tape, Tensor, backward
 
+from cotangent import cotangent, cotangent_dot
+
 
 def t64(arr, requires_grad=True):
     return Tensor(np.asarray(arr), requires_grad=requires_grad, dtype=np.float64)
@@ -20,38 +22,44 @@ def rand64(rng, *shape, requires_grad=True):
     return t64(rng.standard_normal(shape), requires_grad=requires_grad)
 
 
-def numeric_gradient(forward, t, coord, step):
-    """Central difference of the scalar ``forward()`` w.r.t. one coordinate of
+def numeric_gradient(loss, t, coord, step):
+    """Central difference of the scalar ``loss()`` w.r.t. one coordinate of
     ``t``, perturbing its data in place: independent of every backward rule."""
     orig = t.data[coord]
     t.data[coord] = orig + step
-    hi = float(forward().data)
+    hi = float(loss().data)
     t.data[coord] = orig - step
-    lo = float(forward().data)
+    lo = float(loss().data)
     t.data[coord] = orig
     return (hi - lo) / (2.0 * step)
 
 
 def assert_gradcheck(forward, params, rtol=1e-3, atol=1e-6, step=1e-4):
-    """Analytic gradients of ``forward()`` agree with central differences at
+    """Analytic gradients of <forward(), v> agree with central differences at
     every coordinate of ``params`` within ``atol + rtol * max(|an|, |fd|)``.
 
-    ``forward`` rebuilds the graph from the current ``params`` data on each
-    call and returns a scalar; build it in float64, where central
-    differences are accurate to about 1e-8.
+    ``v`` is the seeded random cotangent of :func:`cotangent_dot`, so every
+    output element weighs differently and a backward rule that misplaces
+    elements of its incoming gradient fails. ``forward`` rebuilds the graph
+    from the current ``params`` data on each call; build it in float64,
+    where central differences are accurate to about 1e-8.
     """
+
+    def loss():
+        return cotangent_dot(forward())
+
     for p in params:
         assert p.requires_grad
         p.grad = None
     with Tape() as tape:
-        loss = forward()
-    backward(loss, tape)
+        value = loss()
+    backward(value, tape)
     failures = []
     for idx, p in enumerate(params):
         analytic = np.zeros_like(p.data) if p.grad is None else p.grad
         p.grad = None
         for coord in np.ndindex(*p.shape):
-            fd = numeric_gradient(forward, p, coord, step)
+            fd = numeric_gradient(loss, p, coord, step)
             an = float(analytic[coord])
             if abs(an - fd) > atol + rtol * max(abs(an), abs(fd)):
                 failures.append(f"param {idx} coord {coord}: analytic {an:.6e} vs numeric {fd:.6e}")
@@ -130,9 +138,7 @@ def test_conv2d_gradcheck():
     x = rand64(rng, 1, 5, 5, 2)
     w = rand64(rng, 3, 2, 3, 3)
     b = rand64(rng, 3)
-    assert_gradcheck(
-        lambda: ops.mean_all(ops.conv2d(x, w, b, stride=1, padding=1)), [x, w, b]
-    )
+    assert_gradcheck(lambda: ops.conv2d(x, w, b, stride=1, padding=1), [x, w, b])
 
 
 def test_conv2d_strided_gradcheck():
@@ -140,9 +146,7 @@ def test_conv2d_strided_gradcheck():
     x = rand64(rng, 2, 9, 9, 1)
     w = rand64(rng, 2, 1, 3, 3)
     b = rand64(rng, 2)
-    assert_gradcheck(
-        lambda: ops.mean_all(ops.conv2d(x, w, b, stride=2, padding=1)), [x, w, b]
-    )
+    assert_gradcheck(lambda: ops.conv2d(x, w, b, stride=2, padding=1), [x, w, b])
 
 
 def test_conv2d_reduction_gradcheck():
@@ -150,10 +154,7 @@ def test_conv2d_reduction_gradcheck():
     x = rand64(rng, 2, 4, 4, 3)
     w = rand64(rng, 3, 3, 2, 2)
     b = rand64(rng, 3)
-    v = rand64(rng, 2, 2, 2, 3, requires_grad=False)
-    assert_gradcheck(
-        lambda: ops.mean_all(ops.mul(ops.conv2d(x, w, b, stride=2, padding=0), v)), [x, w, b]
-    )
+    assert_gradcheck(lambda: ops.conv2d(x, w, b, stride=2, padding=0), [x, w, b])
 
 
 def test_conv2d_untracked_input_builds_no_input_gradient():
@@ -161,14 +162,13 @@ def test_conv2d_untracked_input_builds_no_input_gradient():
     xd = rng.standard_normal((2, 9, 9, 1)).astype(np.float32)
     wd = rng.standard_normal((3, 1, 3, 3)).astype(np.float32)
     bd = rng.standard_normal(3).astype(np.float32)
-    v = Tensor(rng.standard_normal((2, 5, 5, 3)), dtype=np.float32)
 
     def grads(x_tracked):
         x = Tensor(xd, requires_grad=x_tracked)
         w, b = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
         with Tape() as tape:
             y = ops.conv2d(x, w, b, stride=2, padding=1)
-            loss = ops.mean_all(ops.mul(y, v))
+            loss = cotangent_dot(y)
         gx = tape.ops[0].grad_fn(np.ones(y.shape, dtype=np.float32))[0]
         backward(loss, tape)
         return x.grad, gx, w.grad, b.grad
@@ -238,7 +238,7 @@ def test_depthwise_gradcheck():
     x = rand64(rng, 1, 6, 6, 4)
     w = rand64(rng, 4, 1, 3, 3)
     b = rand64(rng, 4)
-    assert_gradcheck(lambda: ops.mean_all(ops.depthwise_conv2d(x, w, b)), [x, w, b])
+    assert_gradcheck(lambda: ops.depthwise_conv2d(x, w, b), [x, w, b])
 
 
 def test_depthwise_single_column_gradcheck():
@@ -246,10 +246,7 @@ def test_depthwise_single_column_gradcheck():
     x = rand64(rng, 2, 4, 1, 3)
     w = rand64(rng, 3, 1, 3, 3)
     b = rand64(rng, 3)
-    v = rand64(rng, 2, 4, 1, 3, requires_grad=False)
-    assert_gradcheck(
-        lambda: ops.mean_all(ops.mul(ops.depthwise_conv2d(x, w, b), v)), [x, w, b]
-    )
+    assert_gradcheck(lambda: ops.depthwise_conv2d(x, w, b), [x, w, b])
 
 
 def unchunked_depthwise_backward(x, w, g):
@@ -267,14 +264,15 @@ def unchunked_depthwise_backward(x, w, g):
     return gx, gw, g.sum(axis=(0, 1, 2))
 
 
-def depthwise_with_grads(x, w, b, g):
-    """Forward output and the x, w, b gradients for an output gradient of exactly ``g``."""
+def depthwise_with_grads(x, w, b):
+    """Forward output, the output gradient ``g`` and the x, w, b gradients,
+    for the loss <y, g> of :func:`cotangent_dot`, whose gradient is exactly ``g``."""
     xt, wt, bt = t64(x), t64(w), t64(b)
     with Tape() as tape:
         y = ops.depthwise_conv2d(xt, wt, bt)
-        loss = ops.sum_last(ops.reshape(ops.mul(y, t64(g, requires_grad=False)), (g.size,)))
+        loss = cotangent_dot(y)
     backward(loss, tape)
-    return y.data, xt.grad, wt.grad, bt.grad
+    return y.data, cotangent(y.shape, y.dtype), xt.grad, wt.grad, bt.grad
 
 
 # W = 1 and H = 1 have every tap on an edge column or a padding row
@@ -289,8 +287,7 @@ def test_depthwise_over_chunks_matches_unchunked(monkeypatch, sample):
     x = rng.standard_normal((bsz, *sample))
     w = rng.standard_normal((sample[2], 1, 3, 3))
     b = rng.standard_normal(sample[2])
-    g = rng.standard_normal(x.shape)
-    y, gx, gw, gb = depthwise_with_grads(x, w, b, g)
+    y, g, gx, gw, gb = depthwise_with_grads(x, w, b)
     np.testing.assert_allclose(y, naive_depthwise(x, w, b), rtol=0, atol=1e-12)
     flipped = naive_depthwise(g, w[:, :, ::-1, ::-1], np.zeros_like(b))
     np.testing.assert_allclose(gx, flipped, rtol=0, atol=1e-12)
@@ -305,7 +302,7 @@ def test_depthwise_empty_batch_or_rows(monkeypatch, shape):
     monkeypatch.setattr(ops, "_BLOCK_BYTES", 4096)
     rng = np.random.default_rng(26)
     w = rng.standard_normal((3, 1, 3, 3))
-    y, gx, gw, gb = depthwise_with_grads(np.zeros(shape), w, rng.standard_normal(3), np.zeros(shape))
+    y, _, gx, gw, gb = depthwise_with_grads(np.zeros(shape), w, rng.standard_normal(3))
     assert y.shape == gx.shape == shape
     assert np.array_equal(gw, np.zeros_like(w)) and np.array_equal(gb, np.zeros(3))
 
@@ -340,7 +337,7 @@ def test_linear_gradcheck():
     x = rand64(rng, 2, 3, 4)
     w = rand64(rng, 5, 4)
     b = rand64(rng, 5)
-    assert_gradcheck(lambda: ops.mean_all(ops.gelu(ops.linear(x, w, b))), [x, w, b])
+    assert_gradcheck(lambda: ops.linear(x, w, b), [x, w, b])
 
 
 # ------------------------------------------------------------ layer_norm
@@ -398,7 +395,7 @@ def test_layer_norm_gradcheck():
     x = rand64(rng, 2, 4, 8)
     g = t64(np.ones(8) + 0.1 * rng.standard_normal(8))
     b = t64(0.1 * rng.standard_normal(8))
-    assert_gradcheck(lambda: ops.mean_all(ops.gelu(ops.layer_norm(x, g, b))), [x, g, b])
+    assert_gradcheck(lambda: ops.layer_norm(x, g, b), [x, g, b])
 
 
 # --------------------------------------------------------------- softmax
@@ -428,8 +425,7 @@ def test_softmax_rows_sum_to_one(seed):
 def test_softmax_gradcheck():
     rng = np.random.default_rng(7)
     x = rand64(rng, 3, 6)
-    v = rand64(rng, 3, 6, requires_grad=False)
-    assert_gradcheck(lambda: ops.mean_all(ops.mul(ops.softmax(x), v)), [x])
+    assert_gradcheck(lambda: ops.softmax(x), [x])
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-15)])
@@ -454,8 +450,7 @@ def test_softmax_gradcheck_at_16_keys():
     # the attention of the 128 px default has 16 keys
     rng = np.random.default_rng(27)
     x = rand64(rng, 2, 3, 16)
-    v = rand64(rng, 2, 3, 16, requires_grad=False)
-    assert_gradcheck(lambda: ops.mean_all(ops.mul(ops.softmax(x), v)), [x])
+    assert_gradcheck(lambda: ops.softmax(x), [x])
 
 
 def test_softmax_empty_axis_raises_dimension_error():
@@ -507,15 +502,15 @@ def test_gelu_forward_bit_identical_to_formula(dtype):
 def test_gelu_backward_bit_identical_to_formula_across_blocks():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((7, 4001, 5)).astype(np.float32) * 3
-    g = rng.standard_normal(x.shape).astype(np.float32)
+    g = cotangent(x.shape, np.float32)
     c, a = math.sqrt(2.0 / math.pi), 0.044715
     t = np.tanh(c * (x + a * x * x * x))
     du = (x * (3.0 * a) * x + 1.0) * c
     expected = ((t + 1.0) * 0.5 + (1.0 - t * t) * x * 0.5 * du) * g
     xt = Tensor(x, requires_grad=True)
     with Tape() as tape:
-        # d(loss)/d(gelu) is exactly g: the sum's gradient is ones, times g
-        loss = ops.sum_last(ops.reshape(ops.mul(ops.gelu(xt), Tensor(g)), (x.size,)))
+        # d(loss)/d(gelu) is exactly g
+        loss = cotangent_dot(ops.gelu(xt))
     backward(loss, tape)
     assert xt.grad.dtype == np.float32 and np.array_equal(xt.grad, expected)
 
@@ -523,7 +518,7 @@ def test_gelu_backward_bit_identical_to_formula_across_blocks():
 def test_gelu_gradcheck():
     rng = np.random.default_rng(8)
     x = rand64(rng, 4, 5)
-    assert_gradcheck(lambda: ops.mean_all(ops.gelu(x)), [x])
+    assert_gradcheck(lambda: ops.gelu(x), [x])
 
 
 # ------------------------------------------------------------ token_mean
@@ -544,7 +539,7 @@ def test_token_mean_of_no_tokens_raises_dimension_error():
 def test_token_mean_gradcheck():
     rng = np.random.default_rng(9)
     x = rand64(rng, 2, 20, 3)
-    assert_gradcheck(lambda: ops.mean_all(ops.gelu(ops.token_mean(x))), [x])
+    assert_gradcheck(lambda: ops.token_mean(x), [x])
 
 
 # ---------------------------------------------------------- l2_normalize
@@ -589,8 +584,32 @@ def test_l2_normalize_unit_rows(seed):
 def test_l2_normalize_gradcheck():
     rng = np.random.default_rng(11)
     x = rand64(rng, 4, 6)
-    v = rand64(rng, 4, 6, requires_grad=False)
-    assert_gradcheck(lambda: ops.mean_all(ops.mul(ops.l2_normalize(x), v)), [x])
+    assert_gradcheck(lambda: ops.l2_normalize(x), [x])
+
+
+# ------------------------------------------------------ empty channel axes
+
+
+def z(*shape):
+    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+
+
+@pytest.mark.parametrize(
+    "op, call",
+    [
+        ("linear", lambda: ops.linear(z(2, 3), z(0, 3), z(0))),
+        ("linear", lambda: ops.linear(z(2, 0), z(4, 0), z(4))),
+        ("linear", lambda: ops.linear(z(2, 0), z(4, 0), None)),
+        ("depthwise_conv2d", lambda: ops.depthwise_conv2d(z(2, 4, 4, 0), z(0, 1, 3, 3), z(0))),
+        ("conv2d", lambda: ops.conv2d(z(2, 4, 4, 1), z(0, 1, 3, 3), z(0), stride=1, padding=1)),
+    ],
+    ids=["linear-dout0", "linear-din0", "linear-din0-no-bias", "depthwise-c0", "conv2d-cout0"],
+)
+def test_empty_channel_axis_raises_dimension_error_at_forward(op, call):
+    with Tape() as tape:
+        with pytest.raises(DimensionError, match=f"^{op}: "):
+            call()
+    assert tape.ops == []
 
 
 # ------------------------------------------------- small composite pieces
@@ -600,7 +619,7 @@ def test_matmul_gradcheck():
     rng = np.random.default_rng(12)
     a = rand64(rng, 2, 2, 3, 4)
     b = rand64(rng, 2, 2, 4, 5)
-    assert_gradcheck(lambda: ops.mean_all(ops.matmul(a, b)), [a, b])
+    assert_gradcheck(lambda: ops.matmul(a, b), [a, b])
 
 
 def test_matmul_shape_mismatch_raises():
@@ -613,26 +632,19 @@ def test_matmul_shape_mismatch_raises():
 def test_transpose_reshape_gradcheck():
     rng = np.random.default_rng(13)
     x = rand64(rng, 2, 3, 4)
-    assert_gradcheck(
-        lambda: ops.mean_all(ops.gelu(ops.reshape(ops.transpose(x, (0, 2, 1)), (2, 12)))),
-        [x],
-    )
+    assert_gradcheck(lambda: ops.reshape(ops.transpose(x, (0, 2, 1)), (2, 12)), [x])
 
 
-def test_sqrt_relu_sum_gradcheck():
-    rng = np.random.default_rng(14)
-    x = t64(rng.random((3, 5)) + 0.5)
-    assert_gradcheck(lambda: ops.mean_all(ops.sqrt(ops.sum_last(ops.mul(x, x)))), [x])
-
-
-def test_scale_shift_sub_add_gradcheck():
+def test_scale_shift_add_gradcheck():
     rng = np.random.default_rng(15)
     a = rand64(rng, 3, 4)
     b = rand64(rng, 3, 4)
-    assert_gradcheck(
-        lambda: ops.mean_all(ops.relu(ops.add(ops.scale(ops.sub(a, b), 2.5), ops.shift(a, 0.3)))),
-        [a, b],
-    )
+    assert_gradcheck(lambda: ops.add(ops.scale(ops.add(a, b), 2.5), ops.shift(a, 0.3)), [a, b])
+
+
+def test_add_shape_mismatch_raises():
+    with pytest.raises(DimensionError, match="add: shape mismatch"):
+        ops.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
 
 def test_forward_determinism_bit_identical():
@@ -656,28 +668,24 @@ def test_five_random_instances_per_op_gradcheck():
         x = rand64(rng, 2, 6, 6, 3)
         w = rand64(rng, 2, 3, 3, 3)
         b = rand64(rng, 2)
-        assert_gradcheck(
-            lambda: ops.mean_all(ops.conv2d(x, w, b, stride=1, padding=1)), [x, w, b]
-        )
+        assert_gradcheck(lambda: ops.conv2d(x, w, b, stride=1, padding=1), [x, w, b])
         dw = rand64(rng, 3, 1, 3, 3)
         db = rand64(rng, 3)
         xd = rand64(rng, 1, 5, 5, 3)
-        assert_gradcheck(lambda: ops.mean_all(ops.depthwise_conv2d(xd, dw, db)), [xd, dw, db])
+        assert_gradcheck(lambda: ops.depthwise_conv2d(xd, dw, db), [xd, dw, db])
         xl = rand64(rng, 2, 7)
         wl = rand64(rng, 3, 7)
         bl = rand64(rng, 3)
-        assert_gradcheck(lambda: ops.mean_all(ops.linear(xl, wl, bl)), [xl, wl, bl])
+        assert_gradcheck(lambda: ops.linear(xl, wl, bl), [xl, wl, bl])
         xn = rand64(rng, 2, 5)
         gn = t64(np.ones(5) + 0.05 * rng.standard_normal(5))
         bn = t64(0.05 * rng.standard_normal(5))
-        assert_gradcheck(lambda: ops.mean_all(ops.layer_norm(xn, gn, bn)), [xn, gn, bn])
+        assert_gradcheck(lambda: ops.layer_norm(xn, gn, bn), [xn, gn, bn])
         xs = rand64(rng, 3, 4)
-        vs = rand64(rng, 3, 4, requires_grad=False)
-        assert_gradcheck(lambda: ops.mean_all(ops.mul(ops.softmax(xs), vs)), [xs])
+        assert_gradcheck(lambda: ops.softmax(xs), [xs])
         xg = rand64(rng, 2, 6)
-        assert_gradcheck(lambda: ops.mean_all(ops.gelu(xg)), [xg])
+        assert_gradcheck(lambda: ops.gelu(xg), [xg])
         xp = rand64(rng, 2, 9, 2)
-        assert_gradcheck(lambda: ops.mean_all(ops.token_mean(xp)), [xp])
+        assert_gradcheck(lambda: ops.token_mean(xp), [xp])
         xu = t64(rng.standard_normal((3, 8)) + 0.2)
-        vu = rand64(rng, 3, 8, requires_grad=False)
-        assert_gradcheck(lambda: ops.mean_all(ops.mul(ops.l2_normalize(xu), vu)), [xu])
+        assert_gradcheck(lambda: ops.l2_normalize(xu), [xu])

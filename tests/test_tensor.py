@@ -9,6 +9,8 @@ from litematch import ops
 from litematch.errors import ContractError
 from litematch.tensor import SGD, Tape, Tensor, active_tape, backward
 
+from cotangent import cotangent, cotangent_dot
+
 
 def test_tensor_stores_float32_by_default():
     t = Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -17,35 +19,41 @@ def test_tensor_stores_float32_by_default():
     assert t.grad is None
 
 
+def square_norm(x):
+    """x . x as a [1, 1] matmul of x with itself: both operands are x."""
+    n = x.shape[0]
+    return ops.matmul(ops.reshape(x, (1, n)), ops.reshape(x, (n, 1)))
+
+
 def test_backward_linear_case():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape() as tape:
-        loss = ops.sum_last(x)
+        loss = cotangent_dot(x)
     backward(loss, tape)
-    np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(x.grad, cotangent((3,), np.float32))
 
 
 def test_backward_quadratic_case():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        loss = ops.sum_last(ops.mul(x, x))
+        loss = cotangent_dot(square_norm(x))
     backward(loss, tape)
-    np.testing.assert_allclose(x.grad, [2.0, 4.0], rtol=1e-6)
+    np.testing.assert_allclose(x.grad, [2.0, 4.0] * cotangent((1, 1), np.float32)[0], rtol=1e-6)
 
 
 def test_backward_accumulates_across_calls():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        loss = ops.sum_last(ops.mul(x, x))
+        loss = cotangent_dot(square_norm(x))
     backward(loss, tape)
     backward(loss, tape)
-    np.testing.assert_allclose(x.grad, [4.0, 8.0], rtol=1e-6)
+    np.testing.assert_allclose(x.grad, [4.0, 8.0] * cotangent((1, 1), np.float32)[0], rtol=1e-6)
 
 
 def test_backward_rejects_non_scalar_loss():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        y = ops.mul(x, x)
+        y = ops.scale(x, 2.0)
     with pytest.raises(ContractError):
         backward(y, tape)
 
@@ -53,7 +61,7 @@ def test_backward_rejects_non_scalar_loss():
 def test_backward_rejects_loss_off_tape():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        _ = ops.sum_last(x)
+        _ = cotangent_dot(x)
     other = Tensor(3.0)
     with pytest.raises(ContractError):
         backward(other, tape)
@@ -66,7 +74,7 @@ def test_tape_replay_identical_gradients():
     def run():
         x = Tensor(data.copy(), requires_grad=True)
         with Tape() as tape:
-            loss = ops.mean_all(ops.gelu(ops.mul(x, x)))
+            loss = cotangent_dot(ops.gelu(ops.matmul(x, ops.transpose(x, (1, 0)))))
         backward(loss, tape)
         return x.grad
 
@@ -75,22 +83,13 @@ def test_tape_replay_identical_gradients():
 
 
 def test_fanout_gradient_sums_both_paths():
-    x = Tensor([2.0], requires_grad=True)
+    x = Tensor([2.0, -1.0], requires_grad=True)
     with Tape() as tape:
-        y = ops.mul(x, x)      # x^2
-        z = ops.add(y, y)      # 2 x^2
-        loss = ops.sum_last(z)
+        y = ops.scale(x, 3.0)  # 3 x
+        z = ops.add(y, y)  # 6 x
+        loss = cotangent_dot(z)
     backward(loss, tape)
-    np.testing.assert_allclose(x.grad, [8.0], rtol=1e-6)
-
-
-def test_detach_blocks_gradient():
-    x = Tensor([3.0], requires_grad=True)
-    with Tape() as tape:
-        frozen = ops.mul(x, x).detach()
-        loss = ops.sum_last(ops.mul(x, frozen))  # d/dx (x * c) = c = 9
-    backward(loss, tape)
-    np.testing.assert_allclose(x.grad, [9.0], rtol=1e-6)
+    np.testing.assert_array_equal(x.grad, 6.0 * cotangent((2,), np.float32))
 
 
 def test_nested_tape_raises_and_the_outer_tape_keeps_recording():
@@ -100,10 +99,10 @@ def test_nested_tape_raises_and_the_outer_tape_keeps_recording():
             with Tape():
                 pass
         assert active_tape() is outer
-        loss = ops.mul(x, x)
+        loss = cotangent_dot(ops.scale(x, 2.0))
     assert active_tape() is None
     backward(loss, outer)
-    np.testing.assert_allclose(x.grad, [6.0], rtol=1e-6)
+    np.testing.assert_array_equal(x.grad, 2.0 * cotangent((1,), np.float32))
 
 
 def test_exception_inside_a_tape_leaves_no_tape_active():
@@ -111,13 +110,13 @@ def test_exception_inside_a_tape_leaves_no_tape_active():
     tape = Tape()
     with pytest.raises(RuntimeError, match="forward failed"):
         with tape:
-            ops.mul(x, x)
+            ops.scale(x, 2.0)
             raise RuntimeError("forward failed")
     assert active_tape() is None
-    ops.mul(x, x)  # records nothing
+    ops.scale(x, 2.0)  # records nothing
     assert len(tape.ops) == 1
     with Tape() as again:  # and a new tape opens
-        ops.mul(x, x)
+        ops.scale(x, 2.0)
     assert len(again.ops) == 1 and active_tape() is None
 
 
@@ -126,7 +125,7 @@ def test_no_tape_records_nothing():
     tape = Tape()
     with tape:
         pass
-    y = ops.mul(x, x)  # outside any tape
+    y = ops.scale(x, 2.0)  # outside any tape
     assert tape.ops == []
     assert y.grad is None
 

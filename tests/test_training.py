@@ -17,7 +17,7 @@ def test_train_step_non_finite_loss_leaves_parameters(monkeypatch):
     before = {n: p.data.copy() for n, p in model.params.items()}
     real_loss = training.triplet_loss
     monkeypatch.setattr(
-        training, "triplet_loss", lambda batch, mode: ops.scale(real_loss(batch, mode), np.nan)
+        training, "triplet_loss", lambda desc, mode: ops.scale(real_loss(desc, mode), np.nan)
     )
     batch = np.random.default_rng(1).random((6, 1, 32, 32)).astype(np.float32)
     with pytest.raises(TrainingError, match="non-finite loss"):
