@@ -20,6 +20,7 @@ from .dataset import (
     build_triplets,
     identity_alignment,
     load_dataset,
+    load_manifest,
     synth_pair,
     write_dataset,
 )
@@ -135,7 +136,13 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _build_config(args, RunConfig())
+    # the dataset's patch and enhancement settings are the defaults that
+    # --config and --set override; train() refuses any that disagree with it
+    m = load_manifest(args.data)
+    base = RunConfig(
+        window=m.window, input_size=m.out_size, clahe_clip=m.clahe_clip, clahe_grid=m.clahe_grid
+    )
+    cfg = _build_config(args, base)
     log_path = args.log if args.log is not None else Path(args.out).with_suffix(".log.tsv")
     report = train(
         cfg,

@@ -402,8 +402,8 @@ def write_dataset(out_dir: str | Path, pairs: list[AlignedPair], manifest: Datas
     (out_dir / MANIFEST_NAME).write_text(manifest.to_json())
 
 
-def load_dataset(data_dir: str | Path) -> tuple[dict[str, AlignedPair], DatasetManifest]:
-    """Load the manifest and every source pair it references.
+def load_manifest(data_dir: str | Path) -> DatasetManifest:
+    """Parse the manifest of a dataset directory.
 
     A manifest that does not parse, lacks or mistypes a key, or holds a
     record with a non-finite number, a pair that is not listed or an
@@ -414,9 +414,15 @@ def load_dataset(data_dir: str | Path) -> tuple[dict[str, AlignedPair], DatasetM
     if not manifest_path.exists():
         raise DatasetError(f"no {MANIFEST_NAME} in {data_dir}")
     try:
-        manifest = DatasetManifest.from_json(manifest_path.read_text())
+        return DatasetManifest.from_json(manifest_path.read_text())
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise DatasetError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
+
+
+def load_dataset(data_dir: str | Path) -> tuple[dict[str, AlignedPair], DatasetManifest]:
+    """Load the manifest (:func:`load_manifest`) and every source pair it references."""
+    data_dir = Path(data_dir)
+    manifest = load_manifest(data_dir)
     pairs: dict[str, AlignedPair] = {}
     for name in manifest.pairs:
         pairs[name] = AlignedPair(

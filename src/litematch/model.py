@@ -13,6 +13,14 @@ use is a free reshape of them. Parameters keep their stored layouts, which
 :func:`describe_shapes` walks in parameter order for both
 :func:`init_model` and checkpoint loading, so checkpoints do not depend on
 the activation layout.
+
+Without a recording tape (inference), each block's feed-forward runs over
+chunks of samples whose ``mlp_ratio``-wide hidden activation fits the L2
+cache (``ops._BLOCK_BYTES``); the rest of the block runs over the whole
+batch, where chunking measured slower. Under a tape (training) the
+feed-forward also runs over the whole batch: the tape keeps every hidden
+activation for backward anyway, and it has no op that slices or joins a
+batch, so the gradient could not reach the chunks.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from scipy.special import ndtri
 
 from . import ops
 from .errors import ConfigError, DimensionError
-from .tensor import Tensor
+from .tensor import Tensor, active_tape
 
 ALLOWED_DESCRIPTOR_DIMS = (64, 128, 256)
 
@@ -215,9 +223,30 @@ def _attention(x: Tensor, p: dict[str, Tensor], blk: str, st: StageConfig) -> Te
 
 
 def _feed_forward(x: Tensor, p: dict[str, Tensor], blk: str) -> Tensor:
-    f = ops.linear(x, p[f"{blk}.ffn.fc1.weight"], p[f"{blk}.ffn.fc1.bias"])
-    f = ops.gelu(ops.depthwise_conv2d(f, p[f"{blk}.ffn.dw.weight"], p[f"{blk}.ffn.dw.bias"]))
-    return ops.linear(f, p[f"{blk}.ffn.fc2.weight"], p[f"{blk}.ffn.fc2.bias"])
+    """fc1, 3x3 depthwise, GELU, fc2 over [B, H, W, C], with an ``mlp_ratio``-wide hidden.
+
+    With no tape recording, the four ops run over chunks of samples whose
+    hidden activation fits ``ops._BLOCK_BYTES``, so each op reads the
+    previous one's output from the L2 cache instead of from memory. Under a
+    tape they run once over the whole batch: the tape keeps every hidden
+    activation for backward anyway, and it has no op that slices or joins
+    a batch.
+    """
+    w1, b1 = p[f"{blk}.ffn.fc1.weight"], p[f"{blk}.ffn.fc1.bias"]
+    wd, bd = p[f"{blk}.ffn.dw.weight"], p[f"{blk}.ffn.dw.bias"]
+    w2, b2 = p[f"{blk}.ffn.fc2.weight"], p[f"{blk}.ffn.fc2.bias"]
+
+    def ffn(xs: Tensor) -> Tensor:
+        f = ops.gelu(ops.depthwise_conv2d(ops.linear(xs, w1, b1), wd, bd))
+        return ops.linear(f, w2, b2)
+
+    if active_tape() is not None:
+        return ffn(x)
+    bsz, h, w, _ = x.shape
+    out = np.empty(x.shape, dtype=np.result_type(x.data, w1.data, wd.data, w2.data))
+    for s in ops._sample_chunks(bsz, h * w * w1.shape[0] * x.data.itemsize):
+        out[s] = ffn(Tensor._wrap(x.data[s])).data
+    return Tensor._wrap(out)
 
 
 def forward(model: Model, patches: Tensor) -> Tensor:

@@ -51,8 +51,8 @@ from .tensor import Tensor, active_tape, record
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _LN_EPS = 1e-6
-# Elementwise sequences and depthwise sample chunks run over blocks of about
-# this size to stay in the L2 cache.
+# Elementwise sequences, depthwise sample chunks and the model's untaped
+# feed-forward chunks run over blocks of about this size to stay in the L2 cache.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -371,14 +371,15 @@ def _edge_taps(taps: np.ndarray, w: int) -> np.ndarray:
     return tiled
 
 
-def _sample_chunks(a: np.ndarray):
-    """Yield slices of the leading axis of ``a``, about ``_BLOCK_BYTES`` of samples each.
+def _sample_chunks(n: int, sample_bytes: int):
+    """Yield slices of a leading axis of ``n`` samples, about ``_BLOCK_BYTES`` each.
 
-    Every chunk holds at least one sample, so empty samples and an empty
-    leading axis need no special case.
+    ``sample_bytes`` is the size of one sample's widest array, so a chunk
+    of that array fits the L2 cache. Every chunk holds at least one sample,
+    so empty samples and an empty leading axis need no special case.
     """
-    step = max(1, _BLOCK_BYTES // max(1, a[:1].nbytes))
-    for lo in range(0, a.shape[0], step):
+    step = max(1, _BLOCK_BYTES // max(1, sample_bytes))
+    for lo in range(0, n, step):
         yield slice(lo, lo + step)
 
 
@@ -389,7 +390,7 @@ def _correlate3x3(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
     rows = out.reshape(bsz, h, w * c)
     tiled = _edge_taps(taps, w)
     # one pass per chunk: every output element sums its nine window products in place
-    for s in _sample_chunks(a):
+    for s in _sample_chunks(bsz, a[:1].nbytes):
         np.einsum("bhrij,ijr->bhr", _tap_windows(a[s]), tiled, out=rows[s])
     return out
 
@@ -431,7 +432,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gtaps = np.zeros((3, 3, ww * c), dtype=g.dtype)
         # at [48, 16, 16, 128] float32, window copies included, the nine einsums took
         # 7.0 ms over chunks, 8.9 over the whole batch; one "bhr,bhrij->ijr" took 9.6
-        for s in _sample_chunks(g3):
+        for s in _sample_chunks(bsz, g3[:1].nbytes):
             gs, win = g3[s], _tap_windows(x.data[s])
             for i in range(3):
                 for j in range(3):
@@ -473,8 +474,11 @@ def l2_normalize(x: Tensor) -> Tensor:
         raise DegenerateDescriptorError(
             f"row {int(np.argmax(bad))} has a non-finite norm and cannot be normalized"
         )
-    if np.any(norms <= 1e-12):
-        raise DegenerateDescriptorError("row with near-zero norm cannot be normalized")
+    tiny = norms[:, 0] <= 1e-12
+    if tiny.any():
+        raise DegenerateDescriptorError(
+            f"row {int(np.argmax(tiny))} has a near-zero norm and cannot be normalized"
+        )
     y = x.data / norms
     out = Tensor._wrap(y)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from litematch import ops
 from litematch.errors import ConfigError, DimensionError
 from litematch.loss import triplet_loss
 from litematch.model import (
@@ -186,18 +187,62 @@ def test_batch_permutation_permutes_rows():
     np.testing.assert_array_equal(out_p, out[perm])
 
 
+def scaled_model(input_size, seed):
+    """Init model with every weight matrix and kernel scaled by 10, so that
+    no branch is near the identity and a mixed-up row shows."""
+    m = init_model(ModelConfig(input_size=input_size), seed=seed)
+    for prm in m.params.values():
+        if prm.ndim >= 2:
+            prm.data *= 10
+    return m
+
+
 def test_forward_batch_matches_single_patch_calls():
     # a batch or spatial axis mixed up anywhere in the network makes rows
     # depend on their batch neighbours; input 64 keeps every stage above 1x1
-    m = init_model(ModelConfig(input_size=64), seed=10)
-    for name, prm in m.params.items():
-        if prm.ndim >= 2:  # init-scale branches barely move the descriptors
-            prm.data *= 10
+    m = scaled_model(64, seed=10)
     x = np.random.default_rng(11).random((4, 1, 64, 64)).astype(np.float32)
     batched = forward(m, Tensor(x)).data
     singles = np.concatenate([forward(m, Tensor(x[i : i + 1])).data for i in range(4)])
     np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-6)
     assert np.abs(batched[0] - batched[1]).max() > 1e-2
+
+
+# at 64 px one sample's feed-forward hidden activation takes 128, 64, 16 and
+# 16 KiB in stages 1-4: 256 KiB chunks stages 1 and 2 into 2 and 4 samples,
+# 48 KiB chunks stages 3 and 4 into 3 samples
+@pytest.mark.parametrize("block_bytes", [1 << 18, 3 << 14])
+@pytest.mark.parametrize("bsz", [1, 5, 7])
+def test_untaped_forward_over_sample_chunks_matches_taped_forward(monkeypatch, block_bytes, bsz):
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
+    m = scaled_model(64, seed=12)
+    x = Tensor(np.random.default_rng(13).random((bsz, 1, 64, 64)).astype(np.float32))
+    untaped = forward(m, x).data
+    with Tape():
+        taped = forward(m, x).data
+    np.testing.assert_allclose(untaped, taped, rtol=0, atol=1e-6)
+
+
+def test_feed_forward_chunks_samples_only_without_a_tape(monkeypatch):
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", 1 << 18)
+    seen = {"gelu": [], "depthwise_conv2d": []}
+    for name, calls in seen.items():
+        def spy(x, *rest, _op=getattr(ops, name), _calls=calls):
+            _calls.append(x.shape[0])
+            return _op(x, *rest)
+        # the model must call the ops through the module, where tracers wrap them
+        monkeypatch.setattr(ops, name, spy)
+    m = init_model(ModelConfig(input_size=64), seed=14)
+    x = Tensor(np.random.default_rng(15).random((7, 1, 64, 64)).astype(np.float32))
+    forward(m, x)
+    # two blocks per stage; stage 1 in chunks of 2, stage 2 of 4, stages 3-4 whole
+    chunked = [2, 2, 2, 1] * 2 + [4, 3] * 2 + [7] * 4
+    assert seen == {"gelu": chunked, "depthwise_conv2d": chunked}
+    for calls in seen.values():
+        calls.clear()
+    with Tape():
+        forward(m, x)
+    assert seen == {"gelu": [7] * 8, "depthwise_conv2d": [7] * 8}
 
 
 def test_forward_deterministic_bit_identical():

@@ -564,6 +564,14 @@ def test_l2_normalize_degenerate_row_raises():
         ops.l2_normalize(x)
 
 
+@pytest.mark.parametrize("row", [0, 2])
+def test_l2_normalize_near_zero_row_is_named(row):
+    x = np.ones((3, 8), dtype=np.float32)
+    x[row] = 1e-14
+    with pytest.raises(DegenerateDescriptorError, match=f"^row {row} has a near-zero norm"):
+        ops.l2_normalize(Tensor(x))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_l2_normalize_non_finite_row_raises(bad):
     x = np.ones((3, 8), dtype=np.float32)

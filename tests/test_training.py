@@ -96,3 +96,24 @@ def test_checkpoint_records_the_settings_the_dataset_was_made_with(data_48, tmp_
     assert cli.main(argv) == 0
     run = load_checkpoint(out).run
     assert {k: getattr(run, k) for k in MADE_WITH} == MADE_WITH
+
+
+def test_train_command_takes_the_dataset_settings_from_its_manifest(data_48, tmp_path):
+    out = tmp_path / "model.ckpt"
+    argv = ["train", "--data", str(data_48), "--out", str(out), "--set", "batch_size=2", "--set", "epochs=1"]
+    assert cli.main(argv) == 0
+    run = load_checkpoint(out).run
+    assert {k: getattr(run, k) for k in MADE_WITH} == MADE_WITH
+
+
+@pytest.mark.parametrize(
+    "setting, made",
+    [("window=64", "window=48"), ("input_size=64", "out_size=32"),
+     ("clahe_clip=2.0", "clahe_clip=3.0"), ("clahe_grid=8", "clahe_grid=4")],
+)
+def test_train_command_refuses_a_setting_the_dataset_was_not_made_with(data_48, tmp_path, capsys, setting, made):
+    argv = ["train", "--data", str(data_48), "--out", str(tmp_path / "model.ckpt"),
+            "--set", "batch_size=2", "--set", "epochs=1", "--set", setting]
+    assert cli.main(argv) == 1
+    assert f"sets {setting} but the manifest was built with {made}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
