@@ -7,9 +7,12 @@ over globally pooled stage-4 tokens produces the descriptor, which is
 L2-normalized. No explicit positional embedding: the zero-padded
 depthwise convolution inside each feed-forward provides position.
 
-Activations are channels-last, [B, H, W, C], from the patch embedding to
-the final pooling; the token view [B, H*W, C] that attention and pooling
-use is a free reshape of them. Parameters keep their stored layouts, which
+Activations are channels-last, [B, H, W, C], from the input
+standardization (plain numpy: the patch batch is never a gradient target)
+to the final pooling. Each block's attention projects queries, keys and
+values with :func:`ops.linear` and hands them to :func:`ops.attention`,
+one tape entry that splits and merges the heads itself; pooling takes the
+[B, H, W, C] activation too. Parameters keep their stored layouts, which
 :func:`describe_shapes` walks in parameter order for both
 :func:`init_model` and checkpoint loading, so checkpoints do not depend on
 the activation layout.
@@ -190,17 +193,6 @@ def init_model(config: ModelConfig, seed: int) -> Model:
     return Model(config=config, params=params)
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    """[B, H, W, C] -> [B, heads, H*W, C/heads]."""
-    b, h, w, c = x.shape
-    return ops.transpose(ops.reshape(x, (b, h * w, heads, c // heads)), (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """[B, heads, H*W, C/heads] -> ``shape`` = [B, H, W, C]."""
-    return ops.reshape(ops.transpose(x, (0, 2, 1, 3)), shape)
-
-
 def _attention(x: Tensor, p: dict[str, Tensor], blk: str, st: StageConfig) -> Tensor:
     q = ops.linear(x, p[f"{blk}.attn.q.weight"], p[f"{blk}.attn.q.bias"])
     if st.reduction > 1:
@@ -213,12 +205,7 @@ def _attention(x: Tensor, p: dict[str, Tensor], blk: str, st: StageConfig) -> Te
         kv = x
     k = ops.linear(kv, p[f"{blk}.attn.k.weight"], None)
     v = ops.linear(kv, p[f"{blk}.attn.v.weight"], p[f"{blk}.attn.v.bias"])
-    dk = st.channels // st.heads
-    qh = _split_heads(q, st.heads)
-    kh = _split_heads(k, st.heads)
-    vh = _split_heads(v, st.heads)
-    scores = ops.scale(ops.matmul(qh, ops.transpose(kh, (0, 1, 3, 2))), dk ** -0.5)
-    ctx = _merge_heads(ops.matmul(ops.softmax(scores), vh), q.shape)
+    ctx = ops.attention(q, k, v, st.heads)
     return ops.linear(ctx, p[f"{blk}.attn.proj.weight"], p[f"{blk}.attn.proj.bias"])
 
 
@@ -261,10 +248,9 @@ def forward(model: Model, patches: Tensor) -> Tensor:
         raise DimensionError(
             f"expected patches of shape [B, 1, {s}, {s}], got {tuple(patches.shape)}"
         )
-    b = patches.shape[0]
-    x = ops.reshape(patches, (b, s, s, 1))
-    # fixed input standardization: [0,1] -> mean 0.5, std 0.25
-    x = ops.scale(ops.shift(x, -0.5), 4.0)
+    # fixed input standardization: [0,1] -> mean 0.5, std 0.25; the patch
+    # batch is never a gradient target, so nothing is recorded for it
+    x = Tensor._wrap(((patches.data - 0.5) * 4.0).reshape(patches.shape[0], s, s, 1))
     for i, st in enumerate(cfg.stages, start=1):
         pre = f"stage{i}"
         _, pad = _embed_kernel(st.stride)
@@ -280,7 +266,6 @@ def forward(model: Model, patches: Tensor) -> Tensor:
             f = ops.layer_norm(x, p[f"{blk}.norm2.gamma"], p[f"{blk}.norm2.beta"])
             x = ops.add(x, _feed_forward(f, p, blk))
         x = ops.layer_norm(x, p[f"{pre}.norm.gamma"], p[f"{pre}.norm.beta"])
-    _, h, w, c = x.shape
-    pooled = ops.token_mean(ops.reshape(x, (b, h * w, c)))
+    pooled = ops.token_mean(x)
     desc = ops.linear(pooled, p["head.weight"], p["head.bias"])
     return ops.l2_normalize(desc)

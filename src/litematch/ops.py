@@ -1,41 +1,46 @@
 """Differentiable operations over :class:`~litematch.tensor.Tensor`.
 
-These are the operations the descriptor network (:mod:`litematch.model`)
-calls, and no others; the triplet loss records its own single tape entry
-(:func:`litematch.loss.triplet_loss`). Each operation validates shapes,
-raising :class:`~litematch.errors.DimensionError` for an empty channel or
-feature axis before any numpy call fails on it, computes the forward
-result in the input dtype, and registers a backward rule on the active
-tape. No implicit broadcasting except over the leading dimensions of
-:func:`linear`; all other operations require exact shapes.
+These are the nine operations the descriptor network (:mod:`litematch.model`)
+calls, and no others: :func:`add`, :func:`linear`, :func:`layer_norm`,
+:func:`attention`, :func:`gelu`, :func:`conv2d`, :func:`depthwise_conv2d`,
+:func:`token_mean` and :func:`l2_normalize`. The triplet loss records its
+own single tape entry (:func:`litematch.loss.triplet_loss`). Each operation
+validates shapes, raising :class:`~litematch.errors.DimensionError` for an
+empty channel or feature axis before any numpy call fails on it, computes
+the forward result in the input dtype, and registers one backward rule on
+the active tape. No implicit broadcasting except over the leading
+dimensions of :func:`linear`; all other operations require exact shapes.
 
 Spatial activations are channels-last, [B, H, W, C], so a [B, N, C] token
 matrix is a free reshape of them and every trailing-axis op (:func:`linear`,
-:func:`layer_norm`, :func:`gelu`) applies to either form. Convolution
-weights keep their stored layouts, [Cout, Cin, k, k] for :func:`conv2d`
-and [C, 1, 3, 3] for :func:`depthwise_conv2d`, and their gradients come
-back in the same layouts.
+:func:`layer_norm`, :func:`gelu`) applies to either form. :func:`attention`
+and :func:`token_mean` take [B, H, W, C] and make that reshape themselves.
+Convolution weights keep their stored layouts, [Cout, Cin, k, k] for
+:func:`conv2d` and [C, 1, 3, 3] for :func:`depthwise_conv2d`, and their
+gradients come back in the same layouts.
 
 The heavy elementwise kernels make as few passes over memory as they can.
 :func:`depthwise_conv2d` is one ``np.einsum`` per chunk of samples over a
 strided 3x3 tap-window view of a copy padded with zero rows, whose taps
 that would wrap across a row edge are zeroed. :func:`gelu` runs its
-in-place sequence over flat blocks that fit the L2 cache.
+in-place sequence over flat blocks that fit the L2 cache. Both size their
+pieces with :func:`_sample_chunks`.
 
 Reductions over a short axis follow three rules, because numpy's
 ``sum``/``mean``/``max`` over such an axis spend most of their time on
 per-row overhead:
 
-- Row sums (the statistics of :func:`layer_norm` and :func:`softmax`) are
-  ``np.einsum`` reductions. A BLAS GEMV would be faster, but it rounds
-  rows differently depending on their position, so equal inputs would
-  not give equal outputs.
+- Row sums (the statistics of :func:`layer_norm` and the softmax inside
+  :func:`attention`) are ``np.einsum`` reductions. A BLAS GEMV would be
+  faster, but it rounds rows differently depending on their position, so
+  equal inputs would not give equal outputs.
 - Column sums (every bias and gain gradient) are one BLAS GEMV,
   ``ones @ a`` (:func:`_column_sums`). Each column is one dot product, so
   position-dependent rounding across rows does not arise.
-- The row max of :func:`softmax` is a fold over the columns,
-  ``np.maximum(top, x[..., j], out=top)``: attention has a few to a few
-  dozen keys, so a handful of whole-array passes beats a per-row loop.
+- The row max of the softmax inside :func:`attention` is a fold over the
+  key columns, ``np.maximum(top, p[..., j], out=top)``: attention has a few
+  to a few dozen keys, so a handful of whole-array passes beats a per-row
+  loop.
 """
 
 from __future__ import annotations
@@ -71,52 +76,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"add: shape mismatch {a.shape} vs {b.shape}")
     out = Tensor._wrap(a.data + b.data)
     record((a, b), out, lambda g: (g, g))
-    return out
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    c = float(c)
-    out = Tensor._wrap(x.data * c)
-    record((x,), out, lambda g: (g * c,))
-    return out
-
-
-def shift(x: Tensor, c: float) -> Tensor:
-    """Add a python scalar constant."""
-    out = Tensor._wrap(x.data + float(c))
-    record((x,), out, lambda g: (g,))
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product; leading batch dimensions must match exactly."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError("matmul requires at least 2-d operands")
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-    out = Tensor._wrap(np.matmul(a.data, b.data))
-
-    def grad_fn(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return ga, gb
-
-    record((a, b), out, grad_fn)
-    return out
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor._wrap(x.data.reshape(shape))
-    orig = x.shape
-    record((x,), out, lambda g: (g.reshape(orig),))
-    return out
-
-
-def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inv = tuple(np.argsort(axes))
-    out = Tensor._wrap(np.ascontiguousarray(x.data.transpose(axes)))
-    record((x,), out, lambda g: (np.ascontiguousarray(g.transpose(inv)),))
     return out
 
 
@@ -193,43 +152,68 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return out
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the trailing axis, computed with max subtraction.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention, before the output projection.
 
-    The row max folds the key columns into one running maximum; the row
-    sums and the backward row dot are einsum reductions (see the module
-    docstring).
+    ``q``: [B, H, W, C] queries; ``k``, ``v``: [B, h, w, C] keys and values.
+    Returns the [B, H, W, C] context: per head of d = C / heads channels,
+    softmax(q k^T / sqrt(d)) v over the h*w keys, with the heads merged
+    back into channels.
+
+    The heads are strided [B, heads, N, d] views of the [B, N, heads, d]
+    reshapes, which ``np.matmul`` reads without head-split copies; the
+    context and each input gradient are merged back with one copy. The
+    softmax subtracts a row max folded over the key columns, exponentiates
+    in place and divides by einsum row sums (see the module docstring).
+    The backward pass reuses the saved probabilities.
     """
-    xd = x.data
-    n = xd.shape[-1] if xd.ndim else 0
-    if n == 0:
-        raise DimensionError(f"softmax: the trailing axis is empty, shape {xd.shape}")
-    top = xd[..., 0].copy()
-    for j in range(1, n):
-        np.maximum(top, xd[..., j], out=top)
-    y = xd - top[..., None]
-    np.exp(y, out=y)
-    y /= np.einsum("...j->...", y)[..., None]
-    out = Tensor._wrap(y)
+    if q.ndim != 4 or k.ndim != 4 or k.shape != v.shape:
+        raise DimensionError(
+            f"attention: expected [B, H, W, C] queries and equal [B, h, w, C] keys and values, "
+            f"got {q.shape}, {k.shape} and {v.shape}"
+        )
+    bsz, _, _, c = q.shape
+    if k.shape[0] != bsz or k.shape[3] != c:
+        raise DimensionError(f"attention: keys {k.shape} do not match queries {q.shape}")
+    m = k.shape[1] * k.shape[2]
+    if m == 0:
+        raise DimensionError(f"attention: no keys to attend to, key shape {k.shape}")
+    if heads < 1 or c == 0 or c % heads:
+        raise DimensionError(f"attention: {c} channels do not split into {heads} heads")
+    d = c // heads
+    scale = d ** -0.5
+
+    def split(a: np.ndarray) -> np.ndarray:
+        return a.reshape(bsz, a.shape[1] * a.shape[2], heads, d).transpose(0, 2, 1, 3)
+
+    def merge(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        return a.transpose(0, 2, 1, 3).reshape(shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    p *= scale
+    top = p[..., 0].copy()
+    for j in range(1, m):
+        np.maximum(top, p[..., j], out=top)
+    p -= top[..., None]
+    np.exp(p, out=p)
+    p /= np.einsum("...j->...", p)[..., None]
+    out = Tensor._wrap(merge(np.matmul(p, vh), q.shape))
 
     def grad_fn(g):
-        dot = np.einsum("...j,...j->...", g, y)[..., None]
-        return (y * (g - dot),)
+        gh = split(g)
+        gv = np.matmul(p.transpose(0, 1, 3, 2), gh)
+        # softmax backward p * (dp - <dp, p>), then the scale
+        gs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
+        gs -= np.einsum("...j,...j->...", gs, p)[..., None]
+        gs *= p
+        gs *= scale
+        gq = np.matmul(gs, kh)
+        gk = np.matmul(gs.transpose(0, 1, 3, 2), qh)
+        return merge(gq, q.shape), merge(gk, k.shape), merge(gv, v.shape)
 
-    record((x,), out, grad_fn)
+    record((q, k, v), out, grad_fn)
     return out
-
-
-def _flat_blocks(*arrays: np.ndarray):
-    """Yield matching flat slices, about 256 KiB each, of equally sized arrays.
-
-    An elementwise sequence run block by block makes all its passes over a
-    block in the L2 cache instead of streaming each pass through memory.
-    """
-    flats = [a.reshape(-1) for a in arrays]
-    step = max(1, _BLOCK_BYTES // flats[0].itemsize)
-    for lo in range(0, flats[0].size, step):
-        yield [f[lo : lo + step] for f in flats]
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -237,12 +221,15 @@ def gelu(x: Tensor) -> Tensor:
 
     Computed in place as 0.5*x*(1 + t), t = tanh(C*(x + A*x*x*x)), in that
     evaluation order, so the result is bit-identical to the plain formula.
-    Forward and backward run their sequences block by block (:func:`_flat_blocks`).
+    Forward and backward run their sequences over flat blocks of about
+    ``_BLOCK_BYTES`` (:func:`_sample_chunks` over single elements).
     """
     xd = x.data
     t = np.empty(xd.shape, dtype=xd.dtype)
     y = np.empty(xd.shape, dtype=xd.dtype)
-    for xs, ts, ys in _flat_blocks(xd, t, y):
+    xf, tf, yf = xd.reshape(-1), t.reshape(-1), y.reshape(-1)
+    for s in _sample_chunks(xf.size, xf.itemsize):
+        xs, ts, ys = xf[s], tf[s], yf[s]
         np.multiply(xs, _GELU_A, out=ts)
         ts *= xs
         ts *= xs
@@ -256,7 +243,9 @@ def gelu(x: Tensor) -> Tensor:
     def grad_fn(g):
         # 0.5*(1 + t) + 0.5*x*(1 - t*t)*du with du = C*(1 + 3*A*x*x)
         gx = np.empty(xd.shape, dtype=xd.dtype)
-        for xs, ts, gs, du in _flat_blocks(xd, t, g, gx):
+        gf, gxf = g.reshape(-1), gx.reshape(-1)
+        for s in _sample_chunks(xf.size, xf.itemsize):
+            xs, ts, gs, du = xf[s], tf[s], gf[s], gxf[s]
             np.multiply(xs, 3.0 * _GELU_A, out=du)
             du *= xs
             du += 1.0
@@ -375,8 +364,9 @@ def _sample_chunks(n: int, sample_bytes: int):
     """Yield slices of a leading axis of ``n`` samples, about ``_BLOCK_BYTES`` each.
 
     ``sample_bytes`` is the size of one sample's widest array, so a chunk
-    of that array fits the L2 cache. Every chunk holds at least one sample,
-    so empty samples and an empty leading axis need no special case.
+    of that array fits the L2 cache; :func:`gelu` passes single elements of
+    a flat view as its samples. Every chunk holds at least one sample, so
+    empty samples and an empty leading axis need no special case.
     """
     step = max(1, _BLOCK_BYTES // max(1, sample_bytes))
     for lo in range(0, n, step):
@@ -449,16 +439,17 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def token_mean(x: Tensor) -> Tensor:
-    """Mean over the token axis: [B, N, C] -> [B, C]."""
-    if x.ndim != 3:
-        raise DimensionError("token_mean expects a [B, N, C] tensor")
-    if x.shape[1] == 0:
+    """Mean over the spatial tokens: [B, H, W, C] -> [B, C]."""
+    if x.ndim != 4:
+        raise DimensionError("token_mean expects a [B, H, W, C] tensor")
+    bsz, h, w, c = x.shape
+    n = h * w
+    if n == 0:
         raise DimensionError(f"token_mean: no tokens to average, shape {x.shape}")
-    out = Tensor._wrap(x.data.mean(axis=1))
-    n = x.shape[1]
+    out = Tensor._wrap(x.data.reshape(bsz, n, c).mean(axis=1))
 
     def grad_fn(g):
-        return (np.broadcast_to(g[:, None, :] / n, x.shape).copy(),)
+        return (np.broadcast_to(g[:, None, None, :] / n, x.shape).copy(),)
 
     record((x,), out, grad_fn)
     return out

@@ -163,6 +163,11 @@ def train(
         ckpt = load_checkpoint(resume)
         model = model_from_checkpoint(ckpt)
         check_model_config(model, cfg)
+        if cfg.epochs <= ckpt.epoch:
+            raise ConfigError(
+                f"the run config sets epochs={cfg.epochs} but the checkpoint {resume} is already "
+                f"at epoch {ckpt.epoch}, so there is nothing to train"
+            )
         start_epoch = ckpt.epoch
         step = ckpt.step
     else:

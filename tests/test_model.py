@@ -262,3 +262,25 @@ def test_gradient_flow_no_dead_parameters():
     backward(loss, tape)
     dead = [n for n, p in m.params.items() if p.grad is None or not np.any(p.grad)]
     assert not dead, f"parameters with all-zero gradients: {dead}"
+
+
+def test_ops_keeps_only_what_the_model_calls(monkeypatch):
+    # an op that one taped forward and loss leave uncalled has no caller left
+    names = [
+        n for n, v in vars(ops).items()
+        if callable(v) and not n.startswith("_") and getattr(v, "__module__", "") == ops.__name__
+    ]
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _op=getattr(ops, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(ops, name, counted)
+    cfg = ModelConfig(input_size=64)
+    m = init_model(cfg, seed=16)
+    patches = Tensor(np.random.default_rng(17).random((6, 1, 64, 64)).astype(np.float32))
+    with Tape() as tape:
+        triplet_loss(forward(m, patches))
+    assert names and not [n for n, c in calls.items() if c == 0], calls
+    recorded = [e.grad_fn.__qualname__.split(".")[0] for e in tape.ops]
+    assert recorded.count("attention") == sum(st.depth for st in cfg.stages) == calls["attention"]

@@ -398,34 +398,93 @@ def test_layer_norm_gradcheck():
     assert_gradcheck(lambda: ops.layer_norm(x, g, b), [x, g, b])
 
 
-# --------------------------------------------------------------- softmax
+# ------------------------------------------------------------- attention
+# Queries are [B, H, W, C], keys and values [B, h, w, C], channels-last.
+
+
+def attention64(q, k, v, heads):
+    """Multi-head attention by its definition in float64, one head at a time."""
+    b, h, w, c = q.shape
+    d = c // heads
+    qf, kf, vf = (a.reshape(b, a.shape[1] * a.shape[2], c).astype(np.float64) for a in (q, k, v))
+    out = np.empty_like(qf)
+    for i in range(heads):
+        cols = slice(i * d, (i + 1) * d)
+        s = qf[..., cols] @ kf[..., cols].transpose(0, 2, 1) / math.sqrt(d)
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        out[..., cols] = e / e.sum(axis=-1, keepdims=True) @ vf[..., cols]
+    return out.reshape(q.shape)
+
+
+KEY_GRIDS = {1: (1, 1), 4: (2, 2), 16: (4, 4)}
+
+
+@pytest.mark.parametrize("keys", [1, 4, 16])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_matches_float64_definition(heads, keys):
+    rng = np.random.default_rng(30 + 10 * heads + keys)
+    q = rng.standard_normal((3, 4, 5, 8)) * 2
+    k = rng.standard_normal((3, *KEY_GRIDS[keys], 8)) * 2
+    v = rng.standard_normal((3, *KEY_GRIDS[keys], 8))
+    expected = attention64(q, k, v, heads)
+    got = ops.attention(t64(q), t64(k), t64(v), heads).data
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    got32 = ops.attention(*(Tensor(a) for a in (q, k, v)), heads).data
+    assert got32.dtype == np.float32
+    np.testing.assert_allclose(got32, expected, rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("keys", [1, 4, 16])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_gradcheck(heads, keys):
+    rng = np.random.default_rng(40 + 10 * heads + keys)
+    q = rand64(rng, 2, 2, 3, 4)
+    k = rand64(rng, 2, *KEY_GRIDS[keys], 4)
+    v = rand64(rng, 2, *KEY_GRIDS[keys], 4)
+    assert_gradcheck(lambda: ops.attention(q, k, v, heads), [q, k, v])
+
+
+def one_hot_keys(b, n, dtype):
+    """[b, n, 1, n] keys or values whose key j is the unit row e_j."""
+    return np.broadcast_to(np.eye(n, dtype=dtype)[None, :, None, :], (b, n, 1, n)).copy()
+
+
+def softmax_of(logits, dtype):
+    """The probability matrix of attention with one head over n one-hot keys and values.
+
+    Queries of C = n channels give scores q_ij * n**-0.5, and the one-hot
+    values copy each query's probability row to its output. Returns the
+    output and the logits as the op computes them.
+    """
+    b, rows, n = logits.shape
+    scale = n ** -0.5
+    q = Tensor((logits / scale).reshape(b, rows, 1, n), dtype=dtype)
+    kv = Tensor(one_hot_keys(b, n, dtype), dtype=dtype)
+    return ops.attention(q, kv, kv, 1), q.data.reshape(b, rows, n) * dtype(scale)
+
+
+def softmax64(x):
+    e = np.exp(x.astype(np.float64) - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def test_softmax_uniform_slice():
-    x = Tensor(np.zeros((1, 4), dtype=np.float32))
-    np.testing.assert_allclose(ops.softmax(x).data, 0.25, rtol=1e-6)
+    out, _ = softmax_of(np.zeros((1, 1, 4)), np.float32)
+    np.testing.assert_allclose(out.data, 0.25, rtol=1e-6)
 
 
 def test_softmax_large_values_stable():
-    x = Tensor(np.array([[1000.0, 0.0]], dtype=np.float32))
-    out = ops.softmax(x).data
-    assert np.isfinite(out).all()
-    np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-6)
+    out, _ = softmax_of(np.array([[[1000.0, 0.0]]]), np.float32)
+    assert np.isfinite(out.data).all()
+    np.testing.assert_allclose(out.data.reshape(1, 2), [[1.0, 0.0]], atol=1e-6)
 
 
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_softmax_rows_sum_to_one(seed):
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.standard_normal((2, 3, 7)) * 10, dtype=np.float32)
-    out = ops.softmax(x).data
-    np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
-
-
-def test_softmax_gradcheck():
-    rng = np.random.default_rng(7)
-    x = rand64(rng, 3, 6)
-    assert_gradcheck(lambda: ops.softmax(x), [x])
+    out, _ = softmax_of(rng.standard_normal((2, 3, 7)) * 10, np.float32)
+    np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-15)])
@@ -437,25 +496,69 @@ def test_softmax_matches_float64_formula(dtype, tol, n):
         np.where(rng.random((3, n)) < 0.5, 1e4, -1e4),  # rows of +-1e4, tied at the max
         np.full((2, n), 3.25),  # every key tied
     ]
-    x = np.concatenate(rows).reshape(2, -1, n).astype(dtype)
-    expected = np.exp(x.astype(np.float64) - x.max(axis=-1, keepdims=True))
-    expected /= expected.sum(axis=-1, keepdims=True)
-    out = ops.softmax(Tensor(x, dtype=dtype)).data
+    out, logits = softmax_of(np.concatenate(rows).reshape(2, -1, n), dtype)
+    out = out.data.reshape(logits.shape)
     assert out.dtype == dtype and np.isfinite(out).all()
-    np.testing.assert_allclose(out, expected, rtol=tol, atol=tol)
+    np.testing.assert_allclose(out, softmax64(logits), rtol=tol, atol=tol)
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=0, atol=n * np.finfo(dtype).eps)
+
+
+def test_softmax_gradcheck():
+    rng = np.random.default_rng(7)
+    q = t64(rng.standard_normal((1, 3, 1, 6)) * math.sqrt(6))
+    kv = t64(one_hot_keys(1, 6, np.float64), requires_grad=False)
+    assert_gradcheck(lambda: ops.attention(q, kv, kv, 1), [q])
 
 
 def test_softmax_gradcheck_at_16_keys():
     # the attention of the 128 px default has 16 keys
     rng = np.random.default_rng(27)
-    x = rand64(rng, 2, 3, 16)
-    assert_gradcheck(lambda: ops.softmax(x), [x])
+    q = t64(rng.standard_normal((2, 3, 1, 16)) * 4)
+    kv = t64(one_hot_keys(2, 16, np.float64), requires_grad=False)
+    assert_gradcheck(lambda: ops.attention(q, kv, kv, 1), [q])
+
+
+@pytest.mark.parametrize("keys", [4, 16])
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+@pytest.mark.parametrize("d", [4, 16])
+def test_attention_equal_query_rows_equal_outputs_at_every_position(d, heads, keys):
+    # every query position must round alike; d = 16 is the model's head width
+    rng = np.random.default_rng(d + heads + keys)
+    c = d * heads
+    row = (rng.standard_normal(c) * 3).astype(np.float32)
+    k = Tensor(rng.standard_normal((1, keys, 1, c)), dtype=np.float32)
+    v = Tensor(rng.standard_normal((1, keys, 1, c)), dtype=np.float32)
+    for n in range(1, 41):
+        q = Tensor(np.tile(row, (1, n, 1, 1)))
+        out = ops.attention(q, k, v, heads).data
+        assert np.array_equal(out, np.broadcast_to(out[0, 0, 0], out.shape)), n
 
 
 def test_softmax_empty_axis_raises_dimension_error():
-    with pytest.raises(DimensionError, match="softmax"):
-        ops.softmax(Tensor(np.zeros((3, 0), dtype=np.float32)))
+    # attention over zero keys would normalize an empty row
+    k = z(2, 0, 2, 8)
+    with Tape() as tape:
+        with pytest.raises(DimensionError, match="^attention: no keys"):
+            ops.attention(z(2, 3, 3, 8), k, k, 2)
+    assert tape.ops == []
+
+
+@pytest.mark.parametrize(
+    "q_shape, kv_shapes, heads, match",
+    [
+        ((2, 3, 3, 6), [(2, 2, 2, 6), (2, 2, 2, 6)], 4, "6 channels do not split into 4 heads"),
+        ((2, 3, 3, 0), [(2, 2, 2, 0), (2, 2, 2, 0)], 1, "0 channels"),
+        ((2, 3, 3, 8), [(2, 2, 2, 8), (2, 2, 1, 8)], 2, "equal"),
+        ((2, 3, 3, 8), [(2, 2, 2, 4), (2, 2, 2, 4)], 2, "do not match"),
+    ],
+    ids=["heads-do-not-divide", "no-channels", "kv-mismatch", "qk-mismatch"],
+)
+def test_attention_bad_shapes_raise_dimension_error_and_record_nothing(q_shape, kv_shapes, heads, match):
+    k, v = (z(*s) for s in kv_shapes)
+    with Tape() as tape:
+        with pytest.raises(DimensionError, match=f"^attention: .*{match}"):
+            ops.attention(z(*q_shape), k, v, heads)
+    assert tape.ops == []
 
 
 # ----------------------------------------------------------- column sums
@@ -525,20 +628,20 @@ def test_gelu_gradcheck():
 
 
 def test_token_mean_constant_and_mean():
-    x = Tensor(np.full((2, 16, 3), 1.5, dtype=np.float32))
+    x = Tensor(np.full((2, 4, 4, 3), 1.5, dtype=np.float32))
     np.testing.assert_allclose(ops.token_mean(x).data, 1.5, rtol=1e-6)
-    y = Tensor(np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32).reshape(1, 4, 1))
+    y = Tensor(np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32).reshape(1, 2, 2, 1))
     np.testing.assert_allclose(ops.token_mean(y).data, [[2.5]], rtol=1e-6)
 
 
 def test_token_mean_of_no_tokens_raises_dimension_error():
     with pytest.raises(DimensionError, match="token_mean"):
-        ops.token_mean(Tensor(np.zeros((2, 0, 3), dtype=np.float32)))
+        ops.token_mean(Tensor(np.zeros((2, 3, 0, 3), dtype=np.float32)))
 
 
 def test_token_mean_gradcheck():
     rng = np.random.default_rng(9)
-    x = rand64(rng, 2, 20, 3)
+    x = rand64(rng, 2, 4, 5, 3)
     assert_gradcheck(lambda: ops.token_mean(x), [x])
 
 
@@ -623,31 +726,11 @@ def test_empty_channel_axis_raises_dimension_error_at_forward(op, call):
 # ------------------------------------------------- small composite pieces
 
 
-def test_matmul_gradcheck():
-    rng = np.random.default_rng(12)
-    a = rand64(rng, 2, 2, 3, 4)
-    b = rand64(rng, 2, 2, 4, 5)
-    assert_gradcheck(lambda: ops.matmul(a, b), [a, b])
-
-
-def test_matmul_shape_mismatch_raises():
-    a = Tensor(np.zeros((2, 3, 4), dtype=np.float32))
-    b = Tensor(np.zeros((3, 4, 5), dtype=np.float32))
-    with pytest.raises(DimensionError):
-        ops.matmul(a, b)
-
-
-def test_transpose_reshape_gradcheck():
-    rng = np.random.default_rng(13)
-    x = rand64(rng, 2, 3, 4)
-    assert_gradcheck(lambda: ops.reshape(ops.transpose(x, (0, 2, 1)), (2, 12)), [x])
-
-
-def test_scale_shift_add_gradcheck():
+def test_add_gradcheck():
     rng = np.random.default_rng(15)
     a = rand64(rng, 3, 4)
     b = rand64(rng, 3, 4)
-    assert_gradcheck(lambda: ops.add(ops.scale(ops.add(a, b), 2.5), ops.shift(a, 0.3)), [a, b])
+    assert_gradcheck(lambda: ops.add(ops.add(a, b), a), [a, b])
 
 
 def test_add_shape_mismatch_raises():
@@ -663,7 +746,7 @@ def test_forward_determinism_bit_identical():
 
     def run():
         out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1)
-        return ops.softmax(ops.token_mean(ops.reshape(out, (2, 256, 4)))).data
+        return ops.token_mean(ops.attention(out, out, out, 2)).data
 
     r1, r2 = run(), run()
     assert np.array_equal(r1, r2)
@@ -689,11 +772,11 @@ def test_five_random_instances_per_op_gradcheck():
         gn = t64(np.ones(5) + 0.05 * rng.standard_normal(5))
         bn = t64(0.05 * rng.standard_normal(5))
         assert_gradcheck(lambda: ops.layer_norm(xn, gn, bn), [xn, gn, bn])
-        xs = rand64(rng, 3, 4)
-        assert_gradcheck(lambda: ops.softmax(xs), [xs])
+        qa, ka, va = rand64(rng, 1, 2, 2, 4), rand64(rng, 1, 2, 1, 4), rand64(rng, 1, 2, 1, 4)
+        assert_gradcheck(lambda: ops.attention(qa, ka, va, 2), [qa, ka, va])
         xg = rand64(rng, 2, 6)
         assert_gradcheck(lambda: ops.gelu(xg), [xg])
-        xp = rand64(rng, 2, 9, 2)
+        xp = rand64(rng, 2, 3, 3, 2)
         assert_gradcheck(lambda: ops.token_mean(xp), [xp])
         xu = t64(rng.standard_normal((3, 8)) + 0.2)
         assert_gradcheck(lambda: ops.l2_normalize(xu), [xu])

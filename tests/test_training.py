@@ -3,22 +3,19 @@
 import numpy as np
 import pytest
 
-from litematch import cli, dataset, ops, training
+from litematch import cli, dataset, training
 from litematch.checkpoint import build_checkpoint, load_checkpoint, model_from_checkpoint, save_checkpoint
 from litematch.config import RunConfig
 from litematch.errors import ConfigError, TrainingError
 from litematch.model import ModelConfig, init_model
-from litematch.tensor import SGD
+from litematch.tensor import SGD, Tensor
 
 
 def test_train_step_non_finite_loss_leaves_parameters(monkeypatch):
     model = init_model(ModelConfig(input_size=32), seed=0)
     opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
     before = {n: p.data.copy() for n, p in model.params.items()}
-    real_loss = training.triplet_loss
-    monkeypatch.setattr(
-        training, "triplet_loss", lambda desc, mode: ops.scale(real_loss(desc, mode), np.nan)
-    )
+    monkeypatch.setattr(training, "triplet_loss", lambda desc, mode: Tensor(np.nan))
     batch = np.random.default_rng(1).random((6, 1, 32, 32)).astype(np.float32)
     with pytest.raises(TrainingError, match="non-finite loss"):
         training.train_step(model, opt, batch, "corrected")
@@ -47,6 +44,24 @@ def test_train_stops_on_nan_weight_in_resumed_model(tmp_path):
     with pytest.raises(TrainingError, match="epoch 2 step 3"):
         training.train(cfg, data, out, resume=poisoned, echo=False)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_resume_at_or_past_the_requested_epochs_raises_before_writing(tmp_path, epochs):
+    data = tmp_path / "data"
+    argv = ["gen-data", "--synthetic", "--out", str(data), "--pairs", "1", "--triplets", "4",
+            "--seed", "3", "--set", "input_size=32", "--set", "synth_size=256"]
+    assert cli.main(argv) == 0
+    cfg = RunConfig(input_size=32, batch_size=2, epochs=2, checkpoint_every=0, seed=3).validate()
+    first = tmp_path / "first.ckpt"
+    training.train(cfg, data, first, echo=False)
+
+    cfg.epochs = epochs
+    out_dir = tmp_path / "resumed"
+    out_dir.mkdir()
+    with pytest.raises(ConfigError, match=f"sets epochs={epochs} but the checkpoint .* at epoch 2,"):
+        training.train(cfg, data, out_dir / "model.ckpt", resume=first, log_path=out_dir / "log.tsv", echo=False)
+    assert not list(out_dir.iterdir())
 
 
 def test_train_reads_each_pair_image_once(tmp_path, monkeypatch):
