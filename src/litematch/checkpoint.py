@@ -9,8 +9,11 @@ keys are ``format_version`` (1), ``stages`` (per stage
 and ``run.<field>`` for every RunConfig field. Loading validates each of
 them, the ``run.*`` values together under ``RunConfig.validate`` and
 against the model's size and descriptor width, and skips other keys, such
-as the input channel count older files carry. Saving a loaded checkpoint
-reproduces the file byte for byte.
+as the input channel count older files carry, and the ``run.*`` keys of
+the retired settings in ``RETIRED_RUN_KEYS`` whatever their value (a
+checkpoint trained under the literal LT loss resumes under the one that
+remains). Saving a loaded checkpoint reproduces the file byte for byte,
+less the skipped lines.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .model import Model, ModelConfig, StageConfig, describe_shapes
 from .tensor import Tensor
 
 MAGIC = b"LMCHECKPOINT 1"
+RETIRED_RUN_KEYS = ("loss_mode", "use_scale", "use_rotate", "use_translate")
 
 
 @dataclass
@@ -126,6 +130,8 @@ def _parse(buf: bytes) -> Checkpoint:
     )
     step, epoch, final_loss = int(meta["step"]), int(meta["epoch"]), float(meta["final_loss"])
     run_meta = {key[4:]: value for key, value in meta.items() if key.startswith("run.")}
+    for key in RETIRED_RUN_KEYS:
+        run_meta.pop(key, None)
     run = apply_overrides(RunConfig(), run_meta).validate()
     if (run.input_size, run.descriptor_dim) != (config.input_size, config.descriptor_dim):
         raise ValueError("run.input_size or run.descriptor_dim differs from the model's")

@@ -31,7 +31,7 @@ from .matching import annotate_matches, score, write_matches
 from .model import Model
 from .patch import required_margin
 from .pipeline import enhance, evaluate_pair, evaluation_table, match_images
-from .training import check_model_config, select_records, train
+from .training import check_model_config, model_config_for, select_records, train
 
 
 def _add_shared(parser: argparse.ArgumentParser) -> None:
@@ -78,6 +78,7 @@ def _load_model(args: argparse.Namespace) -> tuple[Model, RunConfig]:
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _build_config(args, RunConfig())
+    model_config_for(cfg)  # refuses a patch size or width no model can train on
     out_dir = Path(args.out)
     if args.from_pairs is not None:
         # from --pairs, --set or --config alike
@@ -103,6 +104,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
             synth_pair(cfg.seed + i, size=cfg.synth_size, name=f"pair{i:04d}")
             for i in range(cfg.pairs)
         ]
+    if cfg.triplets < len(pairs):
+        raise ConfigError(f"triplets={cfg.triplets} is fewer than the {len(pairs)} pairs")
     margin = required_margin(cfg.window, cfg.input_size)
     per_pair = [cfg.triplets // len(pairs)] * len(pairs)
     for i in range(cfg.triplets % len(pairs)):
@@ -119,7 +122,6 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
             seed=cfg.seed,
             window=cfg.window,
             out_size=cfg.input_size,
-            kinds=cfg.transform_kinds(),
         )
     manifest = DatasetManifest(
         seed=cfg.seed,

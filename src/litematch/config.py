@@ -1,4 +1,8 @@
-"""Run configuration: defaults, flat key=value files, CLI overrides."""
+"""Run configuration: defaults, flat key=value files, CLI overrides.
+
+Unknown keys are refused, the retired ``loss_mode`` and ``use_*`` switches
+too; only checkpoint loading skips those (``checkpoint.RETIRED_RUN_KEYS``).
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .loss import LOSS_MODES
 
 
 @dataclass
@@ -22,7 +25,6 @@ class RunConfig:
     momentum: float = 0.9
     batch_size: int = 256
     epochs: int = 50
-    loss_mode: str = "corrected"
     # dataset construction
     triplets: int = 10000
     pairs: int = 4
@@ -31,9 +33,6 @@ class RunConfig:
     clahe_clip: float = 2.0
     clahe_grid: int = 8
     max_keypoints: int = 300
-    use_scale: bool = True
-    use_rotate: bool = True
-    use_translate: bool = True
     split_ratio: float = 0.8
     # matcher
     threshold: float = 0.5
@@ -42,16 +41,6 @@ class RunConfig:
     # bookkeeping
     seed: int = 0
     checkpoint_every: int = 10
-
-    def transform_kinds(self) -> tuple[str, ...]:
-        kinds = ["identity"]
-        if self.use_scale:
-            kinds.append("scale")
-        if self.use_rotate:
-            kinds.append("rotate")
-        if self.use_translate:
-            kinds.append("translate")
-        return tuple(kinds)
 
     def validate(self) -> "RunConfig":
         # written so that NaN, which fails every comparison, is refused too
@@ -67,8 +56,6 @@ class RunConfig:
         for name in ("window", "input_size"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be at least 2, got {getattr(self, name)}")
-        if self.loss_mode not in LOSS_MODES:
-            raise ConfigError(f"unknown loss_mode {self.loss_mode!r}; expected one of {LOSS_MODES}")
         if not 0 < self.split_ratio < 1:
             raise ConfigError("split_ratio must lie in (0, 1)")
         return self

@@ -250,8 +250,8 @@ def synth_pair(seed: int, size: int = 512, name: "str | None" = None) -> Aligned
 # --------------------------------------------------------- triplet building
 
 
-def _sample_transform(rng: np.random.Generator, kinds: tuple[str, ...]) -> PatchTransform:
-    kind = kinds[int(rng.integers(len(kinds)))]
+def _sample_transform(rng: np.random.Generator) -> PatchTransform:
+    kind = TRANSFORM_KINDS[int(rng.integers(len(TRANSFORM_KINDS)))]
     if kind == "identity":
         return PatchTransform()
     if kind == "scale":
@@ -292,7 +292,6 @@ def build_triplets(
     seed: int,
     window: int = DEFAULT_WINDOW,
     out_size: int = DEFAULT_OUT_SIZE,
-    kinds: tuple[str, ...] = TRANSFORM_KINDS,
 ) -> list[TripletRecord]:
     """Sample ``count`` triplet records from one registered pair.
 
@@ -312,8 +311,6 @@ def build_triplets(
         raise DatasetError(f"triplet count must be >= 1, got {count}")
     if len(keypoints) < 2:
         raise DatasetError(f"pair {pair.name}: need at least 2 valid keypoints")
-    if not kinds:
-        raise DatasetError("at least one transform kind must be enabled")
     coords = np.array([[kp.x, kp.y] for kp in keypoints])
     margin = required_margin(window, out_size)
     height, width = pair.visible.pixels.shape
@@ -336,7 +333,7 @@ def build_triplets(
     for i in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         a_idx = usable[int(rng.integers(len(usable)))]
-        transform = _sample_transform(rng, kinds)
+        transform = _sample_transform(rng)
         candidates = np.flatnonzero(far_enough[a_idx])
         n_idx = int(candidates[int(rng.integers(len(candidates)))])
         akp = keypoints[a_idx]

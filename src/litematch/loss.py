@@ -4,32 +4,28 @@
 training batch, anchors then positives then negatives, and records one
 tape entry. The margin adapts per triplet to half the sum of the positive
 and negative distances and is a plain array, so no gradient flows through
-it. The default "corrected" mode is the hinge max(d+ - d- + M, 0); the
-"literal" mode max(d+ + d- - M, 0) is kept for comparison runs even though
-it algebraically collapses to (d+ + d-)/2 and therefore rewards shrinking
-every distance.
+it. The hinge is max(d+ - d- + M, 0). The paper's formula as printed,
+max(d+ + d- - M, 0), is not offered: with M = (d+ + d-)/2 it equals
+(d+ + d-)/2, which keeps every triplet active and is minimised by sending
+every descriptor to one point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .tensor import Tensor, record
 
-LOSS_MODES = ("corrected", "literal")
 
-
-def triplet_loss(desc: Tensor, mode: str = "corrected") -> Tensor:
+def triplet_loss(desc: Tensor) -> Tensor:
     """Mean adaptive-margin triplet loss of stacked [anchors; positives; negatives] rows.
 
-    corrected: mean(max(d+ - d- + M, 0)); literal: mean(max(d+ + d- - M, 0)),
-    with M = (d+ + d-)/2 held constant w.r.t. gradients. A distance of zero
-    gets a zero gradient: the backward pass clamps the denominator of the
-    square root's derivative at 1e-12, and the difference it scales is zero.
+    mean(max(d+ - d- + M, 0)) with M = (d+ + d-)/2 held constant w.r.t.
+    gradients. A distance of zero gets a zero gradient: the backward pass
+    clamps the denominator of the square root's derivative at 1e-12, and
+    the difference it scales is zero.
     """
-    if mode not in LOSS_MODES:
-        raise ConfigError(f"unknown loss mode {mode!r}; expected one of {LOSS_MODES}")
     if desc.ndim != 2 or desc.shape[0] == 0 or desc.shape[0] % 3:
         raise DimensionError(
             f"triplet_loss expects [3B, D] descriptors with B >= 1, got shape {desc.shape}"
@@ -40,14 +36,14 @@ def triplet_loss(desc: Tensor, mode: str = "corrected") -> Tensor:
     d_pos = np.sqrt((diff_pos * diff_pos).sum(axis=-1))
     d_neg = np.sqrt((diff_neg * diff_neg).sum(axis=-1))
     margin = (d_pos + d_neg) * 0.5
-    hinge = (d_pos - d_neg) + margin if mode == "corrected" else (d_pos + d_neg) - margin
+    hinge = (d_pos - d_neg) + margin
     out = Tensor._wrap(np.asarray(np.maximum(hinge, 0.0).mean(), dtype=desc.dtype))
 
     def grad_fn(g):
         b = hinge.shape[0]
         w = np.full(b, float(g) / b, dtype=g.dtype) * (hinge > 0)
         t_pos = w / (2.0 * np.maximum(d_pos, 1e-12))
-        t_neg = (-w if mode == "corrected" else w) / (2.0 * np.maximum(d_neg, 1e-12))
+        t_neg = -w / (2.0 * np.maximum(d_neg, 1e-12))
         g_pos = t_pos[:, None] * diff_pos
         g_pos += g_pos
         g_neg = t_neg[:, None] * diff_neg

@@ -91,6 +91,11 @@ class ModelConfig:
                 raise ConfigError(
                     f"stage {i}: channels {st.channels} not divisible by heads {st.heads}"
                 )
+            # ops.attention rounds equal query rows by position at widths 1 and 2
+            if (width := st.channels // st.heads) < 4:
+                raise ConfigError(
+                    f"stage {i}: head width {width} (channels/heads) must be at least 4"
+                )
             spatial //= st.stride
             if st.reduction < 1 or spatial % st.reduction != 0:
                 raise ConfigError(

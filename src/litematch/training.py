@@ -110,11 +110,15 @@ class TripletSource:
 def train_step(model: Model, opt: SGD, batch_data: np.ndarray, loss_mode: str) -> float:
     """One SGD update over a stacked anchor/positive/negative array.
 
-    Raises :class:`TrainingError` on a non-finite loss, before the backward
-    pass, so the parameters and the optimizer state stay as they were.
+    ``loss_mode`` must be ``"corrected"`` (else :class:`ConfigError`): it stays
+    for the benchmark's wrapper of this signature, and ROADMAP item 2 removes
+    both. Raises :class:`TrainingError` on a non-finite loss, before the
+    backward pass, so the parameters and the optimizer state stay as they were.
     """
+    if loss_mode != "corrected":
+        raise ConfigError(f"unknown loss mode {loss_mode!r}; the LT loss is 'corrected'")
     with Tape() as tape:
-        loss = triplet_loss(forward(model, Tensor(batch_data)), loss_mode)
+        loss = triplet_loss(forward(model, Tensor(batch_data)))
     value = loss.item()
     if not math.isfinite(value):
         raise TrainingError(f"non-finite loss {value}")
@@ -188,7 +192,7 @@ def train(
         for lo in range(0, n, cfg.batch_size):
             batch = source.batch_arrays(order[lo : lo + cfg.batch_size])
             try:
-                losses.append(train_step(model, opt, batch, cfg.loss_mode))
+                losses.append(train_step(model, opt, batch, "corrected"))
             except (TrainingError, DegenerateDescriptorError) as exc:
                 raise TrainingError(
                     f"epoch {epoch} step {step + 1}: {exc}; stopped before the update"

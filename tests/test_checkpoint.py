@@ -125,6 +125,8 @@ BAD_METADATA = [
     ("run.input_size", b"run.input_size=64"),
     ("format_version", b"format_version=2"),
     ("stages", b"stages=4,16,8,1,8,2"),
+    # stage 1 at 8 heads of width 2, which ModelConfig refuses
+    ("stages", b"stages=4,16,8,8,8,2;2,32,4,2,8,2;2,64,2,4,4,2;2,128,1,8,8,2"),
 ]
 BAD_METADATA_IDS = [(line or b"no-" + key.encode()).decode() for key, line in BAD_METADATA]
 
@@ -175,6 +177,24 @@ def test_file_with_an_input_channels_line_loads_the_same(saved):
     assert resaved.read_bytes() == buf
 
 
+@pytest.mark.parametrize("loss_mode, use", [(b"corrected", b"True"), (b"literal", b"False")])
+def test_file_with_the_retired_run_lines_loads_the_same(saved, loss_mode, use):
+    # files written while RunConfig had loss_mode and the three transform
+    # switches carry these lines where the fields stood; they load to the same
+    # values whatever they say and are not written back
+    folder, buf = saved
+    legacy, resaved = folder / "legacy.ckpt", folder / "resaved.ckpt"
+    switches = b"".join(b"\nrun.use_%s=%s" % (kind, use) for kind in (b"scale", b"rotate", b"translate"))
+    old_format = buf.replace(b"\nrun.triplets=", b"\nrun.loss_mode=" + loss_mode + b"\nrun.triplets=", 1)
+    old_format = old_format.replace(b"\nrun.split_ratio=", switches + b"\nrun.split_ratio=", 1)
+    assert old_format.count(b"\nrun.") == buf.count(b"\nrun.") + 4
+    legacy.write_bytes(old_format)
+    ckpt = load_checkpoint(legacy)
+    assert ckpt.run == load_checkpoint(folder / "valid.ckpt").run
+    save_checkpoint(resaved, ckpt)
+    assert resaved.read_bytes() == buf
+
+
 def test_walk_init_and_blob_orders_agree(saved):
     folder, _ = saved
     ckpt = load_checkpoint(folder / "valid.ckpt")
@@ -185,11 +205,11 @@ def test_walk_init_and_blob_orders_agree(saved):
 
 def test_run_values_saved_in_the_canonical_form_of_their_type(tmp_path):
     model = init_model(ModelConfig(input_size=32), seed=0)
-    run = RunConfig(input_size=32, eps=5, lr=1, momentum=0, use_scale=0)
+    run = RunConfig(input_size=32, eps=5, lr=1, momentum=0, mutual=0)
     path, again = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(path, build_checkpoint(model, run, 3, 1, 2))
     buf = path.read_bytes()
-    for line in (b"run.eps=5.0", b"run.lr=1.0", b"run.momentum=0.0", b"run.use_scale=False",
+    for line in (b"run.eps=5.0", b"run.lr=1.0", b"run.momentum=0.0", b"run.mutual=False",
                  b"final_loss=2.0"):
         assert b"\n" + line + b"\n" in buf
     save_checkpoint(again, load_checkpoint(path))

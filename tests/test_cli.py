@@ -1,5 +1,7 @@
 """The command line: one validated config path, no import-time side effects."""
 
+import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,11 +13,10 @@ import pytest
 
 import litematch
 from litematch import cli
-from litematch.checkpoint import build_checkpoint, save_checkpoint
-from litematch.config import RunConfig
+from litematch.checkpoint import RETIRED_RUN_KEYS, build_checkpoint, save_checkpoint
+from litematch.config import RunConfig, apply_overrides
 from litematch.errors import ConfigError
 from litematch.image import GrayImage, save_pgm
-from litematch.loss import LOSS_MODES
 from litematch.model import init_model
 from litematch.training import model_config_for
 
@@ -94,6 +95,41 @@ def test_gen_data_refuses_sizes_the_sampler_cannot_take(tmp_path, capsys, settin
     assert cli.main(["gen-data", "--synthetic", "--out", str(out), "--set", setting]) == 1
     key, value = setting.split("=")
     assert f"error: {key} must be at least 2, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("input_size=48", "input_size 48 must be divisible by 32"),
+        ("descriptor_dim=96", "descriptor_dim must be one of (64, 128, 256), got 96"),
+    ],
+    ids=["input_size", "descriptor_dim"],
+)
+def test_gen_data_refuses_settings_no_model_can_train_on(tmp_path, capsys, setting, message):
+    out = tmp_path / "data"
+    argv = ["gen-data", "--synthetic", "--out", str(out), "--pairs", "1", "--triplets", "2",
+            "--set", "synth_size=256", "--set", setting]
+    assert cli.main(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["synthetic", "from-pairs"])
+def test_gen_data_refuses_fewer_triplets_than_pairs(files, tmp_path, capsys, source):
+    if source == "synthetic":
+        argv = ["gen-data", "--synthetic", "--pairs", "3"]
+    else:
+        pairs = tmp_path / "pairs"
+        pairs.mkdir()
+        for name in ("p0", "p1", "p2"):
+            for side in ("vis", "nir"):
+                (pairs / f"{name}_{side}.pgm").write_bytes((files / "a.pgm").read_bytes())
+        argv = ["gen-data", "--from-pairs", str(pairs)]
+    out = tmp_path / "data"
+    argv += ["--out", str(out), "--triplets", "2", "--set", "input_size=32", "--set", "synth_size=256"]
+    assert cli.main(argv) == 1
+    assert "error: triplets=2 is fewer than the 3 pairs" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -185,11 +221,30 @@ def test_model_overrides_must_match_the_checkpoint(files, tmp_path, capsys, comm
     assert not list(tmp_path.iterdir())
 
 
-def test_run_config_validates_loss_mode_against_loss_modes():
-    for mode in LOSS_MODES:
-        assert RunConfig(loss_mode=mode).validate().loss_mode == mode
-    with pytest.raises(ConfigError, match=r"unknown loss_mode 'fixed'; expected one of \('corrected', 'literal'\)"):
-        RunConfig(loss_mode="fixed").validate()
+def test_retired_run_keys_are_unknown_config_keys(tmp_path, capsys):
+    # only checkpoint loading skips them; a config file or --set names them as unknown
+    assert set(RETIRED_RUN_KEYS) == {"loss_mode", "use_scale", "use_rotate", "use_translate"}
+    for key in RETIRED_RUN_KEYS:
+        with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+            apply_overrides(RunConfig(), {key: "1"})
+    out = tmp_path / "data"
+    assert cli.main(["gen-data", "--synthetic", "--out", str(out), "--set", "loss_mode=literal"]) == 1
+    assert "error: unknown config key 'loss_mode'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_run_config_field_is_read_by_library_code():
+    # a field that only config.py names is a setting no run can act on
+    names = set()
+    for path in Path(litematch.__file__).parent.glob("*.py"):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    assert [f.name for f in dataclasses.fields(RunConfig) if f.name not in names] == []
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])

@@ -1,12 +1,12 @@
 """LT loss on stacked [anchors; positives; negatives] rows: margin arithmetic,
-both modes, shapes, and gradients with the margin held constant."""
+shapes, and gradients with the margin held constant."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litematch.errors import ConfigError, DimensionError
+from litematch.errors import DimensionError
 from litematch.loss import triplet_loss
 from litematch.tensor import Tape, Tensor, backward
 
@@ -49,8 +49,8 @@ def loop_distances(desc):
     return np.array(d_pos), np.array(d_neg)
 
 
-def loss_value(desc, mode):
-    return triplet_loss(Tensor(desc, dtype=np.float64), mode).item()
+def loss_value(desc):
+    return triplet_loss(Tensor(desc, dtype=np.float64)).item()
 
 
 # -------------------------------------------------------------- distances
@@ -60,7 +60,7 @@ def test_distance_of_identical_rows_is_zero():
     row = np.random.default_rng(0).standard_normal(8).astype(np.float32)
     desc = Tensor(np.tile(row, (6, 1)), requires_grad=True)
     with Tape() as tape:
-        loss = triplet_loss(desc, "literal")
+        loss = triplet_loss(desc)
     backward(loss, tape)
     assert loss.item() == 0.0
     assert np.all(np.isfinite(desc.grad)) and not np.any(desc.grad)
@@ -70,12 +70,11 @@ def test_distance_orthogonal_unit_rows():
     # anchor e0, positive e1, negative e0: d+ = sqrt(2), d- = 0, M = sqrt(2)/2
     desc = np.zeros((3, 5), dtype=np.float32)
     desc[0, 0] = desc[1, 1] = desc[2, 0] = 1.0
-    literal = triplet_loss(Tensor(desc), "literal")
-    assert literal.dtype == np.float32
-    np.testing.assert_allclose(literal.item(), np.sqrt(2.0) / 2.0, rtol=1e-6)
-    np.testing.assert_allclose(
-        triplet_loss(Tensor(desc), "corrected").item(), 1.5 * np.sqrt(2.0), rtol=1e-6
-    )
+    loss = triplet_loss(Tensor(desc))
+    assert loss.dtype == np.float32
+    np.testing.assert_allclose(loss.item(), 1.5 * np.sqrt(2.0), rtol=1e-6)
+    # and with the roles swapped, d+ = 0 and d- = sqrt(2): the hinge is -sqrt(2)/2
+    assert triplet_loss(Tensor(desc[[0, 2, 1]])).item() == 0.0
 
 
 def test_distance_matches_scalar_loop_reference():
@@ -83,89 +82,68 @@ def test_distance_matches_scalar_loop_reference():
     d_pos, d_neg = loop_distances(desc)
     margin = (d_pos + d_neg) / 2.0
     corrected = np.mean(np.maximum(d_pos - d_neg + margin, 0.0))
-    np.testing.assert_allclose(loss_value(desc, "corrected"), corrected, rtol=0, atol=1e-12)
-    literal = np.mean(np.maximum(d_pos + d_neg - margin, 0.0))
-    np.testing.assert_allclose(loss_value(desc, "literal"), literal, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(loss_value(desc), corrected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(0, 8), (4, 8), (9,)], ids=["no-rows", "not-three-blocks", "1-d"])
 def test_descriptor_shape_raises_dimension_error(shape):
     with pytest.raises(DimensionError, match="triplet_loss expects \\[3B, D\\]"):
-        triplet_loss(Tensor(np.ones(shape)), "corrected")
+        triplet_loss(Tensor(np.ones(shape)))
 
 
 # ----------------------------------------------------------------- margin
-# M = (d+ + d-)/2 is read off the loss: at d+ = d- the corrected hinge is M,
-# and the literal hinge is d+ + d- - M whenever that is positive.
+# M = (d+ + d-)/2 is read off the loss: at d+ = d- the hinge is M, and at
+# d- = 0 it is d+ + M.
 
 
 def test_margin_symmetric_case():
     desc = unit_rows_at_distances(1.0, 1.0)
-    np.testing.assert_allclose(triplet_loss(desc, "corrected").item(), 1.0, atol=1e-9)
+    np.testing.assert_allclose(triplet_loss(desc).item(), 1.0, atol=1e-9)
 
 
 def test_margin_zero_pos_two_neg():
-    desc = unit_rows_at_distances(0.0, 2.0)
-    np.testing.assert_allclose(triplet_loss(desc, "literal").item(), 2.0 - 1.0, atol=1e-9)
+    # d+ = 0, d- = 2: M = 1, hinge 0 - 2 + 1 < 0
+    assert triplet_loss(unit_rows_at_distances(0.0, 2.0)).item() == 0.0
+    # the roles swapped (the negative is the anchor): M = 1, hinge 2 - 0 + 1
+    np.testing.assert_allclose(triplet_loss(unit_rows_at_distances(2.0, 0.0)).item(), 3.0, atol=1e-9)
 
 
-# ------------------------------------------------------------- loss modes
+# ------------------------------------------------------------------ hinge
 
 
-def test_loss_worked_example_both_modes():
+def test_loss_worked_example():
+    # d+ = 1, d- = 2: M = 1.5, hinge 1 - 2 + 1.5
     desc = unit_rows_at_distances(1.0, 2.0)
-    np.testing.assert_allclose(triplet_loss(desc, "corrected").item(), 0.5, atol=1e-7)
-    np.testing.assert_allclose(triplet_loss(desc, "literal").item(), 1.5, atol=1e-7)
+    np.testing.assert_allclose(triplet_loss(desc).item(), 0.5, atol=1e-7)
 
 
 def test_loss_zero_when_anchor_equals_positive():
     desc = unit_rows_at_distances(0.0, 1.3)
-    np.testing.assert_allclose(triplet_loss(desc, "corrected").item(), 0.0, atol=1e-9)
+    np.testing.assert_allclose(triplet_loss(desc).item(), 0.0, atol=1e-9)
 
 
 def test_corrected_zero_iff_neg_at_least_three_pos():
     easy = unit_rows_at_distances(0.3, 0.95)  # 3 d+ = 0.9 <= d-
-    assert triplet_loss(easy, "corrected").item() == 0.0
+    assert triplet_loss(easy).item() == 0.0
     hard = unit_rows_at_distances(0.3, 0.85)  # 3 d+ = 0.9 > d-
-    assert triplet_loss(hard, "corrected").item() > 0.0
-
-
-def test_unknown_mode_rejected():
-    desc = Tensor(rand_desc(0))
-    with pytest.raises(ValueError):
-        triplet_loss(desc, mode="fixed")
-    with pytest.raises(ConfigError, match="unknown loss mode 'fixed'"):
-        triplet_loss(desc, mode="fixed")
+    assert triplet_loss(hard).item() > 0.0
 
 
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
-def test_loss_nonnegative_both_modes(seed):
-    desc = rand_desc(seed)
-    assert loss_value(desc, "corrected") >= 0.0
-    assert loss_value(desc, "literal") >= 0.0
-
-
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=30, deadline=None)
-def test_literal_mode_equals_half_distance_sum(seed):
-    desc = rand_desc(seed)
-    a, p, n = np.split(desc, 3)
-    d_pos = np.linalg.norm(a - p, axis=1)
-    d_neg = np.linalg.norm(a - n, axis=1)
-    half_sum = np.mean((d_pos + d_neg) / 2.0)
-    np.testing.assert_allclose(loss_value(desc, "literal"), half_sum, atol=1e-6)
+def test_loss_nonnegative(seed):
+    assert loss_value(rand_desc(seed)) >= 0.0
 
 
 def test_corrected_monotonic_in_distances():
     # non-decreasing in d+ at fixed d-; non-increasing in d- at fixed d+
     losses_dpos = [
-        triplet_loss(unit_rows_at_distances(dp, 1.0), "corrected").item()
+        triplet_loss(unit_rows_at_distances(dp, 1.0)).item()
         for dp in np.linspace(0.05, 1.2, 12)
     ]
     assert all(b >= a - 1e-9 for a, b in zip(losses_dpos, losses_dpos[1:]))
     losses_dneg = [
-        triplet_loss(unit_rows_at_distances(0.6, dn), "corrected").item()
+        triplet_loss(unit_rows_at_distances(0.6, dn)).item()
         for dn in np.linspace(0.2, 1.9, 12)
     ]
     assert all(b <= a + 1e-9 for a, b in zip(losses_dneg, losses_dneg[1:]))
@@ -178,16 +156,13 @@ def test_loss_invariant_under_batch_permutation(seed):
     perm = np.random.default_rng(seed + 1).permutation(9)
     # the same triplet order in each of the three blocks
     shuffled = desc[np.concatenate([perm, perm + 9, perm + 18])]
-    for mode in ("corrected", "literal"):
-        np.testing.assert_allclose(
-            loss_value(desc, mode), loss_value(shuffled, mode), rtol=0, atol=1e-12
-        )
+    np.testing.assert_allclose(loss_value(desc), loss_value(shuffled), rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------- margin carries no gradient
 
 
-def frozen_margin_reference_grad(desc, mode, eps=1e-4):
+def frozen_margin_reference_grad(desc, eps=1e-4):
     """Central differences of the loss over every one of the 3B rows, with
     the margin pinned at its base-point value; independent of the engine's
     backward rules."""
@@ -200,8 +175,7 @@ def frozen_margin_reference_grad(desc, mode, eps=1e-4):
 
     def loss_at(x):
         d_pos, d_neg = distances(x)
-        hinge = d_pos - d_neg + m0 if mode == "corrected" else d_pos + d_neg - m0
-        return np.mean(np.maximum(hinge, 0.0))
+        return np.mean(np.maximum(d_pos - d_neg + m0, 0.0))
 
     grad = np.zeros_like(desc)
     for idx in np.ndindex(*desc.shape):
@@ -214,33 +188,44 @@ def frozen_margin_reference_grad(desc, mode, eps=1e-4):
     return grad
 
 
-def grad_of(desc, mode):
+def grad_of(desc):
     t = Tensor(desc.copy(), requires_grad=True, dtype=desc.dtype)
     with Tape() as tape:
-        loss = triplet_loss(t, mode)
+        loss = triplet_loss(t)
     backward(loss, tape)
     return t.grad
 
 
 def test_margin_frozen_in_gradient():
     desc = rand_desc(42, b=4, d=6)
-    for mode in ("corrected", "literal"):
-        grad = grad_of(desc, mode)
-        assert grad.shape == desc.shape
-        ref = frozen_margin_reference_grad(desc, mode)
-        np.testing.assert_allclose(grad, ref, rtol=1e-3, atol=1e-6, err_msg=mode)
-        # not vacuous: every block of rows gets some gradient
-        assert all(np.any(block) for block in np.split(grad, 3)), mode
+    grad = grad_of(desc)
+    assert grad.shape == desc.shape
+    np.testing.assert_allclose(grad, frozen_margin_reference_grad(desc), rtol=1e-3, atol=1e-6)
+    # not vacuous: every block of rows gets some gradient
+    assert all(np.any(block) for block in np.split(grad, 3))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_zero_positive_distance_gives_finite_zero_gradient_rows(dtype):
+    # d+ = 0 gives the hinge -d-/2 < 0: the triplet is inactive, and its
+    # weight 0 over the clamped d+ keeps its three rows at exactly zero
     desc = rand_desc(5, b=3, d=8).astype(dtype)
     desc[3] = desc[0]  # triplet 0 has d+ = 0
-    for mode in ("corrected", "literal"):
-        grad = grad_of(desc, mode)
-        assert grad.dtype == dtype and np.all(np.isfinite(grad))
-        assert not np.any(grad[3]), mode  # the positive row
-    # corrected: d+ = 0 gives the hinge -d-/2 < 0, so all three rows of the triplet are zero
-    grad = grad_of(desc, "corrected")
+    grad = grad_of(desc)
+    assert grad.dtype == dtype and np.all(np.isfinite(grad))
     assert not np.any(grad[[0, 3, 6]])
+    assert np.any(grad[[1, 4, 7]]) or np.any(grad[[2, 5, 8]])  # some triplet is active
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_zero_negative_distance_gives_finite_gradients_and_zero_negative_row(dtype):
+    # d- = 0 gives the hinge 1.5 d+ > 0: an active triplet whose negative
+    # term divides by the clamped d- and scales a zero difference
+    desc = rand_desc(5, b=3, d=8).astype(dtype)
+    desc[6] = desc[0]  # triplet 0 has d- = 0
+    grad = grad_of(desc)
+    assert grad.dtype == dtype and np.all(np.isfinite(grad))
+    assert not np.any(grad[6])  # the negative row
+    assert np.any(grad[0]) and np.any(grad[3])  # the anchor and positive still move
+    # the anchor's gradient is the positive term alone: the negative adds nothing
+    np.testing.assert_array_equal(grad[0], -grad[3])

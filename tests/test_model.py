@@ -146,6 +146,20 @@ def test_invalid_configs_rejected():
         ModelConfig(stages=bad)  # channels not divisible by heads
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+@pytest.mark.parametrize("stage", [1, 4])
+def test_head_width_below_four_rejected(stage, width):
+    # ops.attention is not position-invariant at head widths 1 and 2
+    st = DEFAULT_STAGES[stage - 1]
+    stages = list(DEFAULT_STAGES)
+    stages[stage - 1] = StageConfig(st.stride, 8 * width, st.reduction, 8, st.mlp_ratio, st.depth)
+    if width >= 4:
+        assert ModelConfig(stages=tuple(stages)).stages[stage - 1].heads == 8
+        return
+    with pytest.raises(ConfigError, match=rf"^stage {stage}: head width {width} \(channels/heads\) must be at least 4$"):
+        ModelConfig(stages=tuple(stages))
+
+
 def test_forward_output_shape_and_unit_rows():
     m = init_model(ModelConfig(), seed=1)
     rng = np.random.default_rng(0)

@@ -15,10 +15,23 @@ def test_train_step_non_finite_loss_leaves_parameters(monkeypatch):
     model = init_model(ModelConfig(input_size=32), seed=0)
     opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
     before = {n: p.data.copy() for n, p in model.params.items()}
-    monkeypatch.setattr(training, "triplet_loss", lambda desc, mode: Tensor(np.nan))
+    monkeypatch.setattr(training, "triplet_loss", lambda desc: Tensor(np.nan))
     batch = np.random.default_rng(1).random((6, 1, 32, 32)).astype(np.float32)
     with pytest.raises(TrainingError, match="non-finite loss"):
         training.train_step(model, opt, batch, "corrected")
+    for name, p in model.params.items():
+        assert p.grad is None, name
+        assert np.array_equal(p.data, before[name]), name
+
+
+def test_train_step_refuses_any_loss_but_corrected():
+    model = init_model(ModelConfig(input_size=32), seed=0)
+    opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
+    before = {n: p.data.copy() for n, p in model.params.items()}
+    batch = np.random.default_rng(1).random((6, 1, 32, 32)).astype(np.float32)
+    for mode in ("literal", "fixed"):
+        with pytest.raises(ConfigError, match=f"^unknown loss mode '{mode}'; the LT loss is 'corrected'$"):
+            training.train_step(model, opt, batch, mode)
     for name, p in model.params.items():
         assert p.grad is None, name
         assert np.array_equal(p.data, before[name]), name
