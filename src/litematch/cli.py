@@ -138,12 +138,16 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    # the dataset's patch and enhancement settings are the defaults that
-    # --config and --set override; train() refuses any that disagree with it
-    m = load_manifest(args.data)
-    base = RunConfig(
-        window=m.window, input_size=m.out_size, clahe_clip=m.clahe_clip, clahe_grid=m.clahe_grid
-    )
+    # --config and --set override a resumed checkpoint's run config, as for
+    # match and evaluate, or else the dataset's patch and enhancement
+    # settings; train() refuses any that disagree with the dataset
+    if args.resume is not None:
+        base = load_checkpoint(args.resume).run
+    else:
+        m = load_manifest(args.data)
+        base = RunConfig(
+            window=m.window, input_size=m.out_size, clahe_clip=m.clahe_clip, clahe_grid=m.clahe_grid
+        )
     cfg = _build_config(args, base)
     log_path = args.log if args.log is not None else Path(args.out).with_suffix(".log.tsv")
     report = train(

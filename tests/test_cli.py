@@ -13,7 +13,7 @@ import pytest
 
 import litematch
 from litematch import cli
-from litematch.checkpoint import RETIRED_RUN_KEYS, build_checkpoint, save_checkpoint
+from litematch.checkpoint import RETIRED_RUN_KEYS, build_checkpoint, load_checkpoint, save_checkpoint
 from litematch.config import RunConfig, apply_overrides
 from litematch.errors import ConfigError
 from litematch.image import GrayImage, save_pgm
@@ -252,3 +252,21 @@ def test_every_run_config_field_is_read_by_library_code():
 def test_run_config_refuses_rates_and_radii_that_are_not_positive_and_finite(key, value):
     with pytest.raises(ConfigError, match=f"^{key} must be positive and finite, got {value}$"):
         RunConfig(**{key: value}).validate()
+
+
+def test_train_resume_keeps_the_checkpoints_run_values(tmp_path):
+    data, first, second, third = (tmp_path / n for n in ("data", "1.ckpt", "2.ckpt", "3.ckpt"))
+    assert cli.main(["gen-data", "--synthetic", "--out", str(data), "--pairs", "1", "--triplets", "64",
+                     "--set", "input_size=32", "--set", "synth_size=256"]) == 0
+    assert cli.main(["train", "--data", str(data), "--out", str(first), "--seed", "3", "--set", "epochs=1",
+                     "--set", "batch_size=32", "--set", "lr=0.01", "--set", "momentum=0.5"]) == 0
+    assert cli.main(["train", "--data", str(data), "--out", str(second), "--resume", str(first),
+                     "--set", "epochs=2"]) == 0
+    ckpt = load_checkpoint(second)
+    assert (ckpt.run.batch_size, ckpt.run.lr, ckpt.run.momentum, ckpt.run.seed) == (32, 0.01, 0.5, 3)
+    assert (ckpt.epoch, ckpt.step) == (2, 4)  # two steps of 32 in each epoch
+    # --set still overrides the resumed values
+    assert cli.main(["train", "--data", str(data), "--out", str(third), "--resume", str(second),
+                     "--set", "epochs=3", "--set", "lr=0.005"]) == 0
+    ckpt = load_checkpoint(third)
+    assert (ckpt.run.batch_size, ckpt.run.lr, ckpt.epoch, ckpt.step) == (32, 0.005, 3, 6)

@@ -1,5 +1,9 @@
 """DoG detector: blob localization, determinism, border filtering."""
 
+import functools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter, maximum_filter, minimum_filter
@@ -191,16 +195,19 @@ def _two_blobs():
     return np.clip(img.pixels.astype(np.float64) + weak, 0, 255).astype(np.uint8)
 
 
-def _noise(seed, size, block):
+def _noise(seed, size, block, width=None):
     """Uniform noise in ``block``-pixel squares: fine pixel noise blurs away."""
-    cells = np.random.default_rng(seed).random((size // block + 1,) * 2) * 255
-    return np.kron(cells, np.ones((block, block)))[:size, :size].astype(np.uint8)
+    width = size if width is None else width
+    cells = np.random.default_rng(seed).random((size // block + 1, width // block + 1)) * 255
+    return np.kron(cells, np.ones((block, block)))[:size, :width].astype(np.uint8)
 
 
 ORACLE_IMAGES = {
     "noise96": (_noise(11, 96, 3), 4),
     "noise128": (_noise(12, 128, 4), 8),
     "noise160": (_noise(13, 160, 2), 33),
+    # more than two blur chunks each way, with uneven tails, in octaves 0 and 1
+    "noise300x260": (_noise(16, 300, 3, width=260), 33),
     "two-blobs": (_two_blobs(), 33),
     "17px": (gaussian_blob(size=17, cx=8.3, cy=8.6, sigma=2.5).pixels, 1),
     "15px": (_noise(15, 15, 2), 1),
@@ -225,6 +232,9 @@ def test_oracle_images_exercise_the_detector():
         name: len(_oracle_detect(px, 10**6, margin)) for name, (px, margin) in ORACLE_IMAGES.items()
     }
     assert counts["noise128"] > 20 and counts["two-blobs"] == 2 and counts["17px"] == 1
+    px, margin = ORACLE_IMAGES["noise300x260"]
+    scales = [scale for _, _, scale, _ in _oracle_detect(px, 10**6, margin)]
+    assert min(px.shape) // 2 > detector.BLUR_CHUNK and any(scale > 2 * 1.6 for scale in scales)
     assert counts["15px"] == 0 and counts["constant"] == 0
 
 
@@ -247,3 +257,118 @@ def test_singular_candidates_are_dropped_like_the_oracle():
     assert plateau.size == 48
     assert detector._refine(dogs, plateau).shape == (4, 0)
     assert detector._refine(dogs, cand[:0]).shape == (4, 0)
+
+
+# ---------------------------------------------------------------- blur
+
+
+@pytest.mark.parametrize("sigma", [1.6, 3.09])
+@pytest.mark.parametrize(
+    "shape, strided",
+    [
+        ((301, 389), False),  # uneven tail chunks both ways
+        ((301, 389), True),  # the octave-base view of it
+        ((128, 128), False),  # exactly one chunk
+        ((256, 256), True),  # one chunk, from a strided view
+        ((256, 257), True),  # a one-column tail chunk
+        ((77, 100), False),  # less than one chunk
+        ((1, 300), False),
+    ],
+)
+def test_blur_equals_gaussian_filter(shape, strided, sigma):
+    img = np.random.default_rng(5).random(shape, dtype=np.float32)
+    if strided:
+        img = img[::2, ::2]
+    out = detector._blur(img, sigma)
+    assert out.dtype == np.float32 and out.flags.c_contiguous
+    assert np.array_equal(out, gaussian_filter(img, sigma))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A fresh helper pool, as on a two-CPU host, shut down afterwards."""
+    monkeypatch.setattr(detector.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(detector, "_helpers", functools.cache(detector._helpers.__wrapped__))
+    pool, count = detector._helpers()
+    assert count == 1
+    yield pool
+    pool.shutdown()
+
+
+def test_blur_does_not_wait_for_a_helper_that_has_not_started(two_cpus):
+    started, release = threading.Event(), threading.Event()
+
+    def occupy():
+        started.set()
+        release.wait(timeout=60)
+
+    blocker = two_cpus.submit(occupy)  # holds the only helper
+    assert started.wait(timeout=60)
+    img = np.random.default_rng(6).random((300, 260), dtype=np.float32)
+    try:
+        out = detector._blur(img, 1.6)
+        # it returned while the helper was still held, so its task was cancelled
+        assert not blocker.done()
+    finally:
+        release.set()
+    blocker.result(timeout=60)
+    assert np.array_equal(out, gaussian_filter(img, 1.6))
+
+
+def test_blur_waits_for_a_helper_that_has_started(two_cpus, monkeypatch):
+    helper_started = {0: threading.Event(), 1: threading.Event()}  # by pass axis
+    helper_calls = []
+    scipy_filter = detector.gaussian_filter1d
+
+    def slow_helper(src, sigma, axis, order, out):
+        if threading.current_thread() is not threading.main_thread():
+            helper_started[axis].set()
+            threading.Event().wait(0.2)  # still busy when the caller runs out of chunks
+            helper_calls.append(axis)
+        else:
+            assert helper_started[axis].wait(timeout=60)
+        return scipy_filter(src, sigma, axis, order, out)
+
+    monkeypatch.setattr(detector, "gaussian_filter1d", slow_helper)
+    img = np.random.default_rng(7).random((300, 260), dtype=np.float32)
+    assert np.array_equal(detector._blur(img, 3.09), gaussian_filter(img, 3.09))
+    assert set(helper_calls) == {0, 1}  # the helper took a chunk of each pass
+
+
+def test_blur_with_more_helpers_than_cores_fills_every_chunk(monkeypatch):
+    # a chunk lost between the threads would leave np.empty's garbage in the output
+    monkeypatch.setattr(detector.os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(detector, "_helpers", functools.cache(detector._helpers.__wrapped__))
+    monkeypatch.setattr(detector, "BLUR_CHUNK", 3)
+    pool, count = detector._helpers()
+    assert count == 7
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(20):
+            img = np.random.default_rng(seed).random((61, 47), dtype=np.float32)
+            assert np.array_equal(detector._blur(img, 1.6), gaussian_filter(img, 1.6))
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+
+
+def test_one_cpu_creates_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a helper pool was created")
+
+    monkeypatch.setattr(detector.os, "sched_getaffinity", lambda pid: {3})
+    monkeypatch.setattr(detector, "_helpers", functools.cache(detector._helpers.__wrapped__))
+    monkeypatch.setattr(detector, "ThreadPoolExecutor", no_pool)
+    img = np.random.default_rng(8).random((300, 260), dtype=np.float32)
+    assert np.array_equal(detector._blur(img, 1.6), gaussian_filter(img, 1.6))
+    assert detector._helpers() is None
+
+
+def test_one_chunk_level_runs_on_the_caller_alone(monkeypatch):
+    def no_helpers():
+        raise AssertionError("a one-chunk level asked for helpers")
+
+    monkeypatch.setattr(detector, "_helpers", no_helpers)
+    img = np.random.default_rng(9).random((128, 128), dtype=np.float32)
+    assert np.array_equal(detector._blur(img, 1.6), gaussian_filter(img, 1.6))
