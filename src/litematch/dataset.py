@@ -20,9 +20,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
-from .detector import Keypoint
+from .detector import Keypoint, gaussian_blur
 from .errors import DatasetError
 from .image import GrayImage, clahe, load_image, save_pgm
 from .patch import (
@@ -181,7 +180,7 @@ class DatasetManifest:
 
 
 def _unit_noise(rng: np.random.Generator, size: int, sigma: float) -> np.ndarray:
-    n = gaussian_filter(rng.standard_normal((size, size)), sigma)
+    n = gaussian_blur(rng.standard_normal((size, size)), sigma)
     return (n - n.mean()) / (n.std() + 1e-12)
 
 
@@ -204,7 +203,9 @@ def synth_pair(seed: int, size: int = 512, name: "str | None" = None) -> Aligned
     pixel noise. Every value comes from one generator seeded by ``seed`` in
     a fixed draw order (texture, shapes, gamma, gain, noise), which is what
     makes a seed's dataset reproducible: reordering or skipping a draw
-    changes every pixel after it.
+    changes every pixel after it. The three noise fields and the final
+    sigma=0.8 blur use :func:`~litematch.detector.gaussian_blur`, which
+    equals ``scipy.ndimage.gaussian_filter`` bit for bit.
     """
     if size < 256:
         raise DatasetError(f"synthetic pair size must be >= 256, got {size}")
@@ -233,7 +234,7 @@ def synth_pair(seed: int, size: int = 512, name: "str | None" = None) -> Aligned
             uy = -sa * (xx - cx) + ca * (yy - cy)
             mask = (np.abs(ux) <= hw) & (np.abs(uy) <= hh)
         vis[rows, cols][mask] += delta  # a basic slice: writes through to vis
-    vis = gaussian_filter(vis, 0.8)
+    vis = gaussian_blur(vis, 0.8)
     vis_u8 = np.clip(np.floor(vis + 0.5), 0, 255).astype(np.uint8)
 
     gamma = rng.uniform(0.65, 0.8)

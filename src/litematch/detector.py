@@ -13,18 +13,21 @@ float64 where they are read; widening is exact, so the comparisons and the
 fit give the same results as on a float64 stack. Descriptors are out of
 scope; this supplies locations, scales, and responses only.
 
-The Gaussian levels are bit-identical to ``scipy.ndimage.gaussian_filter``,
-which runs one ``gaussian_filter1d`` down the columns and then one along
-the rows, storing the first pass in the float32 output. Each sample of the
+``gaussian_blur`` is the one Gaussian filter in litematch. It makes the
+detector's float32 Gaussian levels, and ``dataset.synth_pair``'s float64
+noise fields and final blur. Its output has the input's dtype, as
+``scipy.ndimage.gaussian_filter``'s does, and is bit-identical to it.
+scipy runs one ``gaussian_filter1d`` down the columns and then one along
+the rows, storing the first pass in the output. Each sample of the
 vertical pass reads only its own column and each sample of the horizontal
-pass only its own row, so ``_blur`` runs the same two passes over column
-chunks and then row chunks, written in place into one output: no halo, and
-the same arithmetic on every line. scipy releases the GIL inside the
-filter, so a level of more than one chunk is shared between the calling
-thread and one helper thread per further CPU. The helpers call nothing but
-scipy. The benchmark's tracer keeps one span stack for a single-threaded
-run, and spans placed in the library would assume the same, so no litematch
-function or traced call may run on a helper.
+pass only its own row, so ``gaussian_blur`` runs the same two passes over
+column chunks and then row chunks, written in place into one output: no
+halo, and the same arithmetic on every line. scipy releases the GIL inside
+the filter, so an image of more than one chunk is shared between the
+calling thread and one helper thread per further CPU. The helpers call
+nothing but scipy. The benchmark's tracer keeps one span stack for a
+single-threaded run, and spans placed in the library would assume the
+same, so no litematch function or traced call may run on a helper.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ CONTRAST_THRESHOLD = 0.03
 EDGE_RATIO = 10.0
 
 
-# Lines per blur chunk; a level with more lines is shared with the helpers.
+# Lines per blur chunk; an image with more lines is shared with the helpers.
 # 64 and 256 lines detected no faster at 768 or 416 px. 128 gives a 768 px
 # level six chunks, which two threads share evenly, at half the handoffs of 64.
 BLUR_CHUNK = 128
@@ -80,17 +83,20 @@ def _filter_chunks(chunks, src: np.ndarray, out: np.ndarray, sigma: float, axis:
         gaussian_filter1d(src[idx], sigma, axis, 0, out[idx])
 
 
-def _blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    """``scipy.ndimage.gaussian_filter(img, sigma)`` of a float32 image, bit for bit.
+def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(img, sigma)`` of a 2-d image, bit for bit.
 
-    The vertical pass runs over column chunks and the horizontal pass over
-    row chunks, each chunk written in place into one float32 output. The
+    The output is C-contiguous and has the input's dtype: the detector's
+    float32 levels stay float32 and ``synth_pair``'s float64 fields stay
+    float64. The vertical pass runs over column chunks and the horizontal
+    pass over row chunks, each chunk written in place into one output. The
     calling thread and the helpers take chunks from one shared iterator; a
     helper that has not started when the chunks run out is cancelled, and
     only a started one is waited for. So a helper the host has descheduled
-    delays a level by at most the one chunk it holds.
+    delays a blur by at most the one chunk it holds. A helper runs
+    ``_filter_chunks`` and so calls nothing but scipy.
     """
-    out = np.empty(img.shape, dtype=np.float32)
+    out = np.empty(img.shape, dtype=img.dtype)
     for axis, src in ((0, img), (1, out)):
         lines = img.shape[1 - axis]
         chunks = [
@@ -116,10 +122,10 @@ def _blur(img: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _gaussian_levels(base: np.ndarray, sigma0: float, k: float, count: int) -> list[np.ndarray]:
-    levels = [_blur(base, sigma0)]
+    levels = [gaussian_blur(base, sigma0)]
     for i in range(1, count):
         step = sigma0 * np.sqrt(k ** (2 * i) - k ** (2 * (i - 1)))
-        levels.append(_blur(levels[-1], step))
+        levels.append(gaussian_blur(levels[-1], step))
     return levels
 
 

@@ -1,8 +1,11 @@
 """DoG detector: blob localization, determinism, border filtering."""
 
+import ast
 import functools
+import os
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +13,10 @@ from scipy.ndimage import gaussian_filter, maximum_filter, minimum_filter
 
 from litematch import detector
 from litematch.config import RunConfig
+from litematch.dataset import synth_pair
 from litematch.detector import Keypoint, detect_keypoints
 from litematch.errors import ConfigError
-from litematch.image import GrayImage
+from litematch.image import GrayImage, clahe
 from litematch.patch import plain_margin
 
 MARGIN = plain_margin(64)  # the default window's
@@ -262,7 +266,7 @@ def test_singular_candidates_are_dropped_like_the_oracle():
 # ---------------------------------------------------------------- blur
 
 
-@pytest.mark.parametrize("sigma", [1.6, 3.09])
+@pytest.mark.parametrize("sigma", [1.6, 3.09, 75.0])  # 75: a kernel wider than the image
 @pytest.mark.parametrize(
     "shape, strided",
     [
@@ -276,23 +280,22 @@ def test_singular_candidates_are_dropped_like_the_oracle():
     ],
 )
 def test_blur_equals_gaussian_filter(shape, strided, sigma):
-    img = np.random.default_rng(5).random(shape, dtype=np.float32)
-    if strided:
-        img = img[::2, ::2]
-    out = detector._blur(img, sigma)
-    assert out.dtype == np.float32 and out.flags.c_contiguous
-    assert np.array_equal(out, gaussian_filter(img, sigma))
+    # float32 as the detector blurs, float64 as synth_pair does
+    for dtype in (np.float32, np.float64):
+        img = np.random.default_rng(5).random(shape, dtype=dtype)
+        if strided:
+            img = img[::2, ::2]
+        out = detector.gaussian_blur(img, sigma)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        assert np.array_equal(out, gaussian_filter(img, sigma))
 
 
 @pytest.fixture
-def two_cpus(monkeypatch):
+def two_cpus(blur_cpus):
     """A fresh helper pool, as on a two-CPU host, shut down afterwards."""
-    monkeypatch.setattr(detector.os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(detector, "_helpers", functools.cache(detector._helpers.__wrapped__))
-    pool, count = detector._helpers()
+    pool, count = blur_cpus(2)
     assert count == 1
-    yield pool
-    pool.shutdown()
+    return pool
 
 
 def test_blur_does_not_wait_for_a_helper_that_has_not_started(two_cpus):
@@ -306,7 +309,7 @@ def test_blur_does_not_wait_for_a_helper_that_has_not_started(two_cpus):
     assert started.wait(timeout=60)
     img = np.random.default_rng(6).random((300, 260), dtype=np.float32)
     try:
-        out = detector._blur(img, 1.6)
+        out = detector.gaussian_blur(img, 1.6)
         # it returned while the helper was still held, so its task was cancelled
         assert not blocker.done()
     finally:
@@ -331,26 +334,23 @@ def test_blur_waits_for_a_helper_that_has_started(two_cpus, monkeypatch):
 
     monkeypatch.setattr(detector, "gaussian_filter1d", slow_helper)
     img = np.random.default_rng(7).random((300, 260), dtype=np.float32)
-    assert np.array_equal(detector._blur(img, 3.09), gaussian_filter(img, 3.09))
+    assert np.array_equal(detector.gaussian_blur(img, 3.09), gaussian_filter(img, 3.09))
     assert set(helper_calls) == {0, 1}  # the helper took a chunk of each pass
 
 
-def test_blur_with_more_helpers_than_cores_fills_every_chunk(monkeypatch):
+def test_blur_with_more_helpers_than_cores_fills_every_chunk(blur_cpus, monkeypatch):
     # a chunk lost between the threads would leave np.empty's garbage in the output
-    monkeypatch.setattr(detector.os, "sched_getaffinity", lambda pid: set(range(8)))
-    monkeypatch.setattr(detector, "_helpers", functools.cache(detector._helpers.__wrapped__))
     monkeypatch.setattr(detector, "BLUR_CHUNK", 3)
-    pool, count = detector._helpers()
+    pool, count = blur_cpus(8)
     assert count == 7
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for seed in range(20):
             img = np.random.default_rng(seed).random((61, 47), dtype=np.float32)
-            assert np.array_equal(detector._blur(img, 1.6), gaussian_filter(img, 1.6))
+            assert np.array_equal(detector.gaussian_blur(img, 1.6), gaussian_filter(img, 1.6))
     finally:
         sys.setswitchinterval(interval)
-        pool.shutdown()
 
 
 def test_one_cpu_creates_no_pool(monkeypatch):
@@ -361,7 +361,7 @@ def test_one_cpu_creates_no_pool(monkeypatch):
     monkeypatch.setattr(detector, "_helpers", functools.cache(detector._helpers.__wrapped__))
     monkeypatch.setattr(detector, "ThreadPoolExecutor", no_pool)
     img = np.random.default_rng(8).random((300, 260), dtype=np.float32)
-    assert np.array_equal(detector._blur(img, 1.6), gaussian_filter(img, 1.6))
+    assert np.array_equal(detector.gaussian_blur(img, 1.6), gaussian_filter(img, 1.6))
     assert detector._helpers() is None
 
 
@@ -371,4 +371,43 @@ def test_one_chunk_level_runs_on_the_caller_alone(monkeypatch):
 
     monkeypatch.setattr(detector, "_helpers", no_helpers)
     img = np.random.default_rng(9).random((128, 128), dtype=np.float32)
-    assert np.array_equal(detector._blur(img, 1.6), gaussian_filter(img, 1.6))
+    assert np.array_equal(detector.gaussian_blur(img, 1.6), gaussian_filter(img, 1.6))
+
+
+def test_helpers_run_no_litematch_code_but_the_chunk_loop(blur_cpus):
+    # the tracer keeps one span stack, so every other litematch call must run
+    # on the calling thread; threading.setprofile reaches only the threads
+    # started after it, which here are the helpers alone
+    package = os.path.dirname(detector.__file__) + os.sep
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls.append(frame.f_code.co_name)
+
+    threading.setprofile(profile)
+    try:
+        blur_cpus(2)
+        pair = synth_pair(3, size=448)
+        detect_keypoints(clahe(pair.visible), max_points=200, border_margin=MARGIN)
+    finally:
+        threading.setprofile(None)
+    assert calls and set(calls) == {"_filter_chunks"}
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_only_the_detector_imports_scipy_ndimage():
+    # gaussian_blur is the one Gaussian filter in litematch
+    importers = set()
+    for path in Path(detector.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if any(m == "scipy.ndimage" or m.startswith("scipy.ndimage.") for m in _imported_modules(node)):
+                importers.add(path.name)
+    assert importers == {"detector.py"}
