@@ -1,9 +1,14 @@
 """Difference-of-Gaussians keypoint detection over a scale-space pyramid.
 
 Each octave blurs its base into six Gaussian levels, whose differences form
-a float32 stack of five DoG levels. Extrema are found in the order Lowe's
-SIFT uses. First, interior samples with ``|dog|`` above 0.8 times the
-contrast threshold are taken (a few percent of the stack). Only those are
+a float32 stack of five DoG levels. The levels are streamed: each is blurred
+from the one before, subtracted from it into the stack, and dropped, so an
+octave holds two Gaussian levels, its base, the DoG stack and then one
+``[H, W]`` bool mask, about 8 float32 image-sizes at its peak. Holding all
+six levels, the stack and a whole-stack mask at once took about 17.
+Extrema are found in the order Lowe's SIFT uses. First, interior samples
+with ``|dog|`` above 0.8 times the contrast threshold are taken, one inner
+level at a time into the one mask (a few percent of the stack). Only those are
 compared with their 26 scale-space neighbours, by flat-index gathers that
 drop a candidate at the first neighbour it loses to. The survivors are then
 refined together: up to three rounds of a quadratic fit, each one batched
@@ -77,10 +82,10 @@ def _helpers() -> tuple[ThreadPoolExecutor, int] | None:
     return ThreadPoolExecutor(count, thread_name_prefix="litematch-blur"), count
 
 
-def _filter_chunks(chunks, src: np.ndarray, out: np.ndarray, sigma: float, axis: int) -> None:
+def _filter_chunks(chunks, sigma: float, axis: int) -> None:
     # scipy only: this runs on the helper threads too
-    for idx in chunks:
-        gaussian_filter1d(src[idx], sigma, axis, 0, out[idx])
+    for src, out in chunks:
+        gaussian_filter1d(src, sigma, axis, 0, out)
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
@@ -105,28 +110,23 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
         ]
         helpers = _helpers() if len(chunks) > 1 else None
         # next() on a list iterator is one call under the GIL: no chunk is
-        # taken twice or skipped
-        shared = iter(chunks)
+        # taken twice or skipped. The helpers reach the arrays only through
+        # it: a cancelled helper's task stays queued until its thread wakes,
+        # and an exhausted list iterator drops its list, so the task keeps
+        # no image alive after this call
+        shared = iter([(src[idx], out[idx]) for idx in chunks])
         futures = []
         if helpers is not None:
             pool, count = helpers
             futures = [
-                pool.submit(_filter_chunks, shared, src, out, sigma, axis)
+                pool.submit(_filter_chunks, shared, sigma, axis)
                 for _ in range(min(count, len(chunks) - 1))
             ]
-        _filter_chunks(shared, src, out, sigma, axis)
+        _filter_chunks(shared, sigma, axis)
         for future in futures:
             if not future.cancel():
                 future.result()
     return out
-
-
-def _gaussian_levels(base: np.ndarray, sigma0: float, k: float, count: int) -> list[np.ndarray]:
-    levels = [gaussian_blur(base, sigma0)]
-    for i in range(1, count):
-        step = sigma0 * np.sqrt(k ** (2 * i) - k ** (2 * (i - 1)))
-        levels.append(gaussian_blur(levels[-1], step))
-    return levels
 
 
 # (level, row, column) steps to the 26 scale-space neighbours, same level first
@@ -149,11 +149,24 @@ def _flat_steps(shape: tuple[int, int, int], steps) -> np.ndarray:
     return np.array([(dl * h + dy) * w + dx for dl, dy, dx in steps])
 
 
-def _dog_stack(levels: list[np.ndarray]) -> np.ndarray:
-    dogs = np.empty((len(levels) - 1,) + levels[0].shape, dtype=np.float32)
-    for i in range(len(levels) - 1):
-        np.subtract(levels[i + 1], levels[i], out=dogs[i])
-    return dogs
+def _octave(base: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 DoG stack of one octave, and the next octave's base.
+
+    Level i + 1 is blurred from level i, subtracted from it into the stack,
+    and level i is dropped, so two Gaussian levels are alive at a time. The
+    next base is a contiguous copy of level ``SCALES_PER_OCTAVE`` (twice the
+    base blur) at every second sample.
+    """
+    dogs = np.empty((SCALES_PER_OCTAVE + 2,) + base.shape, dtype=np.float32)
+    level = gaussian_blur(base, BASE_SIGMA)
+    for i in range(1, SCALES_PER_OCTAVE + 3):
+        step = BASE_SIGMA * np.sqrt(k ** (2 * i) - k ** (2 * (i - 1)))
+        upper = gaussian_blur(level, step)
+        np.subtract(upper, level, out=dogs[i - 1])
+        if i == SCALES_PER_OCTAVE:
+            next_base = np.ascontiguousarray(upper[::2, ::2])
+        level = upper
+    return dogs, next_base
 
 
 def _extrema(dogs: np.ndarray, prelim: float) -> np.ndarray:
@@ -164,10 +177,14 @@ def _extrema(dogs: np.ndarray, prelim: float) -> np.ndarray:
     26 neighbours; losers are dropped after each neighbour.
     """
     flat = dogs.ravel()
-    strong = np.zeros(dogs.shape, dtype=bool)
-    # a float64 threshold: against a float32 one the test would round it
-    strong[1:-1, 2:-2, 2:-2] = np.abs(dogs[1:-1, 2:-2, 2:-2]) > np.float64(prelim)
-    idx = np.flatnonzero(strong)
+    _, h, w = dogs.shape
+    strong = np.zeros((h, w), dtype=bool)
+    per_level = []
+    for level in range(1, len(dogs) - 1):
+        # a float64 threshold: against a float32 one the test would round it
+        np.greater(np.abs(dogs[level, 2:-2, 2:-2]), np.float64(prelim), out=strong[2:-2, 2:-2])
+        per_level.append(np.flatnonzero(strong) + level * h * w)
+    idx = np.concatenate(per_level)
     value = flat[idx]
     sign, mag = np.sign(value), np.abs(value)
     for step in _flat_steps(dogs.shape, _NEIGHBOURS):
@@ -238,15 +255,13 @@ def detect_keypoints(img, max_points: int, border_margin: int) -> list[Keypoint]
     """
     if max_points < 1:
         raise ConfigError(f"max_points must be at least 1, got {max_points}")
-    base = img.pixels.astype(np.float32) / 255.0
     k = 2.0 ** (1.0 / SCALES_PER_OCTAVE)
     found: list[Keypoint] = []
-    octave_base = base
+    octave_base = img.pixels.astype(np.float32) / 255.0
     for octave in range(NUM_OCTAVES):
         if min(octave_base.shape) < 16:
             break
-        levels = _gaussian_levels(octave_base, BASE_SIGMA, k, SCALES_PER_OCTAVE + 3)
-        dogs = _dog_stack(levels)
+        dogs, octave_base = _octave(octave_base, k)
         fits = _refine(dogs, _extrema(dogs, 0.8 * CONTRAST_THRESHOLD))
         factor = float(2 ** octave)
         # Python floats from here: numpy's vectorised pow may round k ** level differently
@@ -261,8 +276,6 @@ def detect_keypoints(img, max_points: int, border_margin: int) -> list[Keypoint]
                     response=abs(value),
                 )
             )
-        # next octave: the level at twice the base blur, halved
-        octave_base = levels[SCALES_PER_OCTAVE][::2, ::2]
     height, width = img.pixels.shape
     inside = [
         kp

@@ -121,18 +121,19 @@ def _tile_edges(extent: int, grid: int) -> np.ndarray:
 def _clahe_luts(img: GrayImage, clip_limit: float, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-tile clipped-histogram equalization mappings plus tile centers.
 
-    One ``bincount`` over ``tile * 256 + pixel`` gives every tile's
-    histogram; the clip, the excess redistribution, the cumulative sum and
-    the rounding then run over all ``[grid, grid, 256]`` bins at once, with
-    the integer and float64 arithmetic of a tile-by-tile loop.
+    One ``bincount`` per tile row over ``tile column * 256 + pixel`` gives
+    that row's histograms, so the bin indices of one tile row are alive at a
+    time; the clip, the excess redistribution, the cumulative sum and the
+    rounding then run over all ``[grid, grid, 256]`` bins at once, with the
+    integer and float64 arithmetic of a tile-by-tile loop.
     """
     px = img.pixels
     ys = _tile_edges(img.height, grid)
     xs = _tile_edges(img.width, grid)
-    tile_rows = np.repeat(np.arange(grid) * (grid * 256), np.diff(ys))
     tile_cols = np.repeat(np.arange(grid) * 256, np.diff(xs))
-    bins = (tile_rows[:, None] + tile_cols[None, :]) + px
-    hist = np.bincount(bins.ravel(), minlength=grid * grid * 256).reshape(grid, grid, 256)
+    hist = np.stack(
+        [np.bincount((tile_cols + px[a:b]).ravel(), minlength=grid * 256) for a, b in zip(ys[:-1], ys[1:])]
+    ).reshape(grid, grid, 256)
     npix = np.outer(np.diff(ys), np.diff(xs))
     # a limit at or above the tile's pixel count clips nothing, so capping the
     # clip factor at 256 changes no mapping and keeps the cast below in range

@@ -291,6 +291,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     k, s, p = kh, stride, padding
 
     xp = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0))) if p else x.data
+    # backward needs only the padded shape: the tape keeps no padded copy
+    padded_shape = xp.shape
     # [B, H', W', Cin, k, k]: each row of ``col`` matches a row of ``wmat``
     win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
     hp, wp = win.shape[1], win.shape[2]
@@ -308,7 +310,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         if not needs_gx:
             return None, gw, gb
         gcol = (gmat @ wmat).reshape(bsz, hp, wp, cin, k, k)
-        gxp = np.zeros(xp.shape, dtype=g.dtype)
+        gxp = np.zeros(padded_shape, dtype=g.dtype)
         for ki in range(k):
             for kj in range(k):
                 gxp[:, ki : ki + hp * s : s, kj : kj + wp * s : s] += gcol[..., ki, kj]

@@ -5,6 +5,8 @@ import functools
 import os
 import sys
 import threading
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +214,8 @@ ORACLE_IMAGES = {
     "noise160": (_noise(13, 160, 2), 33),
     # more than two blur chunks each way, with uneven tails, in octaves 0 and 1
     "noise300x260": (_noise(16, 300, 3, width=260), 33),
+    # odd sides: every octave subsamples an odd shape (151x130, 76x65, 38x33)
+    "noise301x259": (_noise(18, 301, 11, width=259), 16),
     "two-blobs": (_two_blobs(), 33),
     "17px": (gaussian_blob(size=17, cx=8.3, cy=8.6, sigma=2.5).pixels, 1),
     "15px": (_noise(15, 15, 2), 1),
@@ -239,7 +243,25 @@ def test_oracle_images_exercise_the_detector():
     px, margin = ORACLE_IMAGES["noise300x260"]
     scales = [scale for _, _, scale, _ in _oracle_detect(px, 10**6, margin)]
     assert min(px.shape) // 2 > detector.BLUR_CHUNK and any(scale > 2 * 1.6 for scale in scales)
+    # an octave-0 fit lies within half a level of levels 1-3: its scale is at most this
+    octave0 = 1.6 * 2 ** (3.5 / 3)
+    px, margin = ORACLE_IMAGES["noise301x259"]
+    scales = [scale for _, _, scale, _ in _oracle_detect(px, 10**6, margin)]
+    assert any(scale > 2 * octave0 for scale in scales)  # octave 2 and below
     assert counts["15px"] == 0 and counts["constant"] == 0
+
+
+def test_detector_holds_under_ten_float32_images():
+    # an octave keeps two Gaussian levels, five DoG levels and its base:
+    # about 8.3 image-sizes; holding all six levels at once read 17.2
+    img = clahe(synth_pair(3, size=256).visible)
+    tracemalloc.start()
+    try:
+        detect_keypoints(img, max_points=200, border_margin=MARGIN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * img.pixels.size * np.dtype(np.float32).itemsize
 
 
 def test_singular_candidates_are_dropped_like_the_oracle():
@@ -308,14 +330,20 @@ def test_blur_does_not_wait_for_a_helper_that_has_not_started(two_cpus):
     blocker = two_cpus.submit(occupy)  # holds the only helper
     assert started.wait(timeout=60)
     img = np.random.default_rng(6).random((300, 260), dtype=np.float32)
+    expected = gaussian_filter(img, 1.6)
     try:
         out = detector.gaussian_blur(img, 1.6)
         # it returned while the helper was still held, so its task was cancelled
         assert not blocker.done()
+        assert np.array_equal(out, expected)
+        # the cancelled task stays queued until the helper is free, yet keeps
+        # neither image alive: a streamed octave frees each level it is done with
+        arrays = [weakref.ref(img), weakref.ref(out)]
+        del img, out
+        assert all(ref() is None for ref in arrays)
     finally:
         release.set()
     blocker.result(timeout=60)
-    assert np.array_equal(out, gaussian_filter(img, 1.6))
 
 
 def test_blur_waits_for_a_helper_that_has_started(two_cpus, monkeypatch):

@@ -1,5 +1,7 @@
 """PGM/PPM round-trips and CLAHE behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,3 +271,17 @@ def test_clahe_huge_clip_limit_clips_nothing():
     unclipped = _oracle_clahe(px, 1e6, 8)
     for clip in (256.0, 1e300):
         assert np.array_equal(clahe(GrayImage(px), clip, 8).pixels, unclipped)
+
+
+def test_clahe_peak_memory_under_four_bytes_per_pixel():
+    # the uint8 output is one byte a pixel and the bin indices of one tile
+    # row about one more (2.2 in all at 512 px); one int64 bin index per
+    # pixel of the whole image read 9.9
+    img = GrayImage(_test_image("random", 512, 512, seed=5))
+    tracemalloc.start()
+    try:
+        clahe(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * img.pixels.size

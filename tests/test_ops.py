@@ -180,6 +180,18 @@ def test_conv2d_untracked_input_builds_no_input_gradient():
     assert np.array_equal(gw, tracked_gw) and np.array_equal(gb, tracked_gb)
 
 
+def test_conv2d_tape_keeps_no_padded_input():
+    # backward reads only the padded shape; a padded copy of every embedding
+    # input would stay alive on the tape until backward
+    rng = np.random.default_rng(25)
+    x = rand64(rng, 2, 9, 9, 3)
+    w, b = rand64(rng, 4, 3, 3, 3), rand64(rng, 4)
+    with Tape() as tape:
+        ops.conv2d(x, w, b, stride=2, padding=1)
+    kept = [cell.cell_contents for cell in tape.ops[0].grad_fn.__closure__]
+    assert not any(isinstance(v, np.ndarray) and v.shape == (2, 11, 11, 3) for v in kept)
+
+
 # ------------------------------------------------------ depthwise_conv2d
 
 
