@@ -29,23 +29,22 @@ pass only its own row, so ``gaussian_blur`` runs the same two passes over
 column chunks and then row chunks, written in place into one output: no
 halo, and the same arithmetic on every line. scipy releases the GIL inside
 the filter, so an image of more than one chunk is shared between the
-calling thread and one helper thread per further CPU. The helpers call
-nothing but scipy. The benchmark's tracer keeps one span stack for a
-single-threaded run, and spans placed in the library would assume the
-same, so no litematch function or traced call may run on a helper.
+calling thread and the helper threads of :mod:`litematch._pool`. A helper
+runs ``_filter_chunks`` and so calls nothing but scipy: the benchmark's
+tracer keeps one span stack, so no public litematch function may run on a
+helper, and no library span may be placed inside the private chunk loops
+and kernels that do.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
 
+from . import _pool
 from .errors import ConfigError
 
 
@@ -72,16 +71,6 @@ EDGE_RATIO = 10.0
 BLUR_CHUNK = 128
 
 
-@functools.cache
-def _helpers() -> tuple[ThreadPoolExecutor, int] | None:
-    """The blur helpers: one thread per CPU beyond the first this process may
-    run on, or None on one CPU. Created on first use."""
-    count = len(os.sched_getaffinity(0)) - 1
-    if count < 1:
-        return None
-    return ThreadPoolExecutor(count, thread_name_prefix="litematch-blur"), count
-
-
 def _filter_chunks(chunks, sigma: float, axis: int) -> None:
     # scipy only: this runs on the helper threads too
     for src, out in chunks:
@@ -94,10 +83,9 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     The output is C-contiguous and has the input's dtype: the detector's
     float32 levels stay float32 and ``synth_pair``'s float64 fields stay
     float64. The vertical pass runs over column chunks and the horizontal
-    pass over row chunks, each chunk written in place into one output. The
-    calling thread and the helpers take chunks from one shared iterator; a
-    helper that has not started when the chunks run out is cancelled, and
-    only a started one is waited for. So a helper the host has descheduled
+    pass over row chunks, each chunk written in place into one output.
+    The calling thread and the helpers share each pass's chunks through
+    :func:`litematch._pool.share`, so a helper the host has descheduled
     delays a blur by at most the one chunk it holds. A helper runs
     ``_filter_chunks`` and so calls nothing but scipy.
     """
@@ -108,24 +96,7 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
             (slice(None), slice(lo, lo + BLUR_CHUNK)) if axis == 0 else slice(lo, lo + BLUR_CHUNK)
             for lo in range(0, lines, BLUR_CHUNK)
         ]
-        helpers = _helpers() if len(chunks) > 1 else None
-        # next() on a list iterator is one call under the GIL: no chunk is
-        # taken twice or skipped. The helpers reach the arrays only through
-        # it: a cancelled helper's task stays queued until its thread wakes,
-        # and an exhausted list iterator drops its list, so the task keeps
-        # no image alive after this call
-        shared = iter([(src[idx], out[idx]) for idx in chunks])
-        futures = []
-        if helpers is not None:
-            pool, count = helpers
-            futures = [
-                pool.submit(_filter_chunks, shared, sigma, axis)
-                for _ in range(min(count, len(chunks) - 1))
-            ]
-        _filter_chunks(shared, sigma, axis)
-        for future in futures:
-            if not future.cancel():
-                future.result()
+        _pool.share([(src[idx], out[idx]) for idx in chunks], _filter_chunks, sigma, axis)
     return out
 
 

@@ -20,10 +20,16 @@ the activation layout.
 Without a recording tape (inference), each block's feed-forward runs over
 chunks of samples whose ``mlp_ratio``-wide hidden activation fits the L2
 cache (``ops._BLOCK_BYTES``); the rest of the block runs over the whole
-batch, where chunking measured slower. Under a tape (training) the
-feed-forward also runs over the whole batch: the tape keeps every hidden
-activation for backward anyway, and it has no op that slices or joins a
-batch, so the gradient could not reach the chunks.
+batch, where chunking measured slower. The calling thread shares a block's
+chunks with the helper threads of :mod:`litematch._pool`, one handoff per
+block, so each chunk's four ops stay in the L2 cache of the core that runs
+them. The caller runs its chunks through the public ops, which a tracer
+times; a helper runs the same ops' private array kernels, and a chunk is
+bit-identical whichever thread runs it. A one-chunk feed-forward asks for
+no helpers. Under a tape (training) the feed-forward runs over the whole
+batch on the calling thread: the tape keeps every hidden activation for
+backward anyway, and it has no op that slices or joins a batch, so the
+gradient could not reach the chunks.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from . import ops
+from . import _pool, ops
 from .errors import ConfigError, DimensionError
 from .tensor import Tensor, active_tape
 
@@ -214,30 +220,52 @@ def _attention(x: Tensor, p: dict[str, Tensor], blk: str, st: StageConfig) -> Te
     return ops.linear(ctx, p[f"{blk}.attn.proj.weight"], p[f"{blk}.attn.proj.bias"])
 
 
+def _ffn(x: Tensor, w1: Tensor, b1: Tensor, wd: Tensor, bd: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    f = ops.gelu(ops.depthwise_conv2d(ops.linear(x, w1, b1), wd, bd))
+    return ops.linear(f, w2, b2)
+
+
+def _ffn_ops(chunks, *params: Tensor) -> None:
+    # the calling thread's chunks, through the public ops a tracer times
+    for xs, ys in chunks:
+        ys[...] = _ffn(Tensor._wrap(xs), *params).data
+
+
+def _ffn_chunks(chunks, w1: Tensor, b1: Tensor, wd: Tensor, bd: Tensor, w2: Tensor, b2: Tensor) -> None:
+    # the helpers' chunks: the public ops' array kernels, and no public
+    # litematch function (see ``_pool``)
+    for xs, ys in chunks:
+        hidden = ops._linear_fwd(xs, w1.data, b1.data)
+        f = ops._gelu_fwd(ops._depthwise_fwd(hidden, ops._taps(wd.data), bd.data))[0]
+        ys[...] = ops._linear_fwd(f, w2.data, b2.data)
+
+
 def _feed_forward(x: Tensor, p: dict[str, Tensor], blk: str) -> Tensor:
     """fc1, 3x3 depthwise, GELU, fc2 over [B, H, W, C], with an ``mlp_ratio``-wide hidden.
 
     With no tape recording, the four ops run over chunks of samples whose
     hidden activation fits ``ops._BLOCK_BYTES``, so each op reads the
-    previous one's output from the L2 cache instead of from memory. Under a
-    tape they run once over the whole batch: the tape keeps every hidden
+    previous one's output from the L2 cache instead of from memory. The
+    calling thread and the helper threads share the chunks through
+    :func:`litematch._pool.share`, one handoff per block: the caller runs
+    its chunks through the public ops (``_ffn_ops``), each helper through
+    the same ops' array kernels (``_ffn_chunks``), so a chunk comes out the
+    same whichever thread runs it. Under a tape the ops run once over the
+    whole batch on the calling thread: the tape keeps every hidden
     activation for backward anyway, and it has no op that slices or joins
     a batch.
     """
-    w1, b1 = p[f"{blk}.ffn.fc1.weight"], p[f"{blk}.ffn.fc1.bias"]
-    wd, bd = p[f"{blk}.ffn.dw.weight"], p[f"{blk}.ffn.dw.bias"]
-    w2, b2 = p[f"{blk}.ffn.fc2.weight"], p[f"{blk}.ffn.fc2.bias"]
-
-    def ffn(xs: Tensor) -> Tensor:
-        f = ops.gelu(ops.depthwise_conv2d(ops.linear(xs, w1, b1), wd, bd))
-        return ops.linear(f, w2, b2)
-
+    params = [
+        p[f"{blk}.ffn.{name}"]
+        for name in ("fc1.weight", "fc1.bias", "dw.weight", "dw.bias", "fc2.weight", "fc2.bias")
+    ]
     if active_tape() is not None:
-        return ffn(x)
+        return _ffn(x, *params)
+    w1, _, wd, _, w2, _ = params
     bsz, h, w, _ = x.shape
     out = np.empty(x.shape, dtype=np.result_type(x.data, w1.data, wd.data, w2.data))
-    for s in ops._sample_chunks(bsz, h * w * w1.shape[0] * x.data.itemsize):
-        out[s] = ffn(Tensor._wrap(x.data[s])).data
+    chunks = ops._sample_chunks(bsz, h * w * w1.shape[0] * x.data.itemsize)
+    _pool.share([(x.data[s], out[s]) for s in chunks], _ffn_chunks, *params, own=_ffn_ops)
     return Tensor._wrap(out)
 
 

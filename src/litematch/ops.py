@@ -26,6 +26,14 @@ that would wrap across a row edge are zeroed. :func:`gelu` runs its
 in-place sequence over flat blocks that fit the L2 cache. Both size their
 pieces with :func:`_sample_chunks`.
 
+The forward arithmetic of :func:`linear`, :func:`depthwise_conv2d` and
+:func:`gelu` lives in three array kernels, :func:`_linear_fwd`,
+:func:`_depthwise_fwd` and :func:`_gelu_fwd`, which the public ops call.
+The model's untaped feed-forward also calls them directly on its helper
+threads, which may run no public litematch function (see
+:mod:`litematch._pool`), so every chunk is computed by the same code
+whichever thread runs it.
+
 Reductions over a short axis follow three rules, because numpy's
 ``sum``/``mean``/``max`` over such an axis spend most of their time on
 per-row overhead:
@@ -79,6 +87,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _linear_fwd(x: np.ndarray, w: np.ndarray, b: "np.ndarray | None") -> np.ndarray:
+    """The forward kernel of :func:`linear`, on arrays; ``b`` may be None."""
+    # one GEMM over all leading axes: a stack of small ones is far slower
+    y = x.reshape(-1, x.shape[-1]) @ w.T
+    if b is not None:
+        y += b
+    return y.reshape(x.shape[:-1] + (w.shape[0],))
+
+
 def linear(x: Tensor, w: Tensor, b: "Tensor | None") -> Tensor:
     """Affine map over the trailing axis, broadcast over leading axes.
 
@@ -92,17 +109,12 @@ def linear(x: Tensor, w: Tensor, b: "Tensor | None") -> Tensor:
     din, dout = w.shape[1], w.shape[0]
     if din == 0 or dout == 0:
         raise DimensionError(f"linear: empty feature axis, weight shape {w.shape}")
-    # one GEMM over all leading axes: a stack of small ones is far slower
-    x2 = x.data.reshape(-1, din)
-    y = x2 @ w.data.T
-    if b is not None:
-        y += b.data
-    out = Tensor._wrap(y.reshape(x.shape[:-1] + (dout,)))
+    out = Tensor._wrap(_linear_fwd(x.data, w.data, None if b is None else b.data))
 
     def grad_fn(g):
         g2 = g.reshape(-1, dout)
         gx = (g2 @ w.data).reshape(x.shape)
-        gw = g2.T @ x2
+        gw = g2.T @ x.data.reshape(-1, din)
         if b is None:
             return gx, gw
         return gx, gw, _column_sums(g2)
@@ -216,18 +228,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return out
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation.
-
-    Computed in place as 0.5*x*(1 + t), t = tanh(C*(x + A*x*x*x)), in that
-    evaluation order, so the result is bit-identical to the plain formula.
-    Forward and backward run their sequences over flat blocks of about
-    ``_BLOCK_BYTES`` (:func:`_sample_chunks` over single elements).
-    """
-    xd = x.data
-    t = np.empty(xd.shape, dtype=xd.dtype)
-    y = np.empty(xd.shape, dtype=xd.dtype)
-    xf, tf, yf = xd.reshape(-1), t.reshape(-1), y.reshape(-1)
+def _gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward kernel of :func:`gelu`, on an array: the output, and the
+    tanh values t its backward reuses."""
+    t = np.empty(x.shape, dtype=x.dtype)
+    y = np.empty(x.shape, dtype=x.dtype)
+    xf, tf, yf = x.reshape(-1), t.reshape(-1), y.reshape(-1)
     for s in _sample_chunks(xf.size, xf.itemsize):
         xs, ts, ys = xf[s], tf[s], yf[s]
         np.multiply(xs, _GELU_A, out=ts)
@@ -238,10 +244,24 @@ def gelu(x: Tensor) -> Tensor:
         np.tanh(ts, out=ts)
         np.multiply(xs, 0.5, out=ys)
         ys *= 1.0 + ts
+    return y, t
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Gaussian error linear unit, tanh approximation.
+
+    Computed in place as 0.5*x*(1 + t), t = tanh(C*(x + A*x*x*x)), in that
+    evaluation order, so the result is bit-identical to the plain formula.
+    Forward and backward run their sequences over flat blocks of about
+    ``_BLOCK_BYTES`` (:func:`_sample_chunks` over single elements).
+    """
+    xd = x.data
+    y, t = _gelu_fwd(xd)
     out = Tensor._wrap(y)
 
     def grad_fn(g):
         # 0.5*(1 + t) + 0.5*x*(1 - t*t)*du with du = C*(1 + 3*A*x*x)
+        xf, tf = xd.reshape(-1), t.reshape(-1)
         gx = np.empty(xd.shape, dtype=xd.dtype)
         gf, gxf = g.reshape(-1), gx.reshape(-1)
         for s in _sample_chunks(xf.size, xf.itemsize):
@@ -387,6 +407,19 @@ def _correlate3x3(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _taps(w: np.ndarray) -> np.ndarray:
+    """[C, 1, 3, 3] depthwise weights as contiguous [3, 3, C] taps."""
+    return np.ascontiguousarray(w[:, 0].transpose(1, 2, 0))
+
+
+def _depthwise_fwd(x: np.ndarray, taps: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The forward kernel of :func:`depthwise_conv2d`, on arrays, with
+    :func:`_taps` of the weight."""
+    y = _correlate3x3(x, taps)
+    y += b
+    return y
+
+
 def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Per-channel 3x3 convolution, stride 1, zero padding 1 (shape preserving).
 
@@ -412,10 +445,8 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (c,):
         raise DimensionError(f"depthwise_conv2d: bias must have shape ({c},)")
 
-    taps = np.ascontiguousarray(w.data[:, 0].transpose(1, 2, 0))  # [3, 3, C]
-    y = _correlate3x3(x.data, taps)
-    y += b.data
-    out = Tensor._wrap(y)
+    taps = _taps(w.data)
+    out = Tensor._wrap(_depthwise_fwd(x.data, taps, b.data))
 
     def grad_fn(g):
         # the input gradient correlates the output gradient with the flipped taps

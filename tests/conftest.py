@@ -4,20 +4,21 @@ import functools
 
 import pytest
 
-from litematch import detector
+from litematch import _pool
 
 
 @pytest.fixture
 def blur_cpus(monkeypatch):
-    """``blur_cpus(n)`` gives ``gaussian_blur`` a fresh helper pool, as on a
-    host with n CPUs, and returns ``detector._helpers()`` (None for one CPU).
-    Every pool it builds is shut down afterwards."""
+    """``blur_cpus(n)`` gives ``gaussian_blur`` and the model's feed-forward a
+    fresh helper pool, as on a host with n CPUs, and returns
+    ``_pool.helpers()`` (None for one CPU). Every pool it builds is shut
+    down afterwards."""
     pools = []
 
     def use(n):
-        monkeypatch.setattr(detector.os, "sched_getaffinity", lambda pid: set(range(n)))
-        monkeypatch.setattr(detector, "_helpers", functools.cache(detector._helpers.__wrapped__))
-        helpers = detector._helpers()
+        monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(_pool, "helpers", functools.cache(_pool.helpers.__wrapped__))
+        helpers = _pool.helpers()
         if helpers is not None:
             pools.append(helpers[0])
         return helpers

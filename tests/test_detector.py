@@ -13,13 +13,16 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter, maximum_filter, minimum_filter
 
-from litematch import detector
+from litematch import _pool, detector
 from litematch.config import RunConfig
 from litematch.dataset import synth_pair
 from litematch.detector import Keypoint, detect_keypoints
 from litematch.errors import ConfigError
 from litematch.image import GrayImage, clahe
+from litematch.model import init_model
 from litematch.patch import plain_margin
+from litematch.pipeline import match_images
+from litematch.training import model_config_for
 
 MARGIN = plain_margin(64)  # the default window's
 
@@ -385,27 +388,29 @@ def test_one_cpu_creates_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a helper pool was created")
 
-    monkeypatch.setattr(detector.os, "sched_getaffinity", lambda pid: {3})
-    monkeypatch.setattr(detector, "_helpers", functools.cache(detector._helpers.__wrapped__))
-    monkeypatch.setattr(detector, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(_pool.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(_pool, "helpers", functools.cache(_pool.helpers.__wrapped__))
+    monkeypatch.setattr(_pool, "ThreadPoolExecutor", no_pool)
     img = np.random.default_rng(8).random((300, 260), dtype=np.float32)
     assert np.array_equal(detector.gaussian_blur(img, 1.6), gaussian_filter(img, 1.6))
-    assert detector._helpers() is None
+    assert _pool.helpers() is None
 
 
 def test_one_chunk_level_runs_on_the_caller_alone(monkeypatch):
     def no_helpers():
         raise AssertionError("a one-chunk level asked for helpers")
 
-    monkeypatch.setattr(detector, "_helpers", no_helpers)
+    monkeypatch.setattr(_pool, "helpers", no_helpers)
     img = np.random.default_rng(9).random((128, 128), dtype=np.float32)
     assert np.array_equal(detector.gaussian_blur(img, 1.6), gaussian_filter(img, 1.6))
 
 
 def test_helpers_run_no_litematch_code_but_the_chunk_loop(blur_cpus):
-    # the tracer keeps one span stack, so every other litematch call must run
-    # on the calling thread; threading.setprofile reaches only the threads
-    # started after it, which here are the helpers alone
+    # the tracer keeps one span stack and wraps public functions, so no
+    # public litematch function may run on a helper: over a whole match, the
+    # blur's and the feed-forward's helpers enter only private chunk loops
+    # and kernels. threading.setprofile reaches only the threads started
+    # after it, which here are the helpers alone
     package = os.path.dirname(detector.__file__) + os.sep
     calls = []
 
@@ -413,14 +418,54 @@ def test_helpers_run_no_litematch_code_but_the_chunk_loop(blur_cpus):
         if event == "call" and frame.f_code.co_filename.startswith(package):
             calls.append(frame.f_code.co_name)
 
+    cfg = RunConfig(input_size=64, max_keypoints=64).validate()
+    model = init_model(model_config_for(cfg), seed=0)
+    pair = synth_pair(3, size=448)
     threading.setprofile(profile)
     try:
         blur_cpus(2)
-        pair = synth_pair(3, size=448)
-        detect_keypoints(clahe(pair.visible), max_points=200, border_margin=MARGIN)
+        match_images(model, pair.visible, pair.nir, cfg)
     finally:
         threading.setprofile(None)
-    assert calls and set(calls) == {"_filter_chunks"}
+    assert {"_filter_chunks", "_ffn_chunks"} <= set(calls)
+    assert all(name.startswith("_") for name in calls), sorted(set(calls))
+    assert not {"record", "active_tape"} & set(calls)
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raiser", ["caller", "helper"])
+def test_blur_error_propagates_after_every_started_helper(two_cpus, monkeypatch, raiser):
+    # an error on either thread reaches the caller with its own type, only
+    # once no helper still writes into the discarded output
+    helper_started, running = threading.Event(), []
+    scipy_filter = detector.gaussian_filter1d
+
+    def kernel(src, sigma, axis, order, out):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_started.wait(timeout=60)
+            if raiser == "caller":
+                raise Boom
+            return scipy_filter(src, sigma, axis, order, out)
+        running.append(axis)
+        helper_started.set()
+        try:
+            threading.Event().wait(0.2)  # still busy when the caller is done
+            if raiser == "helper":
+                raise Boom
+            return scipy_filter(src, sigma, axis, order, out)
+        finally:
+            running.remove(axis)
+
+    monkeypatch.setattr(detector, "gaussian_filter1d", kernel)
+    img = np.random.default_rng(10).random((300, 260), dtype=np.float32)
+    with pytest.raises(Boom):
+        detector.gaussian_blur(img, 1.6)
+    assert running == []
+    monkeypatch.setattr(detector, "gaussian_filter1d", scipy_filter)
+    assert np.array_equal(detector.gaussian_blur(img, 1.6), gaussian_filter(img, 1.6))
 
 
 def _imported_modules(node):

@@ -1,11 +1,13 @@
 """Architecture fidelity, initialization determinism, forward contracts."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from litematch import ops
+from litematch import _pool, model, ops
 from litematch.errors import ConfigError, DimensionError
 from litematch.loss import triplet_loss
 from litematch.model import (
@@ -237,7 +239,8 @@ def test_untaped_forward_over_sample_chunks_matches_taped_forward(monkeypatch, b
     np.testing.assert_allclose(untaped, taped, rtol=0, atol=1e-6)
 
 
-def test_feed_forward_chunks_samples_only_without_a_tape(monkeypatch):
+def test_feed_forward_chunks_samples_only_without_a_tape(monkeypatch, blur_cpus):
+    blur_cpus(1)  # the calling thread runs every chunk
     monkeypatch.setattr(ops, "_BLOCK_BYTES", 1 << 18)
     seen = {"gelu": [], "depthwise_conv2d": []}
     for name, calls in seen.items():
@@ -257,6 +260,135 @@ def test_feed_forward_chunks_samples_only_without_a_tape(monkeypatch):
     with Tape():
         forward(m, x)
     assert seen == {"gelu": [7] * 8, "depthwise_conv2d": [7] * 8}
+
+
+def test_two_cpus_run_each_feed_forward_chunk_once(monkeypatch, blur_cpus):
+    # the caller's chunks, which its public ops see, and the helper's, which
+    # _ffn_chunks runs, tile each feed-forward's batch with no chunk twice
+    blur_cpus(2)
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", 1 << 18)
+    taken, gelu_sizes = [], []  # (taken by a helper, item) in the order taken
+    helper_took = threading.Event()
+
+    def taking(on_helper, chunks):
+        for item in chunks:
+            if on_helper:
+                helper_took.set()
+            elif not taken:  # make the helper take a chunk of the first block
+                assert helper_took.wait(timeout=60)
+            taken.append((on_helper, item))
+            yield item
+
+    def own(chunks, *params, _run=model._ffn_ops):
+        _run(taking(False, chunks), *params)
+
+    def work(chunks, *params, _run=model._ffn_chunks):
+        _run(taking(True, chunks), *params)
+
+    def gelu(x, _op=ops.gelu):
+        gelu_sizes.append(x.shape[0])
+        return _op(x)
+
+    monkeypatch.setattr(model, "_ffn_ops", own)
+    monkeypatch.setattr(model, "_ffn_chunks", work)
+    monkeypatch.setattr(ops, "gelu", gelu)
+    m = init_model(ModelConfig(input_size=64), seed=14)
+    x = Tensor(np.random.default_rng(15).random((7, 1, 64, 64)).astype(np.float32))
+    forward(m, x)
+    assert any(on_helper for on_helper, _ in taken)
+    assert gelu_sizes == [ys.shape[0] for on_helper, (_, ys) in taken if not on_helper]
+    # a block's chunks are all taken before the next block's, so the blocks
+    # come in order; each view keeps its block's output alive
+    blocks = {}
+    for _, (_, ys) in taken:
+        start = (ys.ctypes.data - ys.base.ctypes.data) // ys.base[0].nbytes
+        blocks.setdefault(id(ys.base), []).append((start, ys.shape[0]))
+    # stage 1 in chunks of 2, stage 2 of 4, stages 3-4 whole; two blocks a stage
+    expected = [[2, 2, 2, 1]] * 2 + [[4, 3]] * 2 + [[7]] * 4
+    assert len(blocks) == len(expected)
+    for chunks, sizes in zip(blocks.values(), expected):
+        chunks.sort()
+        assert [size for _, size in chunks] == sizes
+        assert [start for start, _ in chunks] == [sum(sizes[:i]) for i in range(len(sizes))]
+
+
+@pytest.mark.parametrize("input_size", [64, 128])
+def test_shared_forward_is_bit_identical_on_any_pool(monkeypatch, blur_cpus, input_size):
+    # a chunk comes out the same whichever thread runs it; a chunk lost
+    # between the threads would leave np.empty's garbage in the output, and
+    # each seed's input differs, so not even a reused buffer hides it
+    m = scaled_model(input_size, seed=16)
+    inputs = [
+        Tensor(np.random.default_rng(seed).random((5, 1, input_size, input_size)).astype(np.float32))
+        for seed in range(6)
+    ]
+    blur_cpus(1)
+    alone = [forward(m, x).data for x in inputs]
+    blur_cpus(2)
+    assert all(np.array_equal(forward(m, x).data, want) for x, want in zip(inputs, alone))
+    # a chunk per sample, more helpers than cores, and a thread switch at
+    # every chance
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", 4096)
+    blur_cpus(1)
+    alone = [forward(m, x).data for x in inputs]
+    _, count = blur_cpus(8)
+    assert count == 7
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = [forward(m, x).data for x in inputs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(got, want) for got, want in zip(shared, alone))
+
+
+def test_one_chunk_feed_forward_asks_for_no_helpers(monkeypatch):
+    def no_helpers():
+        raise AssertionError("a one-chunk feed-forward asked for helpers")
+
+    monkeypatch.setattr(_pool, "helpers", no_helpers)
+    # at 64 px a stage-1 chunk holds two samples, so one sample is one chunk everywhere
+    m = init_model(ModelConfig(input_size=64), seed=17)
+    forward(m, Tensor(np.random.default_rng(18).random((1, 1, 64, 64)).astype(np.float32)))
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raiser", ["caller", "helper"])
+def test_feed_forward_error_propagates_after_every_started_helper(monkeypatch, blur_cpus, raiser):
+    # an error on either thread reaches the caller with its own type, only
+    # once no helper still writes into the discarded output
+    blur_cpus(2)
+    m = init_model(ModelConfig(input_size=64), seed=19)
+    x = Tensor(np.random.default_rng(20).random((7, 1, 64, 64)).astype(np.float32))
+    expected = forward(m, x).data
+    helper_started, running = threading.Event(), []
+    gelu_fwd = ops._gelu_fwd
+
+    def kernel(a):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_started.wait(timeout=60)
+            if raiser == "caller":
+                raise Boom
+            return gelu_fwd(a)
+        running.append(a.shape)
+        helper_started.set()
+        try:
+            threading.Event().wait(0.2)  # still busy when the caller is done
+            if raiser == "helper":
+                raise Boom
+            return gelu_fwd(a)
+        finally:
+            running.remove(a.shape)
+
+    monkeypatch.setattr(ops, "_gelu_fwd", kernel)
+    with pytest.raises(Boom):
+        forward(m, x)
+    assert running == []
+    monkeypatch.setattr(ops, "_gelu_fwd", gelu_fwd)
+    assert np.array_equal(forward(m, x).data, expected)
 
 
 def test_forward_deterministic_bit_identical():
