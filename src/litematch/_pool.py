@@ -1,10 +1,17 @@
 """Helper threads that share a job's chunks with the calling thread.
 
 The Gaussian blur (:func:`litematch.detector.gaussian_blur`) and the
-untaped feed-forward (:func:`litematch.model._feed_forward`) split their
+Mix-FFN (:func:`litematch.ops.mix_ffn`, forward and backward) split their
 work into chunks whose kernels release the GIL: scipy's filter, BLAS and
 numpy's loops. :func:`share` runs such a list of chunks on the calling
 thread and on one helper thread per further CPU this process may run on.
+
+BLAS rule: work that calls BLAS is shared only while numpy's OpenBLAS runs
+one thread (:func:`blas_threads`); else, or where the count cannot be read,
+it stays on the calling thread, since chunked GEMMs on several threads
+beside a multi-threaded BLAS ran slower. The blur calls no BLAS and always
+shares. litematch never sets BLAS's thread count; ``OPENBLAS_NUM_THREADS``
+in the environment that starts the process does.
 
 The benchmark's tracer keeps one span stack for a single-threaded run and
 times only public litematch functions, and spans placed in the library
@@ -15,9 +22,13 @@ the work a helper runs, and everything it calls in litematch, has a
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import glob
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+
+import numpy as np
 
 
 @functools.cache
@@ -35,14 +46,37 @@ def helpers() -> tuple[ThreadPoolExecutor, int] | None:
     return ThreadPoolExecutor(cpus - 1, thread_name_prefix="litematch-helper"), cpus - 1
 
 
-def share(items: list, work, *args, own=None) -> None:
+@functools.cache
+def _blas_thread_getter():
+    """The thread-count getter of the OpenBLAS that numpy's wheel bundles, or
+    None where no such library is loaded or it lacks the known symbol."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        path = glob.glob(os.path.join(libs, "libscipy_openblas64_-*.so"))[0]
+        lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        getter = lib.scipy_openblas_get_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    return getter
+
+
+def blas_threads() -> int | None:
+    """The number of threads numpy's OpenBLAS runs now, or None if unknown."""
+    getter = _blas_thread_getter()
+    return None if getter is None else getter()
+
+
+def share(items: list, work, *args, blas: bool = False) -> None:
     """Run every item of ``items`` once, on this thread and on the helpers.
 
-    Each helper runs ``work(chunks, *args)`` and this thread runs
-    ``own(chunks, *args)`` (``work`` when ``own`` is None), where ``chunks``
-    is one iterator over ``items`` that they all take from. ``next()`` on a
-    list iterator is one call under the GIL, so no item is taken twice or
-    skipped. A one-item list asks for no helpers.
+    This thread and each helper run ``work(chunks, *args)``, where
+    ``chunks`` is one iterator over ``items`` that they all take from.
+    ``next()`` on a list iterator is one call under the GIL, so no item is
+    taken twice or skipped. A one-item list asks for no helpers, and
+    neither does work that calls BLAS (``blas=True``) unless BLAS runs one
+    thread (see the module docstring).
 
     Once this thread runs out of items, a helper that has not started is
     cancelled, and a started one is waited for: a helper the host has
@@ -56,14 +90,15 @@ def share(items: list, work, *args, own=None) -> None:
     returns or raises.
     """
     chunks = iter(items)
-    pool = helpers() if len(items) > 1 else None
+    alone = len(items) < 2 or (blas and blas_threads() != 1)
+    pool = None if alone else helpers()
     futures = []
     try:
         if pool is not None:
             executor, count = pool
             for _ in range(min(count, len(items) - 1)):
                 futures.append(executor.submit(work, chunks, *args))
-        (own or work)(chunks, *args)
+        work(chunks, *args)
     finally:
         for _ in chunks:
             pass

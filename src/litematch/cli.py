@@ -2,7 +2,11 @@
 
 Importing this module changes nothing outside it. The BLAS/OpenMP thread
 pools size themselves from ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``,
-so set those in the environment that starts ``litematch``.
+so set those in the environment that starts ``litematch``. litematch shares
+its GEMM work over the cores only while BLAS runs one thread, so run
+``train`` with ``OPENBLAS_NUM_THREADS=1``: on a 2-vCPU VM, a 48-patch 64 px
+training step took 261 ms with OpenBLAS's default threads against 241 ms
+with one (medians of 8 interleaved rounds).
 """
 
 from __future__ import annotations

@@ -17,19 +17,10 @@ one tape entry that splits and merges the heads itself; pooling takes the
 :func:`init_model` and checkpoint loading, so checkpoints do not depend on
 the activation layout.
 
-Without a recording tape (inference), each block's feed-forward runs over
-chunks of samples whose ``mlp_ratio``-wide hidden activation fits the L2
-cache (``ops._BLOCK_BYTES``); the rest of the block runs over the whole
-batch, where chunking measured slower. The calling thread shares a block's
-chunks with the helper threads of :mod:`litematch._pool`, one handoff per
-block, so each chunk's four ops stay in the L2 cache of the core that runs
-them. The caller runs its chunks through the public ops, which a tracer
-times; a helper runs the same ops' private array kernels, and a chunk is
-bit-identical whichever thread runs it. A one-chunk feed-forward asks for
-no helpers. Under a tape (training) the feed-forward runs over the whole
-batch on the calling thread: the tape keeps every hidden activation for
-backward anyway, and it has no op that slices or joins a batch, so the
-gradient could not reach the chunks.
+Each block's feed-forward is one :func:`ops.mix_ffn`, taped or not, over
+chunks of samples shared with the helper threads of :mod:`litematch._pool`;
+the rest of the block runs over the whole batch, where chunking measured
+slower.
 """
 
 from __future__ import annotations
@@ -40,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from . import _pool, ops
+from . import ops
 from .errors import ConfigError, DimensionError
-from .tensor import Tensor, active_tape
+from .tensor import Tensor
 
 ALLOWED_DESCRIPTOR_DIMS = (64, 128, 256)
 
@@ -220,55 +211,6 @@ def _attention(x: Tensor, p: dict[str, Tensor], blk: str, st: StageConfig) -> Te
     return ops.linear(ctx, p[f"{blk}.attn.proj.weight"], p[f"{blk}.attn.proj.bias"])
 
 
-def _ffn(x: Tensor, w1: Tensor, b1: Tensor, wd: Tensor, bd: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    f = ops.gelu(ops.depthwise_conv2d(ops.linear(x, w1, b1), wd, bd))
-    return ops.linear(f, w2, b2)
-
-
-def _ffn_ops(chunks, *params: Tensor) -> None:
-    # the calling thread's chunks, through the public ops a tracer times
-    for xs, ys in chunks:
-        ys[...] = _ffn(Tensor._wrap(xs), *params).data
-
-
-def _ffn_chunks(chunks, w1: Tensor, b1: Tensor, wd: Tensor, bd: Tensor, w2: Tensor, b2: Tensor) -> None:
-    # the helpers' chunks: the public ops' array kernels, and no public
-    # litematch function (see ``_pool``)
-    for xs, ys in chunks:
-        hidden = ops._linear_fwd(xs, w1.data, b1.data)
-        f = ops._gelu_fwd(ops._depthwise_fwd(hidden, ops._taps(wd.data), bd.data))[0]
-        ys[...] = ops._linear_fwd(f, w2.data, b2.data)
-
-
-def _feed_forward(x: Tensor, p: dict[str, Tensor], blk: str) -> Tensor:
-    """fc1, 3x3 depthwise, GELU, fc2 over [B, H, W, C], with an ``mlp_ratio``-wide hidden.
-
-    With no tape recording, the four ops run over chunks of samples whose
-    hidden activation fits ``ops._BLOCK_BYTES``, so each op reads the
-    previous one's output from the L2 cache instead of from memory. The
-    calling thread and the helper threads share the chunks through
-    :func:`litematch._pool.share`, one handoff per block: the caller runs
-    its chunks through the public ops (``_ffn_ops``), each helper through
-    the same ops' array kernels (``_ffn_chunks``), so a chunk comes out the
-    same whichever thread runs it. Under a tape the ops run once over the
-    whole batch on the calling thread: the tape keeps every hidden
-    activation for backward anyway, and it has no op that slices or joins
-    a batch.
-    """
-    params = [
-        p[f"{blk}.ffn.{name}"]
-        for name in ("fc1.weight", "fc1.bias", "dw.weight", "dw.bias", "fc2.weight", "fc2.bias")
-    ]
-    if active_tape() is not None:
-        return _ffn(x, *params)
-    w1, _, wd, _, w2, _ = params
-    bsz, h, w, _ = x.shape
-    out = np.empty(x.shape, dtype=np.result_type(x.data, w1.data, wd.data, w2.data))
-    chunks = ops._sample_chunks(bsz, h * w * w1.shape[0] * x.data.itemsize)
-    _pool.share([(x.data[s], out[s]) for s in chunks], _ffn_chunks, *params, own=_ffn_ops)
-    return Tensor._wrap(out)
-
-
 def forward(model: Model, patches: Tensor) -> Tensor:
     """Map [B, 1, S, S] patches in [0, 1] to [B, descriptor_dim] unit rows.
 
@@ -297,7 +239,8 @@ def forward(model: Model, patches: Tensor) -> Tensor:
             a = ops.layer_norm(x, p[f"{blk}.norm1.gamma"], p[f"{blk}.norm1.beta"])
             x = ops.add(x, _attention(a, p, blk, st))
             f = ops.layer_norm(x, p[f"{blk}.norm2.gamma"], p[f"{blk}.norm2.beta"])
-            x = ops.add(x, _feed_forward(f, p, blk))
+            names = [f"{blk}.ffn.{n}.{k}" for n in ("fc1", "dw", "fc2") for k in ("weight", "bias")]
+            x = ops.add(x, ops.mix_ffn(f, *(p[name] for name in names)))
         x = ops.layer_norm(x, p[f"{pre}.norm.gamma"], p[f"{pre}.norm.beta"])
     pooled = ops.token_mean(x)
     desc = ops.linear(pooled, p["head.weight"], p["head.bias"])

@@ -1,38 +1,28 @@
 """Differentiable operations over :class:`~litematch.tensor.Tensor`.
 
-These are the nine operations the descriptor network (:mod:`litematch.model`)
+These are the eight operations the descriptor network (:mod:`litematch.model`)
 calls, and no others: :func:`add`, :func:`linear`, :func:`layer_norm`,
-:func:`attention`, :func:`gelu`, :func:`conv2d`, :func:`depthwise_conv2d`,
-:func:`token_mean` and :func:`l2_normalize`. The triplet loss records its
-own single tape entry (:func:`litematch.loss.triplet_loss`). Each operation
-validates shapes, raising :class:`~litematch.errors.DimensionError` for an
-empty channel or feature axis before any numpy call fails on it, computes
-the forward result in the input dtype, and registers one backward rule on
-the active tape. No implicit broadcasting except over the leading
-dimensions of :func:`linear`; all other operations require exact shapes.
+:func:`attention`, :func:`mix_ffn`, :func:`conv2d`, :func:`token_mean` and
+:func:`l2_normalize`. The triplet loss records its own single tape entry
+(:func:`litematch.loss.triplet_loss`). Each operation validates shapes,
+raising :class:`~litematch.errors.DimensionError` for an empty channel or
+feature axis before any numpy call fails on it, computes the forward
+result in the input dtype, and registers one backward rule on the active
+tape. No implicit broadcasting except over the leading dimensions of
+:func:`linear`; all other operations require exact shapes.
 
 Spatial activations are channels-last, [B, H, W, C], so a [B, N, C] token
 matrix is a free reshape of them and every trailing-axis op (:func:`linear`,
-:func:`layer_norm`, :func:`gelu`) applies to either form. :func:`attention`
-and :func:`token_mean` take [B, H, W, C] and make that reshape themselves.
-Convolution weights keep their stored layouts, [Cout, Cin, k, k] for
-:func:`conv2d` and [C, 1, 3, 3] for :func:`depthwise_conv2d`, and their
-gradients come back in the same layouts.
+:func:`layer_norm`) applies to either form. :func:`attention`,
+:func:`mix_ffn` and :func:`token_mean` take [B, H, W, C] and reshape it
+themselves. Convolution weights keep their stored layouts, [Cout, Cin, k, k]
+for :func:`conv2d` and [C, 1, 3, 3] for the depthwise convolution inside
+:func:`mix_ffn`, and their gradients come back in the same layouts.
 
-The heavy elementwise kernels make as few passes over memory as they can.
-:func:`depthwise_conv2d` is one ``np.einsum`` per chunk of samples over a
-strided 3x3 tap-window view of a copy padded with zero rows, whose taps
-that would wrap across a row edge are zeroed. :func:`gelu` runs its
-in-place sequence over flat blocks that fit the L2 cache. Both size their
-pieces with :func:`_sample_chunks`.
-
-The forward arithmetic of :func:`linear`, :func:`depthwise_conv2d` and
-:func:`gelu` lives in three array kernels, :func:`_linear_fwd`,
-:func:`_depthwise_fwd` and :func:`_gelu_fwd`, which the public ops call.
-The model's untaped feed-forward also calls them directly on its helper
-threads, which may run no public litematch function (see
-:mod:`litematch._pool`), so every chunk is computed by the same code
-whichever thread runs it.
+A helper thread may run no public litematch function (:mod:`litematch._pool`),
+so :func:`mix_ffn`'s chunks run array kernels only: :func:`_linear_fwd`,
+:func:`_depthwise_fwd` and :func:`_depthwise_wgrad` (``np.einsum`` over a
+strided 3x3 tap-window view), and :func:`_gelu_fwd` and :func:`_gelu_bwd`.
 
 Reductions over a short axis follow three rules, because numpy's
 ``sum``/``mean``/``max`` over such an axis spend most of their time on
@@ -58,14 +48,15 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
+from . import _pool
 from .errors import DegenerateDescriptorError, DimensionError
 from .tensor import Tensor, active_tape, record
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _LN_EPS = 1e-6
-# Elementwise sequences, depthwise sample chunks and the model's untaped
-# feed-forward chunks run over blocks of about this size to stay in the L2 cache.
+# Elementwise sequences, depthwise sample chunks and the Mix-FFN's chunks run
+# over blocks of about this size to stay in the L2 cache.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -229,8 +220,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
 
 def _gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The forward kernel of :func:`gelu`, on an array: the output, and the
-    tanh values t its backward reuses."""
+    """GELU of an array and the tanh values t that :func:`_gelu_bwd` reads:
+    0.5*x*(1 + t), t = tanh(C*(x + A*x*x*x)), in place over flat blocks of
+    about ``_BLOCK_BYTES`` and in that evaluation order, so the result is
+    bit-identical to the plain formula."""
     t = np.empty(x.shape, dtype=x.dtype)
     y = np.empty(x.shape, dtype=x.dtype)
     xf, tf, yf = x.reshape(-1), t.reshape(-1), y.reshape(-1)
@@ -247,42 +240,28 @@ def _gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, t
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation.
-
-    Computed in place as 0.5*x*(1 + t), t = tanh(C*(x + A*x*x*x)), in that
-    evaluation order, so the result is bit-identical to the plain formula.
-    Forward and backward run their sequences over flat blocks of about
-    ``_BLOCK_BYTES`` (:func:`_sample_chunks` over single elements).
-    """
-    xd = x.data
-    y, t = _gelu_fwd(xd)
-    out = Tensor._wrap(y)
-
-    def grad_fn(g):
-        # 0.5*(1 + t) + 0.5*x*(1 - t*t)*du with du = C*(1 + 3*A*x*x)
-        xf, tf = xd.reshape(-1), t.reshape(-1)
-        gx = np.empty(xd.shape, dtype=xd.dtype)
-        gf, gxf = g.reshape(-1), gx.reshape(-1)
-        for s in _sample_chunks(xf.size, xf.itemsize):
-            xs, ts, gs, du = xf[s], tf[s], gf[s], gxf[s]
-            np.multiply(xs, 3.0 * _GELU_A, out=du)
-            du *= xs
-            du += 1.0
-            du *= _GELU_C
-            dx = np.multiply(ts, ts)
-            np.subtract(1.0, dx, out=dx)
-            dx *= xs
-            dx *= 0.5
-            dx *= du
-            np.add(ts, 1.0, out=du)
-            du *= 0.5
-            du += dx
-            du *= gs
-        return (gx,)
-
-    record((x,), out, grad_fn)
-    return out
+def _gelu_bwd(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The input gradient of :func:`_gelu_fwd` at ``x``, with its tanh values
+    ``t``, for the output gradient ``g``, over the same flat blocks."""
+    # 0.5*(1 + t) + 0.5*x*(1 - t*t)*du with du = C*(1 + 3*A*x*x)
+    gx = np.empty(x.shape, dtype=x.dtype)
+    xf, tf, gf, gxf = x.reshape(-1), t.reshape(-1), g.reshape(-1), gx.reshape(-1)
+    for s in _sample_chunks(xf.size, xf.itemsize):
+        xs, ts, gs, du = xf[s], tf[s], gf[s], gxf[s]
+        np.multiply(xs, 3.0 * _GELU_A, out=du)
+        du *= xs
+        du += 1.0
+        du *= _GELU_C
+        dx = np.multiply(ts, ts)
+        np.subtract(1.0, dx, out=dx)
+        dx *= xs
+        dx *= 0.5
+        dx *= du
+        np.add(ts, 1.0, out=du)
+        du *= 0.5
+        du += dx
+        du *= gs
+    return gx
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -386,8 +365,8 @@ def _sample_chunks(n: int, sample_bytes: int):
     """Yield slices of a leading axis of ``n`` samples, about ``_BLOCK_BYTES`` each.
 
     ``sample_bytes`` is the size of one sample's widest array, so a chunk
-    of that array fits the L2 cache; :func:`gelu` passes single elements of
-    a flat view as its samples. Every chunk holds at least one sample, so
+    of that array fits the L2 cache; the GELU kernels pass single elements
+    of a flat view as their samples. Every chunk holds at least one sample, so
     empty samples and an empty leading axis need no special case.
     """
     step = max(1, _BLOCK_BYTES // max(1, sample_bytes))
@@ -397,14 +376,9 @@ def _sample_chunks(n: int, sample_bytes: int):
 
 def _correlate3x3(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Zero-padded 3x3 correlation of [B, H, W, C] with per-channel [3, 3, C] taps."""
-    bsz, h, w, c = a.shape
-    out = np.empty(a.shape, dtype=np.result_type(a, taps))
-    rows = out.reshape(bsz, h, w * c)
-    tiled = _edge_taps(taps, w)
-    # one pass per chunk: every output element sums its nine window products in place
-    for s in _sample_chunks(bsz, a[:1].nbytes):
-        np.einsum("bhrij,ijr->bhr", _tap_windows(a[s]), tiled, out=rows[s])
-    return out
+    windows, tiled = _tap_windows(a), _edge_taps(taps, a.shape[2])
+    # one pass: every output element sums its nine window products
+    return np.einsum("bhrij,ijr->bhr", windows, tiled).reshape(a.shape)
 
 
 def _taps(w: np.ndarray) -> np.ndarray:
@@ -413,62 +387,105 @@ def _taps(w: np.ndarray) -> np.ndarray:
 
 
 def _depthwise_fwd(x: np.ndarray, taps: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The forward kernel of :func:`depthwise_conv2d`, on arrays, with
-    :func:`_taps` of the weight."""
+    """Per-channel 3x3 convolution of [B, H, W, C], stride 1, zero padding 1,
+    with :func:`_taps` of the [C, 1, 3, 3] weight and the [C] bias. Its input
+    gradient correlates the output gradient with ``taps[::-1, ::-1]``."""
     y = _correlate3x3(x, taps)
     y += b
     return y
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Per-channel 3x3 convolution, stride 1, zero padding 1 (shape preserving).
+def _depthwise_wgrad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The [C, 1, 3, 3] weight gradient of :func:`_depthwise_fwd` at the input
+    ``x`` for the output gradient ``g``, both [B, H, W, C]."""
+    bsz, h, w, c = x.shape
+    g3, win = g.reshape(bsz, h, w * c), _tap_windows(x)
+    # over mix_ffn's chunks of a batch of 48 the nine einsums beat one "bhr,bhrij->ijr"
+    # at every 64 px stage (5.4 against 7.4 ms at [48, 16, 16, 128]), not at 128 px
+    gtaps = np.empty((3, 3, w * c), dtype=np.result_type(x, g))
+    for i in range(3):
+        for j in range(3):
+            np.einsum("bhr,bhr->r", g3, win[..., i, j], out=gtaps[i, j])
+    # drop the taps that read across a row edge, as :func:`_edge_taps` does
+    gtaps[:, 0, :c] = 0
+    gtaps[:, 2, -c:] = 0
+    gw = gtaps.reshape(3, 3, w, c).sum(axis=2)
+    return np.ascontiguousarray(gw.transpose(2, 0, 1)[:, None])
 
-    ``x``: [B, H, W, C] channels-last; ``w``: [C, 1, 3, 3] (the stored layout,
-    also that of its gradient); ``b``: [C]. Returns [B, H, W, C].
 
-    The op runs over chunks of samples of about ``_BLOCK_BYTES``, so its
-    padded scratch copy is chunk-sized and stays in cache. Per chunk, the
-    forward pass and the input gradient are each one ``np.einsum`` over a
-    strided tap-window view of a row-padded copy (:func:`_tap_windows`)
-    with edge-zeroed taps (:func:`_edge_taps`), instead of nine shifted
-    multiply-adds. The weight gradient is one einsum per tap over the same
-    view, accumulated across chunks into [3, 3, W*C] before its wrapping
-    edge columns are zeroed.
+def _mix_ffn_fwd(chunks, w1, b1, taps, bd, w2, b2, saved) -> None:
+    # kernels only: this runs on the helper threads too (see ``_pool``)
+    for i, xs, ys in chunks:
+        hidden = _linear_fwd(xs, w1, b1)
+        pre = _depthwise_fwd(hidden, taps, bd)
+        ys[...] = _linear_fwd(_gelu_fwd(pre)[0], w2, b2)
+        if saved is not None:
+            saved[i] = hidden, pre
+
+
+def _mix_ffn_bwd(chunks, w1, taps, w2, saved, partials) -> None:
+    # kernels only: this runs on the helper threads too (see ``_pool``)
+    for i, xs, gs, gxs in chunks:
+        hidden, pre = saved[i]
+        f, t = _gelu_fwd(pre)
+        g2 = gs.reshape(-1, w2.shape[0])
+        gpre = _gelu_bwd(pre, t, (g2 @ w2).reshape(pre.shape))
+        gh = _correlate3x3(gpre, taps[::-1, ::-1]).reshape(-1, w1.shape[0])
+        gxs[...] = (gh @ w1).reshape(xs.shape)
+        gw1 = gh.T @ xs.reshape(-1, w1.shape[1])
+        gwd = _depthwise_wgrad(hidden, gpre)
+        gw2 = g2.T @ f.reshape(-1, w2.shape[1])
+        partials[i] = gw1, _column_sums(gh), gwd, _column_sums(gpre), gw2, _column_sums(g2)
+
+
+def mix_ffn(
+    x: Tensor, w1: Tensor, b1: Tensor, wd: Tensor, bd: Tensor, w2: Tensor, b2: Tensor
+) -> Tensor:
+    """PVTv2's Mix-FFN of [B, H, W, C]: fc1 ``w1`` [D, C], ``b1`` [D]; a 3x3
+    depthwise convolution ``wd`` [D, 1, 3, 3], ``bd`` [D], zero padding 1;
+    tanh GELU; fc2 ``w2`` [Cout, D], ``b2`` [Cout]. Returns [B, H, W, Cout].
+
+    The steps run over chunks of samples whose hidden activation fits
+    ``_BLOCK_BYTES`` (the L2 cache), shared with :mod:`litematch._pool`'s
+    helpers. Under a tape a chunk keeps its fc1 and pre-GELU outputs; the
+    backward shares the chunks again, recomputes GELU, writes each chunk's
+    input gradient and sums the parameter-gradient partials in chunk order,
+    so no result depends on which thread ran a chunk.
     """
-    if x.ndim != 4 or w.ndim != 4:
-        raise DimensionError("depthwise_conv2d expects 4-d input and weight")
-    bsz, h, ww, c = x.shape
-    if c == 0:
-        raise DimensionError(f"depthwise_conv2d: no channels, input shape {x.shape}")
-    if w.shape != (c, 1, 3, 3):
-        raise DimensionError(f"depthwise_conv2d: weight must be ({c},1,3,3), got {w.shape}")
-    if b.shape != (c,):
-        raise DimensionError(f"depthwise_conv2d: bias must have shape ({c},)")
-
-    taps = _taps(w.data)
-    out = Tensor._wrap(_depthwise_fwd(x.data, taps, b.data))
+    if x.ndim != 4 or w1.ndim != 2 or w2.ndim != 2:
+        raise DimensionError(f"mix_ffn: expected a 4-d input and 2-d fc weights, got {x.shape}")
+    bsz, h, w, c = x.shape
+    hid, cout = w1.shape[0], w2.shape[0]
+    shapes = (w1.shape, b1.shape, wd.shape, bd.shape, w2.shape, b2.shape)
+    if shapes != ((hid, c), (hid,), (hid, 1, 3, 3), (hid,), (cout, hid), (cout,)):
+        raise DimensionError(f"mix_ffn: parameter shapes {shapes} do not fit {c} input channels")
+    if not c * hid * cout:
+        raise DimensionError(f"mix_ffn: empty channel or hidden axis, parameter shapes {shapes}")
+    taps = _taps(wd.data)
+    out = np.empty((bsz, h, w, cout), dtype=np.result_type(x.data, w1.data, wd.data, w2.data))
+    slices = list(_sample_chunks(bsz, h * w * hid * x.data.itemsize))
+    saved = [None] * len(slices) if active_tape() is not None else None
+    _pool.share(
+        [(i, x.data[s], out[s]) for i, s in enumerate(slices)], _mix_ffn_fwd,
+        w1.data, b1.data, taps, bd.data, w2.data, b2.data, saved, blas=True,
+    )
+    result = Tensor._wrap(out)
 
     def grad_fn(g):
-        # the input gradient correlates the output gradient with the flipped taps
-        gx = _correlate3x3(g, taps[::-1, ::-1])
-        g3 = g.reshape(bsz, h, ww * c)
-        gtaps = np.zeros((3, 3, ww * c), dtype=g.dtype)
-        # at [48, 16, 16, 128] float32, window copies included, the nine einsums took
-        # 7.0 ms over chunks, 8.9 over the whole batch; one "bhr,bhrij->ijr" took 9.6
-        for s in _sample_chunks(bsz, g3[:1].nbytes):
-            gs, win = g3[s], _tap_windows(x.data[s])
-            for i in range(3):
-                for j in range(3):
-                    gtaps[i, j] += np.einsum("bhr,bhr->r", gs, win[..., i, j])
-        # drop the taps that read across a row edge, as :func:`_edge_taps` does
-        gtaps[:, 0, :c] = 0
-        gtaps[:, 2, -c:] = 0
-        gw = gtaps.reshape(3, 3, ww, c).sum(axis=2)
-        gw = np.ascontiguousarray(gw.transpose(2, 0, 1)[:, None])
-        return gx, gw, _column_sums(g)
+        gx = np.empty(x.shape, dtype=g.dtype)
+        partials = [None] * len(slices)
+        _pool.share(
+            [(i, x.data[s], g[s], gx[s]) for i, s in enumerate(slices)], _mix_ffn_bwd,
+            w1.data, taps, w2.data, saved, partials, blas=True,
+        )
+        grads = [np.zeros(p.shape, dtype=g.dtype) for p in (w1, b1, wd, bd, w2, b2)]
+        for part in partials:  # in chunk order, whichever thread ran each chunk
+            for total, partial in zip(grads, part):
+                total += partial
+        return gx, *grads
 
-    record((x, w, b), out, grad_fn)
-    return out
+    record((x, w1, b1, wd, bd, w2, b2), result, grad_fn)
+    return result
 
 
 def token_mean(x: Tensor) -> Tensor:

@@ -22,7 +22,8 @@ from litematch.image import GrayImage, clahe
 from litematch.model import init_model
 from litematch.patch import plain_margin
 from litematch.pipeline import match_images
-from litematch.training import model_config_for
+from litematch.tensor import SGD
+from litematch.training import model_config_for, train_step
 
 MARGIN = plain_margin(64)  # the default window's
 
@@ -407,10 +408,10 @@ def test_one_chunk_level_runs_on_the_caller_alone(monkeypatch):
 
 def test_helpers_run_no_litematch_code_but_the_chunk_loop(blur_cpus):
     # the tracer keeps one span stack and wraps public functions, so no
-    # public litematch function may run on a helper: over a whole match, the
-    # blur's and the feed-forward's helpers enter only private chunk loops
-    # and kernels. threading.setprofile reaches only the threads started
-    # after it, which here are the helpers alone
+    # public litematch function may run on a helper: over a whole match and
+    # a training step, the blur's and the Mix-FFN's helpers enter only
+    # private chunk loops and kernels. threading.setprofile reaches only the
+    # threads started after it, which here are the helpers alone
     package = os.path.dirname(detector.__file__) + os.sep
     calls = []
 
@@ -421,13 +422,15 @@ def test_helpers_run_no_litematch_code_but_the_chunk_loop(blur_cpus):
     cfg = RunConfig(input_size=64, max_keypoints=64).validate()
     model = init_model(model_config_for(cfg), seed=0)
     pair = synth_pair(3, size=448)
+    batch = np.random.default_rng(1).random((6, 1, 64, 64), dtype=np.float32)
     threading.setprofile(profile)
     try:
         blur_cpus(2)
         match_images(model, pair.visible, pair.nir, cfg)
+        train_step(model, SGD(model.parameters()), batch, "corrected")
     finally:
         threading.setprofile(None)
-    assert {"_filter_chunks", "_ffn_chunks"} <= set(calls)
+    assert {"_filter_chunks", "_mix_ffn_fwd", "_mix_ffn_bwd"} <= set(calls)
     assert all(name.startswith("_") for name in calls), sorted(set(calls))
     assert not {"record", "active_tape"} & set(calls)
 

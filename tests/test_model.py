@@ -1,13 +1,14 @@
 """Architecture fidelity, initialization determinism, forward contracts."""
 
 import math
+import operator
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from litematch import _pool, model, ops
+from litematch import _pool, ops
 from litematch.errors import ConfigError, DimensionError
 from litematch.loss import triplet_loss
 from litematch.model import (
@@ -19,6 +20,8 @@ from litematch.model import (
     init_model,
 )
 from litematch.tensor import Tape, Tensor, backward
+
+from cotangent import cotangent_dot
 
 
 def small_config(descriptor_dim=128):
@@ -236,80 +239,57 @@ def test_untaped_forward_over_sample_chunks_matches_taped_forward(monkeypatch, b
     untaped = forward(m, x).data
     with Tape():
         taped = forward(m, x).data
-    np.testing.assert_allclose(untaped, taped, rtol=0, atol=1e-6)
-
-
-def test_feed_forward_chunks_samples_only_without_a_tape(monkeypatch, blur_cpus):
-    blur_cpus(1)  # the calling thread runs every chunk
-    monkeypatch.setattr(ops, "_BLOCK_BYTES", 1 << 18)
-    seen = {"gelu": [], "depthwise_conv2d": []}
-    for name, calls in seen.items():
-        def spy(x, *rest, _op=getattr(ops, name), _calls=calls):
-            _calls.append(x.shape[0])
-            return _op(x, *rest)
-        # the model must call the ops through the module, where tracers wrap them
-        monkeypatch.setattr(ops, name, spy)
-    m = init_model(ModelConfig(input_size=64), seed=14)
-    x = Tensor(np.random.default_rng(15).random((7, 1, 64, 64)).astype(np.float32))
-    forward(m, x)
-    # two blocks per stage; stage 1 in chunks of 2, stage 2 of 4, stages 3-4 whole
-    chunked = [2, 2, 2, 1] * 2 + [4, 3] * 2 + [7] * 4
-    assert seen == {"gelu": chunked, "depthwise_conv2d": chunked}
-    for calls in seen.values():
-        calls.clear()
-    with Tape():
-        forward(m, x)
-    assert seen == {"gelu": [7] * 8, "depthwise_conv2d": [7] * 8}
+    assert np.array_equal(untaped, taped)
 
 
 def test_two_cpus_run_each_feed_forward_chunk_once(monkeypatch, blur_cpus):
-    # the caller's chunks, which its public ops see, and the helper's, which
-    # _ffn_chunks runs, tile each feed-forward's batch with no chunk twice
+    # the caller's chunks and the helper's tile each feed-forward's batch
+    # with no chunk twice: forward without a tape, then forward and backward
+    # under one
     blur_cpus(2)
     monkeypatch.setattr(ops, "_BLOCK_BYTES", 1 << 18)
-    taken, gelu_sizes = [], []  # (taken by a helper, item) in the order taken
-    helper_took = threading.Event()
+    taken = {"fwd": [], "bwd": []}  # (taken by a helper, item) in the order taken
+    helper_took = {"fwd": threading.Event(), "bwd": threading.Event()}
 
-    def taking(on_helper, chunks):
+    def taking(kind, chunks):
+        on_helper = threading.current_thread() is not threading.main_thread()
         for item in chunks:
             if on_helper:
-                helper_took.set()
-            elif not taken:  # make the helper take a chunk of the first block
-                assert helper_took.wait(timeout=60)
-            taken.append((on_helper, item))
+                helper_took[kind].set()
+            elif operator.length_hint(chunks) and not helper_took[kind].is_set():
+                # make the helper take a chunk of the first shared block
+                assert helper_took[kind].wait(timeout=60)
+            taken[kind].append((on_helper, item))
             yield item
 
-    def own(chunks, *params, _run=model._ffn_ops):
-        _run(taking(False, chunks), *params)
-
-    def work(chunks, *params, _run=model._ffn_chunks):
-        _run(taking(True, chunks), *params)
-
-    def gelu(x, _op=ops.gelu):
-        gelu_sizes.append(x.shape[0])
-        return _op(x)
-
-    monkeypatch.setattr(model, "_ffn_ops", own)
-    monkeypatch.setattr(model, "_ffn_chunks", work)
-    monkeypatch.setattr(ops, "gelu", gelu)
+    for kind in taken:
+        def work(chunks, *args, _run=getattr(ops, f"_mix_ffn_{kind}"), _kind=kind):
+            _run(taking(_kind, chunks), *args)
+        monkeypatch.setattr(ops, f"_mix_ffn_{kind}", work)
     m = init_model(ModelConfig(input_size=64), seed=14)
     x = Tensor(np.random.default_rng(15).random((7, 1, 64, 64)).astype(np.float32))
-    forward(m, x)
-    assert any(on_helper for on_helper, _ in taken)
-    assert gelu_sizes == [ys.shape[0] for on_helper, (_, ys) in taken if not on_helper]
-    # a block's chunks are all taken before the next block's, so the blocks
-    # come in order; each view keeps its block's output alive
-    blocks = {}
-    for _, (_, ys) in taken:
-        start = (ys.ctypes.data - ys.base.ctypes.data) // ys.base[0].nbytes
-        blocks.setdefault(id(ys.base), []).append((start, ys.shape[0]))
     # stage 1 in chunks of 2, stage 2 of 4, stages 3-4 whole; two blocks a stage
     expected = [[2, 2, 2, 1]] * 2 + [[4, 3]] * 2 + [[7]] * 4
-    assert len(blocks) == len(expected)
-    for chunks, sizes in zip(blocks.values(), expected):
-        chunks.sort()
-        assert [size for _, size in chunks] == sizes
-        assert [start for start, _ in chunks] == [sum(sizes[:i]) for i in range(len(sizes))]
+    forward(m, x)
+    with Tape() as tape:
+        loss = cotangent_dot(forward(m, x))
+    backward(loss, tape)
+    for kind, blocks_in_order in (("fwd", expected * 2), ("bwd", expected[::-1])):
+        assert any(on_helper for on_helper, _ in taken[kind])
+        # a block's chunks are all taken before the next block's, so the blocks
+        # come in order; each output view keeps its block's output alive
+        blocks = {}
+        for _, (i, *_, out) in taken[kind]:
+            start = (out.ctypes.data - out.base.ctypes.data) // out.base[0].nbytes
+            blocks.setdefault(id(out.base), []).append((start, i, out.shape[0]))
+        assert len(blocks) == len(blocks_in_order)
+        for chunks, sizes in zip(blocks.values(), blocks_in_order):
+            chunks.sort()
+            assert [size for *_, size in chunks] == sizes
+            # chunk i starts where chunks 0 to i - 1 end
+            assert [(start, i) for start, i, _ in chunks] == [
+                (sum(sizes[:i]), i) for i in range(len(sizes))
+            ]
 
 
 @pytest.mark.parametrize("input_size", [64, 128])
@@ -340,6 +320,48 @@ def test_shared_forward_is_bit_identical_on_any_pool(monkeypatch, blur_cpus, inp
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(got, want) for got, want in zip(shared, alone))
+
+
+def first_step_gradients(m, x):
+    for prm in m.params.values():
+        prm.grad = None
+    with Tape() as tape:
+        loss = triplet_loss(forward(m, x))
+    backward(loss, tape)
+    return [prm.grad for prm in m.params.values()]
+
+
+def test_first_step_gradients_are_bit_identical_on_any_pool(monkeypatch, blur_cpus):
+    # mix_ffn sums its parameter-gradient partials in chunk order, so which
+    # thread finished a chunk first does not show in the sums
+    m = init_model(ModelConfig(input_size=64), seed=21)
+    inputs = [
+        Tensor(np.random.default_rng(seed).random((6, 1, 64, 64)).astype(np.float32))
+        for seed in range(2)
+    ]
+
+    def same(got, want):
+        pairs = [(a, b) for grads, wants in zip(got, want) for a, b in zip(grads, wants)]
+        return all(np.array_equal(a, b) for a, b in pairs)
+
+    blur_cpus(1)
+    alone = [first_step_gradients(m, x) for x in inputs]
+    blur_cpus(2)
+    assert same([first_step_gradients(m, x) for x in inputs], alone)
+    # a chunk per sample, more helpers than cores, and a thread switch at
+    # every chance
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", 4096)
+    blur_cpus(1)
+    alone = [first_step_gradients(m, x) for x in inputs]
+    _, count = blur_cpus(8)
+    assert count == 7
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = [first_step_gradients(m, x) for x in inputs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert same(shared, alone)
 
 
 def test_one_chunk_feed_forward_asks_for_no_helpers(monkeypatch):
@@ -427,6 +449,11 @@ def test_ops_keeps_only_what_the_model_calls(monkeypatch):
     patches = Tensor(np.random.default_rng(17).random((6, 1, 64, 64)).astype(np.float32))
     with Tape() as tape:
         triplet_loss(forward(m, patches))
-    assert names and not [n for n, c in calls.items() if c == 0], calls
+    assert sorted(names) == [
+        "add", "attention", "conv2d", "l2_normalize", "layer_norm", "linear", "mix_ffn", "token_mean",
+    ]
+    assert not [n for n, c in calls.items() if c == 0], calls
     recorded = [e.grad_fn.__qualname__.split(".")[0] for e in tape.ops]
-    assert recorded.count("attention") == sum(st.depth for st in cfg.stages) == calls["attention"]
+    blocks = sum(st.depth for st in cfg.stages)
+    assert recorded.count("attention") == blocks == calls["attention"]
+    assert recorded.count("mix_ffn") == blocks == calls["mix_ffn"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from litematch import ops
 from litematch.errors import DegenerateDescriptorError, DimensionError
-from litematch.tensor import Tape, Tensor, backward
+from litematch.tensor import Tape, Tensor, backward, record
 
 from cotangent import cotangent, cotangent_dot
 
@@ -192,7 +192,31 @@ def test_conv2d_tape_keeps_no_padded_input():
     assert not any(isinstance(v, np.ndarray) and v.shape == (2, 11, 11, 3) for v in kept)
 
 
-# ------------------------------------------------------ depthwise_conv2d
+# ------------------------------------------------------- mix_ffn's kernels
+# The depthwise convolution and GELU are private kernels of mix_ffn.
+# ``depthwise`` and ``gelu`` record them as tape ops, with the backward
+# arithmetic of ``ops._mix_ffn_bwd``, so each kernel is gradchecked alone.
+
+
+def depthwise(x, w, b):
+    """The depthwise kernels as one tape op over [B, H, W, C] and [C, 1, 3, 3]."""
+    taps = ops._taps(w.data)
+    out = Tensor._wrap(ops._depthwise_fwd(x.data, taps, b.data))
+
+    def grad_fn(g):
+        gx = ops._correlate3x3(g, taps[::-1, ::-1])
+        return gx, ops._depthwise_wgrad(x.data, g), ops._column_sums(g)
+
+    record((x, w, b), out, grad_fn)
+    return out
+
+
+def gelu(x):
+    """The GELU kernels as one tape op."""
+    y, t = ops._gelu_fwd(x.data)
+    out = Tensor._wrap(y)
+    record((x,), out, lambda g: (ops._gelu_bwd(x.data, t, g),))
+    return out
 
 
 def naive_depthwise(x, w, b):
@@ -212,7 +236,7 @@ def test_depthwise_matches_naive_loop(shape):
     x = rng.standard_normal(shape)
     w = rng.standard_normal((shape[3], 1, 3, 3))
     b = rng.standard_normal(shape[3])
-    got = ops.depthwise_conv2d(t64(x), t64(w), t64(b)).data
+    got = ops._depthwise_fwd(x, ops._taps(w), b)
     np.testing.assert_allclose(got, naive_depthwise(x, w, b), rtol=0, atol=1e-12)
 
 
@@ -223,24 +247,23 @@ def test_depthwise_matches_naive_loop_random_shapes(shape, seed):
     x = rng.standard_normal(shape)
     w = rng.standard_normal((shape[3], 1, 3, 3))
     b = rng.standard_normal(shape[3])
-    got = ops.depthwise_conv2d(t64(x), t64(w), t64(b)).data
+    got = ops._depthwise_fwd(x, ops._taps(w), b)
     np.testing.assert_allclose(got, naive_depthwise(x, w, b), rtol=0, atol=1e-12)
 
 
 def test_depthwise_identity_kernel():
     rng = np.random.default_rng(3)
-    x = Tensor(rng.random((1, 6, 6, 4)), dtype=np.float32)
+    x = rng.random((1, 6, 6, 4)).astype(np.float32)
     w = np.zeros((4, 1, 3, 3), dtype=np.float32)
     w[:, 0, 1, 1] = 1.0
-    out = ops.depthwise_conv2d(x, Tensor(w), Tensor(np.zeros(4, dtype=np.float32)))
-    np.testing.assert_array_equal(out.data, x.data)
+    out = ops._depthwise_fwd(x, ops._taps(w), np.zeros(4, dtype=np.float32))
+    np.testing.assert_array_equal(out, x)
 
 
 def test_depthwise_averaging_kernel_border_attenuation():
-    x = Tensor(np.ones((1, 6, 6, 1), dtype=np.float32))
-    w = Tensor(np.full((1, 1, 3, 3), 1.0 / 9.0, dtype=np.float32))
-    b = Tensor(np.zeros(1, dtype=np.float32))
-    out = ops.depthwise_conv2d(x, w, b).data[0, :, :, 0]
+    x = np.ones((1, 6, 6, 1), dtype=np.float32)
+    w = np.full((1, 1, 3, 3), 1.0 / 9.0, dtype=np.float32)
+    out = ops._depthwise_fwd(x, ops._taps(w), np.zeros(1, dtype=np.float32))[0, :, :, 0]
     np.testing.assert_allclose(out[1:-1, 1:-1], 1.0, rtol=1e-6)
     assert np.all(out[0, :] < 1.0) and np.all(out[:, 0] < 1.0)
 
@@ -250,7 +273,7 @@ def test_depthwise_gradcheck():
     x = rand64(rng, 1, 6, 6, 4)
     w = rand64(rng, 4, 1, 3, 3)
     b = rand64(rng, 4)
-    assert_gradcheck(lambda: ops.depthwise_conv2d(x, w, b), [x, w, b])
+    assert_gradcheck(lambda: depthwise(x, w, b), [x, w, b])
 
 
 def test_depthwise_single_column_gradcheck():
@@ -258,7 +281,7 @@ def test_depthwise_single_column_gradcheck():
     x = rand64(rng, 2, 4, 1, 3)
     w = rand64(rng, 3, 1, 3, 3)
     b = rand64(rng, 3)
-    assert_gradcheck(lambda: ops.depthwise_conv2d(x, w, b), [x, w, b])
+    assert_gradcheck(lambda: depthwise(x, w, b), [x, w, b])
 
 
 def unchunked_depthwise_backward(x, w, g):
@@ -281,7 +304,7 @@ def depthwise_with_grads(x, w, b):
     for the loss <y, g> of :func:`cotangent_dot`, whose gradient is exactly ``g``."""
     xt, wt, bt = t64(x), t64(w), t64(b)
     with Tape() as tape:
-        y = ops.depthwise_conv2d(xt, wt, bt)
+        y = depthwise(xt, wt, bt)
         loss = cotangent_dot(y)
     backward(loss, tape)
     return y.data, cotangent(y.shape, y.dtype), xt.grad, wt.grad, bt.grad
@@ -290,6 +313,8 @@ def depthwise_with_grads(x, w, b):
 # W = 1 and H = 1 have every tap on an edge column or a padding row
 @pytest.mark.parametrize("sample", [(4, 5, 3), (3, 1, 4), (1, 6, 2), (1, 1, 3)])
 def test_depthwise_over_chunks_matches_unchunked(monkeypatch, sample):
+    # as mix_ffn runs the kernels: per chunk of samples, with the weight and
+    # bias gradient partials summed in chunk order
     monkeypatch.setattr(ops, "_BLOCK_BYTES", 4096)
     per_chunk = 4096 // (math.prod(sample) * 8)
     # two full chunks and a ragged third
@@ -299,7 +324,14 @@ def test_depthwise_over_chunks_matches_unchunked(monkeypatch, sample):
     x = rng.standard_normal((bsz, *sample))
     w = rng.standard_normal((sample[2], 1, 3, 3))
     b = rng.standard_normal(sample[2])
-    y, g, gx, gw, gb = depthwise_with_grads(x, w, b)
+    g = cotangent(x.shape, x.dtype)
+    taps = ops._taps(w)
+    chunks = list(ops._sample_chunks(bsz, x[:1].nbytes))
+    assert len(chunks) == 3
+    y = np.concatenate([ops._depthwise_fwd(x[s], taps, b) for s in chunks])
+    gx = np.concatenate([ops._correlate3x3(g[s], taps[::-1, ::-1]) for s in chunks])
+    gw = sum(ops._depthwise_wgrad(x[s], g[s]) for s in chunks)
+    gb = sum(ops._column_sums(g[s]) for s in chunks)
     np.testing.assert_allclose(y, naive_depthwise(x, w, b), rtol=0, atol=1e-12)
     flipped = naive_depthwise(g, w[:, :, ::-1, ::-1], np.zeros_like(b))
     np.testing.assert_allclose(gx, flipped, rtol=0, atol=1e-12)
@@ -310,13 +342,96 @@ def test_depthwise_over_chunks_matches_unchunked(monkeypatch, sample):
 
 
 @pytest.mark.parametrize("shape", [(0, 4, 4, 3), (3, 0, 4, 3)])
-def test_depthwise_empty_batch_or_rows(monkeypatch, shape):
-    monkeypatch.setattr(ops, "_BLOCK_BYTES", 4096)
+def test_depthwise_empty_batch_or_rows(shape):
     rng = np.random.default_rng(26)
     w = rng.standard_normal((3, 1, 3, 3))
     y, _, gx, gw, gb = depthwise_with_grads(np.zeros(shape), w, rng.standard_normal(3))
     assert y.shape == gx.shape == shape
     assert np.array_equal(gw, np.zeros_like(w)) and np.array_equal(gb, np.zeros(3))
+
+
+def test_gelu_zero_and_asymptotics():
+    out = ops._gelu_fwd(np.array([0.0, 8.0, -8.0], dtype=np.float32))[0]
+    assert out[0] == 0.0
+    np.testing.assert_allclose(out[1], 8.0, rtol=1e-5)
+    np.testing.assert_allclose(out[2], 0.0, atol=1e-5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_forward_bit_identical_to_formula(dtype):
+    rng = np.random.default_rng(9)
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    # the second shape spans several cache blocks and ends in a partial one
+    for shape in [(6, 7, 5), (7, 4001, 5)]:
+        x = (rng.standard_normal(shape) * np.logspace(-6, 2, 5)).astype(dtype)
+        expected = 0.5 * x * (1.0 + np.tanh(c * (x + a * x * x * x)))
+        out = ops._gelu_fwd(x)[0]
+        assert out.dtype == dtype and np.array_equal(out, expected)
+
+
+def test_gelu_backward_bit_identical_to_formula_across_blocks():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((7, 4001, 5)).astype(np.float32) * 3
+    g = cotangent(x.shape, np.float32)
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(c * (x + a * x * x * x))
+    du = (x * (3.0 * a) * x + 1.0) * c
+    expected = ((t + 1.0) * 0.5 + (1.0 - t * t) * x * 0.5 * du) * g
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        # d(loss)/d(gelu) is exactly g
+        loss = cotangent_dot(gelu(xt))
+    backward(loss, tape)
+    assert xt.grad.dtype == np.float32 and np.array_equal(xt.grad, expected)
+
+
+def test_gelu_gradcheck():
+    rng = np.random.default_rng(8)
+    x = rand64(rng, 4, 5)
+    assert_gradcheck(lambda: gelu(x), [x])
+
+
+# ------------------------------------------------------------------ mix_ffn
+
+
+def mix_ffn_params(rng, c, hidden, cout):
+    """float64 fc1, depthwise and fc2 weights and biases, in mix_ffn's order."""
+    shapes = [(hidden, c), (hidden,), (hidden, 1, 3, 3), (hidden,), (cout, hidden), (cout,)]
+    return [rand64(rng, *shape) for shape in shapes]
+
+
+def naive_mix_ffn(x, w1, b1, wd, bd, w2, b2):
+    """The four steps over the whole batch, from their definitions."""
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    d = naive_depthwise(x @ w1.T + b1, wd, bd)
+    return 0.5 * d * (1.0 + np.tanh(c * (d + a * d**3))) @ w2.T + b2
+
+
+def test_mix_ffn_over_chunks_matches_definition_and_gradcheck(monkeypatch, blur_cpus):
+    # 576 bytes of hidden activation a sample: chunks of 2, 2 and 1 samples,
+    # shared with a helper
+    blur_cpus(2)
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", 1200)
+    rng = np.random.default_rng(27)
+    x = rand64(rng, 5, 3, 4, 2)
+    params = mix_ffn_params(rng, 2, 6, 3)
+    assert len(list(ops._sample_chunks(5, 3 * 4 * 6 * 8))) == 3
+    want = naive_mix_ffn(x.data, *(p.data for p in params))
+    np.testing.assert_allclose(ops.mix_ffn(x, *params).data, want, rtol=0, atol=1e-12)
+    assert_gradcheck(lambda: ops.mix_ffn(x, *params), [x, *params])
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 4, 2), (3, 0, 4, 2)])
+def test_mix_ffn_empty_batch_or_rows_gives_zero_parameter_gradients(shape):
+    rng = np.random.default_rng(28)
+    x = t64(np.zeros(shape))
+    params = mix_ffn_params(rng, 2, 6, 3)
+    with Tape() as tape:
+        y = ops.mix_ffn(x, *params)
+        loss = cotangent_dot(y)
+    backward(loss, tape)
+    assert y.shape == shape[:3] + (3,) and x.grad.shape == shape
+    assert all(np.array_equal(p.grad, np.zeros(p.shape)) for p in params)
 
 
 # ---------------------------------------------------------------- linear
@@ -591,51 +706,6 @@ def test_column_sums_of_an_empty_leading_axis_are_zero():
     assert got.dtype == np.float32 and np.array_equal(got, np.zeros(16))
 
 
-# ------------------------------------------------------------------ gelu
-
-
-def test_gelu_zero_and_asymptotics():
-    x = Tensor(np.array([0.0, 8.0, -8.0], dtype=np.float32))
-    out = ops.gelu(x).data
-    assert out[0] == 0.0
-    np.testing.assert_allclose(out[1], 8.0, rtol=1e-5)
-    np.testing.assert_allclose(out[2], 0.0, atol=1e-5)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gelu_forward_bit_identical_to_formula(dtype):
-    rng = np.random.default_rng(9)
-    c, a = math.sqrt(2.0 / math.pi), 0.044715
-    # the second shape spans several cache blocks and ends in a partial one
-    for shape in [(6, 7, 5), (7, 4001, 5)]:
-        x = (rng.standard_normal(shape) * np.logspace(-6, 2, 5)).astype(dtype)
-        expected = 0.5 * x * (1.0 + np.tanh(c * (x + a * x * x * x)))
-        out = ops.gelu(Tensor(x, dtype=dtype)).data
-        assert out.dtype == dtype and np.array_equal(out, expected)
-
-
-def test_gelu_backward_bit_identical_to_formula_across_blocks():
-    rng = np.random.default_rng(10)
-    x = rng.standard_normal((7, 4001, 5)).astype(np.float32) * 3
-    g = cotangent(x.shape, np.float32)
-    c, a = math.sqrt(2.0 / math.pi), 0.044715
-    t = np.tanh(c * (x + a * x * x * x))
-    du = (x * (3.0 * a) * x + 1.0) * c
-    expected = ((t + 1.0) * 0.5 + (1.0 - t * t) * x * 0.5 * du) * g
-    xt = Tensor(x, requires_grad=True)
-    with Tape() as tape:
-        # d(loss)/d(gelu) is exactly g
-        loss = cotangent_dot(ops.gelu(xt))
-    backward(loss, tape)
-    assert xt.grad.dtype == np.float32 and np.array_equal(xt.grad, expected)
-
-
-def test_gelu_gradcheck():
-    rng = np.random.default_rng(8)
-    x = rand64(rng, 4, 5)
-    assert_gradcheck(lambda: ops.gelu(x), [x])
-
-
 # ------------------------------------------------------------ token_mean
 
 
@@ -723,10 +793,16 @@ def z(*shape):
         ("linear", lambda: ops.linear(z(2, 3), z(0, 3), z(0))),
         ("linear", lambda: ops.linear(z(2, 0), z(4, 0), z(4))),
         ("linear", lambda: ops.linear(z(2, 0), z(4, 0), None)),
-        ("depthwise_conv2d", lambda: ops.depthwise_conv2d(z(2, 4, 4, 0), z(0, 1, 3, 3), z(0))),
+        # mix_ffn's hidden axis is its depthwise convolution's channel axis
+        ("mix_ffn", lambda: ops.mix_ffn(z(2, 4, 4, 3), z(0, 3), z(0), z(0, 1, 3, 3), z(0), z(3, 0), z(3))),
+        ("mix_ffn", lambda: ops.mix_ffn(z(2, 4, 4, 0), z(6, 0), z(6), z(6, 1, 3, 3), z(6), z(0, 6), z(0))),
+        ("mix_ffn", lambda: ops.mix_ffn(z(2, 4, 4, 0), z(6, 0), z(6), z(6, 1, 3, 3), z(6), z(3, 6), z(3))),
         ("conv2d", lambda: ops.conv2d(z(2, 4, 4, 1), z(0, 1, 3, 3), z(0), stride=1, padding=1)),
     ],
-    ids=["linear-dout0", "linear-din0", "linear-din0-no-bias", "depthwise-c0", "conv2d-cout0"],
+    ids=[
+        "linear-dout0", "linear-din0", "linear-din0-no-bias",
+        "depthwise-c0", "mix_ffn-c0", "mix_ffn-c0-cout0", "conv2d-cout0",
+    ],
 )
 def test_empty_channel_axis_raises_dimension_error_at_forward(op, call):
     with Tape() as tape:
@@ -772,10 +848,9 @@ def test_five_random_instances_per_op_gradcheck():
         w = rand64(rng, 2, 3, 3, 3)
         b = rand64(rng, 2)
         assert_gradcheck(lambda: ops.conv2d(x, w, b, stride=1, padding=1), [x, w, b])
-        dw = rand64(rng, 3, 1, 3, 3)
-        db = rand64(rng, 3)
-        xd = rand64(rng, 1, 5, 5, 3)
-        assert_gradcheck(lambda: ops.depthwise_conv2d(xd, dw, db), [xd, dw, db])
+        xm = rand64(rng, 2, 3, 3, 2)
+        pm = mix_ffn_params(rng, 2, 4, 3)
+        assert_gradcheck(lambda: ops.mix_ffn(xm, *pm), [xm, *pm])
         xl = rand64(rng, 2, 7)
         wl = rand64(rng, 3, 7)
         bl = rand64(rng, 3)
@@ -786,8 +861,6 @@ def test_five_random_instances_per_op_gradcheck():
         assert_gradcheck(lambda: ops.layer_norm(xn, gn, bn), [xn, gn, bn])
         qa, ka, va = rand64(rng, 1, 2, 2, 4), rand64(rng, 1, 2, 1, 4), rand64(rng, 1, 2, 1, 4)
         assert_gradcheck(lambda: ops.attention(qa, ka, va, 2), [qa, ka, va])
-        xg = rand64(rng, 2, 6)
-        assert_gradcheck(lambda: ops.gelu(xg), [xg])
         xp = rand64(rng, 2, 3, 3, 2)
         assert_gradcheck(lambda: ops.token_mean(xp), [xp])
         xu = t64(rng.standard_normal((3, 8)) + 0.2)
