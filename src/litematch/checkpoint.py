@@ -8,7 +8,7 @@ keys are ``format_version`` (1), ``stages`` (per stage
 ``input_size``, ``descriptor_dim``, ``step``, ``epoch``, ``final_loss``
 and ``run.<field>`` for every RunConfig field. Loading validates each of
 them, the ``run.*`` values together under ``RunConfig.validate`` and
-against the model's size and descriptor width, and skips other keys, such
+against the model's (``config.check_agreement``), and skips other keys, such
 as the input channel count older files carry, and the ``run.*`` keys of
 the retired settings in ``RETIRED_RUN_KEYS`` whatever their value (a
 checkpoint trained under the literal LT loss resumes under the one that
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, apply_overrides
+from .config import MODEL_SETTINGS, RunConfig, apply_overrides, check_agreement
 from .errors import ContractError
 from .model import Model, ModelConfig, StageConfig, describe_shapes
 from .tensor import Tensor
@@ -68,8 +68,10 @@ def build_checkpoint(
     model: Model, run_config: RunConfig, step: int, epoch: int, final_loss: float
 ) -> Checkpoint:
     """Snapshot ``model``; the run values are stored as loading parses them
-    (``eps=5`` becomes ``5.0``), so a saved file re-saves byte for byte."""
+    (``eps=5`` becomes ``5.0``), so a saved file re-saves byte for byte.
+    Refuses a ``run_config`` that loading would (``config.check_agreement``)."""
     run = apply_overrides(RunConfig(), _run_meta(run_config)).validate()
+    check_agreement(run, model.config, MODEL_SETTINGS)
     blobs = {name: p.data for name, p in model.params.items()}
     return Checkpoint(model.config, run, int(step), int(epoch), float(final_loss), blobs)
 
@@ -133,8 +135,7 @@ def _parse(buf: bytes) -> Checkpoint:
     for key in RETIRED_RUN_KEYS:
         run_meta.pop(key, None)
     run = apply_overrides(RunConfig(), run_meta).validate()
-    if (run.input_size, run.descriptor_dim) != (config.input_size, config.descriptor_dim):
-        raise ValueError("run.input_size or run.descriptor_dim differs from the model's")
+    check_agreement(run, config, MODEL_SETTINGS)
 
     eol = buf.index(b"\n", pos)
     n_blobs = int(buf[pos + len(b"blobs ") : eol])

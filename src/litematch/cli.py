@@ -17,14 +17,21 @@ import time
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, model_from_checkpoint
-from .config import RunConfig, apply_overrides, load_config_file
+from .config import (
+    MANIFEST_SETTINGS,
+    MODEL_SETTINGS,
+    RunConfig,
+    apply_overrides,
+    check_agreement,
+    load_config_file,
+)
 from .dataset import (
-    AlignedPair,
     DatasetManifest,
     build_triplets,
     identity_alignment,
     load_dataset,
     load_manifest,
+    load_pairs,
     synth_pair,
     write_dataset,
 )
@@ -35,7 +42,7 @@ from .matching import annotate_matches, score, write_matches
 from .model import Model
 from .patch import required_margin
 from .pipeline import enhance, evaluate_pair, evaluation_table, match_images
-from .training import check_model_config, model_config_for, select_records, train
+from .training import model_config_for, select_records, train
 
 
 def _add_shared(parser: argparse.ArgumentParser) -> None:
@@ -76,7 +83,7 @@ def _load_model(args: argparse.Namespace) -> tuple[Model, RunConfig]:
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
     cfg = _build_config(args, ckpt.run)
-    check_model_config(model, cfg)
+    check_agreement(cfg, model.config, MODEL_SETTINGS)
     return model, cfg
 
 
@@ -91,18 +98,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
                 f"--pairs applies to --synthetic (got pairs={cfg.pairs}); "
                 "with --from-pairs the directory decides the count"
             )
-        src = Path(args.from_pairs)
-        names = sorted(p.name[: -len("_vis.pgm")] for p in src.glob("*_vis.pgm"))
-        if not names:
-            raise DatasetError(f"no *_vis.pgm files in {src}")
-        pairs = [
-            AlignedPair(
-                name=n,
-                visible=load_image(src / f"{n}_vis.pgm"),
-                nir=load_image(src / f"{n}_nir.pgm"),
-            )
-            for n in names
-        ]
+        pairs = list(load_pairs(args.from_pairs).values())
     else:
         pairs = [
             synth_pair(cfg.seed + i, size=cfg.synth_size, name=f"pair{i:04d}")
@@ -127,14 +123,9 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
             window=cfg.window,
             out_size=cfg.input_size,
         )
+    fixed = {attr: getattr(cfg, name) for name, attr in MANIFEST_SETTINGS.names.items()}
     manifest = DatasetManifest(
-        seed=cfg.seed,
-        window=cfg.window,
-        out_size=cfg.input_size,
-        clahe_clip=cfg.clahe_clip,
-        clahe_grid=cfg.clahe_grid,
-        pairs=[pair.name for pair in pairs],
-        records=records,
+        seed=cfg.seed, pairs=[pair.name for pair in pairs], records=records, **fixed
     )
     write_dataset(out_dir, pairs, manifest)
     print(f"wrote {len(pairs)} pairs, {manifest.count} triplet records to {out_dir}")
@@ -149,9 +140,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         base = load_checkpoint(args.resume).run
     else:
         m = load_manifest(args.data)
-        base = RunConfig(
-            window=m.window, input_size=m.out_size, clahe_clip=m.clahe_clip, clahe_grid=m.clahe_grid
-        )
+        base = RunConfig(**{k: getattr(m, attr) for k, attr in MANIFEST_SETTINGS.names.items()})
     cfg = _build_config(args, base)
     log_path = args.log if args.log is not None else Path(args.out).with_suffix(".log.tsv")
     report = train(

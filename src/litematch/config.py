@@ -2,6 +2,10 @@
 
 Unknown keys are refused, the retired ``loss_mode`` and ``use_*`` switches
 too; only checkpoint loading skips those (``checkpoint.RETIRED_RUN_KEYS``).
+
+A dataset manifest and a model fix some settings (:data:`MANIFEST_SETTINGS`,
+:data:`MODEL_SETTINGS`); :func:`check_agreement` is the one rule that
+refuses a run config disagreeing with either, wherever a run meets one.
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -61,6 +66,32 @@ class RunConfig:
         return self
 
 
+class FixedSettings(NamedTuple):
+    """The RunConfig fields a source fixes, each keyed to the source's own
+    attribute, and how an error message says the source holds them."""
+
+    held: str
+    names: dict[str, str]
+
+
+MANIFEST_SETTINGS = FixedSettings(
+    "the manifest was built with",
+    dict(window="window", input_size="out_size", clahe_clip="clahe_clip", clahe_grid="clahe_grid"),
+)
+MODEL_SETTINGS = FixedSettings(
+    "the checkpoint's model has", dict(input_size="input_size", descriptor_dim="descriptor_dim")
+)
+
+
+def check_agreement(cfg: RunConfig, source: object, fixed: FixedSettings) -> None:
+    """Raise ConfigError naming the first of the ``fixed`` settings that
+    ``cfg`` sets differently from ``source``, a manifest or a model config."""
+    for name, attr in fixed.names.items():
+        want, have = getattr(cfg, name), getattr(source, attr)
+        if want != have:
+            raise ConfigError(f"the run config sets {name}={want} but {fixed.held} {attr}={have}")
+
+
 def _parse_value(name: str, kind: type, raw: str):
     raw = raw.strip()
     try:
@@ -78,13 +109,13 @@ def _parse_value(name: str, kind: type, raw: str):
 
 def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
     """Set fields from raw string values, type-checked against the dataclass."""
-    types = {f.name: f.type for f in fields(RunConfig)}
-    py_types = {"int": int, "float": float, "bool": bool, "str": str}
+    # under ``from __future__ import annotations`` every field type is its name
+    kinds = {"int": int, "float": float, "bool": bool}
+    types = {f.name: kinds[f.type] for f in fields(RunConfig)}
     for key, raw in overrides.items():
         if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
-        kind = py_types[types[key]] if isinstance(types[key], str) else types[key]
-        setattr(cfg, key, _parse_value(key, kind, raw))
+        setattr(cfg, key, _parse_value(key, types[key], raw))
     return cfg
 
 

@@ -417,18 +417,28 @@ def load_manifest(data_dir: str | Path) -> DatasetManifest:
         raise DatasetError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
 
 
+def load_pairs(directory: str | Path, names: "list[str] | None" = None) -> dict[str, AlignedPair]:
+    """Load ``<name>_vis.pgm`` and ``<name>_nir.pgm`` of ``directory`` for each
+    of ``names``, or for every ``*_vis.pgm`` there (sorted) when it is None."""
+    directory = Path(directory)
+    if names is None:
+        names = sorted(p.name[: -len("_vis.pgm")] for p in directory.glob("*_vis.pgm"))
+        if not names:
+            raise DatasetError(f"no *_vis.pgm files in {directory}")
+    return {
+        name: AlignedPair(
+            name=name,
+            visible=load_image(directory / f"{name}_vis.pgm"),
+            nir=load_image(directory / f"{name}_nir.pgm"),
+        )
+        for name in names
+    }
+
+
 def load_dataset(data_dir: str | Path) -> tuple[dict[str, AlignedPair], DatasetManifest]:
     """Load the manifest (:func:`load_manifest`) and every source pair it references."""
-    data_dir = Path(data_dir)
     manifest = load_manifest(data_dir)
-    pairs: dict[str, AlignedPair] = {}
-    for name in manifest.pairs:
-        pairs[name] = AlignedPair(
-            name=name,
-            visible=load_image(data_dir / "pairs" / f"{name}_vis.pgm"),
-            nir=load_image(data_dir / "pairs" / f"{name}_nir.pgm"),
-        )
-    return pairs, manifest
+    return load_pairs(Path(data_dir) / "pairs", manifest.pairs), manifest
 
 
 def enhanced_pair(pair: AlignedPair, manifest: DatasetManifest) -> tuple[GrayImage, GrayImage]:

@@ -55,8 +55,8 @@ from .tensor import Tensor, active_tape, record
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _LN_EPS = 1e-6
-# Elementwise sequences, depthwise sample chunks and the Mix-FFN's chunks run
-# over blocks of about this size to stay in the L2 cache.
+# The Mix-FFN runs over chunks of samples whose hidden activation is about
+# this size, to stay in the L2 cache.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -221,47 +221,37 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
 def _gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GELU of an array and the tanh values t that :func:`_gelu_bwd` reads:
-    0.5*x*(1 + t), t = tanh(C*(x + A*x*x*x)), in place over flat blocks of
-    about ``_BLOCK_BYTES`` and in that evaluation order, so the result is
-    bit-identical to the plain formula."""
-    t = np.empty(x.shape, dtype=x.dtype)
-    y = np.empty(x.shape, dtype=x.dtype)
-    xf, tf, yf = x.reshape(-1), t.reshape(-1), y.reshape(-1)
-    for s in _sample_chunks(xf.size, xf.itemsize):
-        xs, ts, ys = xf[s], tf[s], yf[s]
-        np.multiply(xs, _GELU_A, out=ts)
-        ts *= xs
-        ts *= xs
-        ts += xs
-        ts *= _GELU_C
-        np.tanh(ts, out=ts)
-        np.multiply(xs, 0.5, out=ys)
-        ys *= 1.0 + ts
+    0.5*x*(1 + t), t = tanh(C*(x + A*x*x*x)), in place and in that evaluation
+    order, so the result is bit-identical to the plain formula."""
+    t = np.multiply(x, _GELU_A)
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = np.multiply(x, 0.5)
+    y *= 1.0 + t
     return y, t
 
 
 def _gelu_bwd(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The input gradient of :func:`_gelu_fwd` at ``x``, with its tanh values
-    ``t``, for the output gradient ``g``, over the same flat blocks."""
+    ``t``, for the output gradient ``g``."""
     # 0.5*(1 + t) + 0.5*x*(1 - t*t)*du with du = C*(1 + 3*A*x*x)
-    gx = np.empty(x.shape, dtype=x.dtype)
-    xf, tf, gf, gxf = x.reshape(-1), t.reshape(-1), g.reshape(-1), gx.reshape(-1)
-    for s in _sample_chunks(xf.size, xf.itemsize):
-        xs, ts, gs, du = xf[s], tf[s], gf[s], gxf[s]
-        np.multiply(xs, 3.0 * _GELU_A, out=du)
-        du *= xs
-        du += 1.0
-        du *= _GELU_C
-        dx = np.multiply(ts, ts)
-        np.subtract(1.0, dx, out=dx)
-        dx *= xs
-        dx *= 0.5
-        dx *= du
-        np.add(ts, 1.0, out=du)
-        du *= 0.5
-        du += dx
-        du *= gs
-    return gx
+    du = np.multiply(x, 3.0 * _GELU_A)
+    du *= x
+    du += 1.0
+    du *= _GELU_C
+    dx = np.multiply(t, t)
+    np.subtract(1.0, dx, out=dx)
+    dx *= x
+    dx *= 0.5
+    dx *= du
+    np.add(t, 1.0, out=du)
+    du *= 0.5
+    du += dx
+    du *= g
+    return du
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -329,7 +319,7 @@ def _tap_windows(a: np.ndarray) -> np.ndarray:
     columns of C away from it, so the strides are (sample, row, 1, row, C).
     Column padding is not stored: tap j = 0 at w = 0 reads the end of the
     row above, and j = 2 at w = W - 1 the start of the row below, and the
-    caller zeroes those taps (see :func:`_edge_taps`).
+    caller zeroes those taps (:func:`_drop_wrapped`).
     """
     bsz, h, w, c = a.shape
     row = w * c
@@ -347,15 +337,13 @@ def _tap_windows(a: np.ndarray) -> np.ndarray:
     )
 
 
-def _edge_taps(taps: np.ndarray, w: int) -> np.ndarray:
-    """Tile [3, 3, C] taps along a row of W pixels to [3, 3, W*C], without the wrapping taps.
+def _drop_wrapped(tiled: np.ndarray, c: int) -> np.ndarray:
+    """Zero, in place, the [3, 3, W*C] taps of ``c`` channels that read across a row edge.
 
-    The left taps at column 0 and the right taps at column W - 1 are zeroed,
-    because there :func:`_tap_windows` reads a neighbouring row instead of
-    padding. At W = 1 both edges are the same column.
+    These are the left taps at column 0 and the right taps at column W - 1,
+    where :func:`_tap_windows` reads a neighbouring row instead of padding.
+    At W = 1 both edges are the same column.
     """
-    c = taps.shape[2]
-    tiled = np.tile(taps, (1, 1, w))
     tiled[:, 0, :c] = 0
     tiled[:, 2, -c:] = 0
     return tiled
@@ -365,9 +353,8 @@ def _sample_chunks(n: int, sample_bytes: int):
     """Yield slices of a leading axis of ``n`` samples, about ``_BLOCK_BYTES`` each.
 
     ``sample_bytes`` is the size of one sample's widest array, so a chunk
-    of that array fits the L2 cache; the GELU kernels pass single elements
-    of a flat view as their samples. Every chunk holds at least one sample, so
-    empty samples and an empty leading axis need no special case.
+    of that array fits the L2 cache. Every chunk holds at least one sample,
+    so empty samples and an empty leading axis need no special case.
     """
     step = max(1, _BLOCK_BYTES // max(1, sample_bytes))
     for lo in range(0, n, step):
@@ -376,9 +363,9 @@ def _sample_chunks(n: int, sample_bytes: int):
 
 def _correlate3x3(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Zero-padded 3x3 correlation of [B, H, W, C] with per-channel [3, 3, C] taps."""
-    windows, tiled = _tap_windows(a), _edge_taps(taps, a.shape[2])
+    tiled = _drop_wrapped(np.tile(taps, (1, 1, a.shape[2])), a.shape[3])
     # one pass: every output element sums its nine window products
-    return np.einsum("bhrij,ijr->bhr", windows, tiled).reshape(a.shape)
+    return np.einsum("bhrij,ijr->bhr", _tap_windows(a), tiled).reshape(a.shape)
 
 
 def _taps(w: np.ndarray) -> np.ndarray:
@@ -406,10 +393,7 @@ def _depthwise_wgrad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     for i in range(3):
         for j in range(3):
             np.einsum("bhr,bhr->r", g3, win[..., i, j], out=gtaps[i, j])
-    # drop the taps that read across a row edge, as :func:`_edge_taps` does
-    gtaps[:, 0, :c] = 0
-    gtaps[:, 2, -c:] = 0
-    gw = gtaps.reshape(3, 3, w, c).sum(axis=2)
+    gw = _drop_wrapped(gtaps, c).reshape(3, 3, w, c).sum(axis=2)
     return np.ascontiguousarray(gw.transpose(2, 0, 1)[:, None])
 
 

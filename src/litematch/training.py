@@ -3,7 +3,9 @@
 Patches are regenerated lazily per batch from the enhanced source images,
 so memory stays flat regardless of dataset size. Batch composition
 depends only on the seed (per-epoch derived generators), which keeps runs
-reproducible and resume-safe.
+reproducible and resume-safe. The run config must agree with the
+manifest and with a resumed model on the settings they fix
+(:func:`litematch.config.check_agreement`).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from .checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from .config import RunConfig
+from .config import MANIFEST_SETTINGS, MODEL_SETTINGS, RunConfig, check_agreement
 from .dataset import (
     AlignedPair,
     DatasetManifest,
@@ -61,17 +63,6 @@ class TrainReport:
 
 def model_config_for(cfg: RunConfig) -> ModelConfig:
     return ModelConfig(input_size=cfg.input_size, descriptor_dim=cfg.descriptor_dim)
-
-
-def check_model_config(model: Model, cfg: RunConfig) -> None:
-    """Raise ConfigError naming the first model field ``cfg`` sets differently."""
-    wanted = model_config_for(cfg)
-    for f in fields(ModelConfig):
-        want, have = getattr(wanted, f.name), getattr(model.config, f.name)
-        if want != have:
-            raise ConfigError(
-                f"the run config sets {f.name}={want} but the checkpoint's model has {f.name}={have}"
-            )
 
 
 def select_records(manifest: DatasetManifest, cfg: RunConfig, subset: str) -> DatasetManifest:
@@ -146,18 +137,7 @@ def train(
     if cfg.batch_size > n:
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds triplet count {n}")
     # the checkpoint records cfg, so it must hold the settings the patches were made with
-    for field_name, manifest_field in (
-        ("window", "window"),
-        ("input_size", "out_size"),
-        ("clahe_clip", "clahe_clip"),
-        ("clahe_grid", "clahe_grid"),
-    ):
-        want, have = getattr(cfg, field_name), getattr(selected, manifest_field)
-        if want != have:
-            raise ConfigError(
-                f"the run config sets {field_name}={want} but the manifest was built "
-                f"with {manifest_field}={have}"
-            )
+    check_agreement(cfg, selected, MANIFEST_SETTINGS)
     source = TripletSource(pairs, selected)
     del pairs  # the source holds the enhanced images; the raw ones can go
 
@@ -166,7 +146,7 @@ def train(
     if resume is not None:
         ckpt = load_checkpoint(resume)
         model = model_from_checkpoint(ckpt)
-        check_model_config(model, cfg)
+        check_agreement(cfg, model.config, MODEL_SETTINGS)
         if cfg.epochs <= ckpt.epoch:
             raise ConfigError(
                 f"the run config sets epochs={cfg.epochs} but the checkpoint {resume} is already "

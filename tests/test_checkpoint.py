@@ -13,7 +13,7 @@ from litematch.checkpoint import (
     save_checkpoint,
 )
 from litematch.config import RunConfig
-from litematch.errors import ContractError
+from litematch.errors import ConfigError, ContractError
 from litematch.image import GrayImage, save_pgm
 from litematch.model import ModelConfig, describe_shapes, forward, init_model
 from litematch.tensor import Tensor
@@ -49,6 +49,19 @@ def test_round_trip_byte_for_byte(saved):
     again = folder / "again.ckpt"
     save_checkpoint(again, load_checkpoint(folder / "valid.ckpt"))
     assert again.read_bytes() == buf
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [(RunConfig(), "sets input_size=128 but the checkpoint's model has input_size=32"),
+     (RunConfig(input_size=32, descriptor_dim=256), "sets descriptor_dim=256 but the checkpoint's model has descriptor_dim=128")],
+)
+def test_build_checkpoint_refuses_a_run_config_the_model_disagrees_with(tmp_path, run, message):
+    # loading would refuse the file, so none is written
+    model = init_model(ModelConfig(input_size=32), seed=0)
+    with pytest.raises(ConfigError, match=message):
+        save_checkpoint(tmp_path / "m.ckpt", build_checkpoint(model, run, 0, 0, 0.0))
+    assert not list(tmp_path.iterdir())
 
 
 def test_truncated_anywhere_raises_contract_error(saved):

@@ -17,7 +17,7 @@ from litematch.checkpoint import RETIRED_RUN_KEYS, build_checkpoint, load_checkp
 from litematch.config import RunConfig, apply_overrides
 from litematch.errors import ConfigError
 from litematch.image import GrayImage, save_pgm
-from litematch.model import init_model
+from litematch.model import DEFAULT_STAGES, ModelConfig, init_model
 from litematch.training import model_config_for
 
 GREEN, RED, BLUE = (0, 220, 0), (230, 0, 0), (40, 120, 255)
@@ -219,6 +219,26 @@ def test_model_overrides_must_match_the_checkpoint(files, tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert f"sets {setting} but the checkpoint's model has {held}" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["match", "evaluate", "train"])
+def test_a_lighter_checkpoint_runs_every_command(files, tmp_path, command):
+    # a model's layout is its checkpoint's, not a run setting: depth 1 in every
+    # stage loads where the run config agrees with the model's size and width
+    stages = tuple(dataclasses.replace(s, depth=1) for s in DEFAULT_STAGES)
+    model = init_model(ModelConfig(stages=stages, input_size=32), seed=0)
+    ckpt = tmp_path / "light.ckpt"
+    save_checkpoint(ckpt, build_checkpoint(model, RunConfig(input_size=32), 0, 0, 0.0))
+    out = tmp_path / "out"
+    argv = {
+        "match": ["match", str(ckpt), str(files / "a.pgm"), str(files / "b.pgm"), str(out)],
+        "evaluate": ["evaluate", str(ckpt), "--data", str(files / "data"), "--subset", "all"],
+        "train": ["train", "--data", str(files / "data"), "--out", str(out), "--resume", str(ckpt),
+                  "--set", "batch_size=2", "--set", "epochs=1"],
+    }[command]
+    assert cli.main(argv) == 0
+    if command == "train":
+        assert load_checkpoint(out).config.stages == stages
 
 
 def test_retired_run_keys_are_unknown_config_keys(tmp_path, capsys):

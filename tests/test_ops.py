@@ -361,7 +361,7 @@ def test_gelu_zero_and_asymptotics():
 def test_gelu_forward_bit_identical_to_formula(dtype):
     rng = np.random.default_rng(9)
     c, a = math.sqrt(2.0 / math.pi), 0.044715
-    # the second shape spans several cache blocks and ends in a partial one
+    # the second shape is larger than a Mix-FFN chunk's 256 KiB hidden block
     for shape in [(6, 7, 5), (7, 4001, 5)]:
         x = (rng.standard_normal(shape) * np.logspace(-6, 2, 5)).astype(dtype)
         expected = 0.5 * x * (1.0 + np.tanh(c * (x + a * x * x * x)))

@@ -1,11 +1,13 @@
 """Training stops on non-finite values before they reach the parameters."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from litematch import cli, dataset, training
 from litematch.checkpoint import build_checkpoint, load_checkpoint, model_from_checkpoint, save_checkpoint
-from litematch.config import RunConfig
+from litematch.config import MANIFEST_SETTINGS, MODEL_SETTINGS, RunConfig
 from litematch.errors import ConfigError, TrainingError
 from litematch.model import ModelConfig, init_model
 from litematch.tensor import SGD, Tensor
@@ -103,6 +105,18 @@ def data_48(tmp_path_factory):
 
 
 MADE_WITH = dict(input_size=32, window=48, clahe_clip=3.0, clahe_grid=4)
+
+
+@pytest.mark.parametrize(
+    "settings, source",
+    [(MANIFEST_SETTINGS, dataset.DatasetManifest), (MODEL_SETTINGS, ModelConfig)],
+    ids=["manifest", "model"],
+)
+def test_fixed_settings_name_fields_of_the_run_config_and_of_their_source(settings, source):
+    # a renamed field would otherwise drop out of the agreement check unseen
+    assert settings.names
+    assert set(settings.names) <= {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(settings.names.values()) <= {f.name for f in dataclasses.fields(source)}
 
 
 @pytest.mark.parametrize(
