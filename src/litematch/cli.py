@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(t)
     t.add_argument("--data", required=True, help="dataset directory from gen-data")
     t.add_argument("--out", required=True, help="output checkpoint path")
-    t.add_argument("--resume", default=None, help="checkpoint to continue from")
+    t.add_argument("--resume", default=None, help="checkpoint to continue from (momentum restarts at 0)")
     t.add_argument("--log", type=Path, default=None, help="epoch log path (default <out>.log.tsv)")
     t.add_argument(
         "--subset",

@@ -1,14 +1,16 @@
 """Triplet dataset construction from registered visible/near-infrared pairs.
 
 Triplets are never stored as pixels: :func:`build_triplets` returns
-records of keypoint coordinates, the sampled transform and the negative
-index without extracting a patch; the caller gathers every pair's records
-into one :class:`DatasetManifest` with the settings they were made with.
-:func:`materialize_triplet` is the one place that samples a record's
-patches, bit-exactly, from the enhanced source images when training needs
-them. A synthetic pair generator provides desk-scale data with exact
-(identity) ground truth: the "NIR" side is a monotone radiometric remap of
-the visible side with a smooth per-region gain field and pixel noise.
+records of the anchor keypoint, the sampled transform and the negative's
+location without extracting a patch; the caller gathers every pair's
+records into one :class:`DatasetManifest` with the settings they were made
+with. Its ``to_json`` and ``from_json`` are the one typed mapping between
+the manifest's JSON and these types. :func:`materialize_triplet` is the
+one place that samples a record's patches, bit-exactly, from the enhanced
+source images when training needs them. A synthetic pair generator
+provides desk-scale data with exact (identity) ground truth: the "NIR"
+side is a monotone radiometric remap of the visible side with a smooth
+per-region gain field and pixel noise.
 """
 
 from __future__ import annotations
@@ -61,57 +63,62 @@ def identity_alignment(x: float, y: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class TripletRecord:
-    """Everything needed to regenerate one triplet from the source pair."""
+    """Everything needed to regenerate one triplet from the source pair: the
+    anchor keypoint, the positive's transform and the negative's location.
+
+    The manifest stores the negative's position and detection index but not
+    its scale or response, so the negative is ``Keypoint(x, y, 0.0, 0.0)``.
+    """
 
     pair: str
-    anchor_x: float
-    anchor_y: float
-    anchor_scale: float
-    anchor_response: float
-    kind: str
-    scale_factor: float
-    angle_deg: float
-    dx: int
-    dy: int
-    negative_x: float
-    negative_y: float
+    anchor: Keypoint
+    transform: PatchTransform
+    negative: Keypoint
     negative_index: int
-
-    def transform(self) -> PatchTransform:
-        return PatchTransform(
-            kind=self.kind,
-            scale_factor=self.scale_factor,
-            angle_deg=self.angle_deg,
-            dx=self.dx,
-            dy=self.dy,
-        )
 
 
 def _finite(value) -> float:
-    """``float(value)``, refusing the NaN and infinities that JSON parsing admits."""
-    number = float(value)
-    if not math.isfinite(number):
+    """A JSON number as a float, refusing strings, bools and the NaN and
+    infinities that JSON parsing admits."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
         raise ValueError(f"non-finite value {value!r}")
-    return number
+    return float(value)
 
 
-# (TripletRecord field, manifest key, parser) of every record entry; operator.index
-# takes an int and refuses a float, which int() would truncate
-RECORD_KEYS = (
-    ("pair", "pair", str),
-    ("anchor_x", "ax", _finite),
-    ("anchor_y", "ay", _finite),
-    ("anchor_scale", "ascale", _finite),
-    ("anchor_response", "aresp", _finite),
-    ("kind", "kind", str),
-    ("scale_factor", "sf", _finite),
-    ("angle_deg", "deg", _finite),
-    ("dx", "dx", operator.index),
-    ("dy", "dy", operator.index),
-    ("negative_x", "nx", _finite),
-    ("negative_y", "ny", _finite),
-    ("negative_index", "nidx", operator.index),
-)
+def _index(value) -> int:
+    """A JSON integer; operator.index refuses the floats int() would truncate."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+# (DatasetManifest field and manifest key, parser) of every header value
+_HEADER = (("seed", _index), ("window", _index), ("out_size", _index),
+           ("clahe_clip", _finite), ("clahe_grid", _index))
+
+
+def _record_to_json(r: TripletRecord) -> dict:
+    a, t, n = r.anchor, r.transform, r.negative
+    return {
+        "pair": r.pair, "ax": a.x, "ay": a.y, "ascale": a.scale, "aresp": a.response,
+        "kind": t.kind, "sf": t.scale_factor, "deg": t.angle_deg, "dx": t.dx, "dy": t.dy,
+        "nx": n.x, "ny": n.y, "nidx": r.negative_index,
+    }
+
+
+def _record_from_json(r: dict) -> TripletRecord:
+    """The inverse of :func:`_record_to_json`; ``PatchTransform`` refuses an
+    unsupported transform, and ``from_json`` a pair it does not list."""
+    return TripletRecord(
+        pair=r["pair"],
+        anchor=Keypoint(_finite(r["ax"]), _finite(r["ay"]), _finite(r["ascale"]), _finite(r["aresp"])),
+        transform=PatchTransform(r["kind"], _finite(r["sf"]), _finite(r["deg"]),
+                                 _index(r["dx"]), _index(r["dy"])),
+        negative=Keypoint(_finite(r["nx"]), _finite(r["ny"]), 0.0, 0.0),
+        negative_index=_index(r["nidx"]),
+    )
 
 
 @dataclass
@@ -131,22 +138,16 @@ class DatasetManifest:
     def transform_counts(self) -> dict[str, int]:
         counts = {kind: 0 for kind in TRANSFORM_KINDS}
         for rec in self.records:
-            counts[rec.kind] += 1
+            counts[rec.transform.kind] += 1
         return counts
 
     def to_json(self) -> str:
         doc = {
             "format": MANIFEST_FORMAT,
-            "seed": self.seed,
-            "window": self.window,
-            "out_size": self.out_size,
-            "clahe_clip": self.clahe_clip,
-            "clahe_grid": self.clahe_grid,
+            **{key: parse(getattr(self, key)) for key, parse in _HEADER},
             "pairs": self.pairs,
             "transform_counts": self.transform_counts(),
-            "records": [
-                {key: getattr(r, name) for name, key, _ in RECORD_KEYS} for r in self.records
-            ],
+            "records": [_record_to_json(r) for r in self.records],
         }
         return json.dumps(doc, sort_keys=True, indent=1)
 
@@ -155,24 +156,23 @@ class DatasetManifest:
         doc = json.loads(text)
         if doc.get("format") != MANIFEST_FORMAT:
             raise DatasetError(f"unsupported manifest format {doc.get('format')}")
+        if not isinstance(doc["pairs"], list):  # a string would pass as one name per character
+            raise DatasetError(f"pairs must be a list of names, got {doc['pairs']!r}")
         manifest = cls(
-            seed=doc["seed"],
-            window=doc["window"],
-            out_size=doc["out_size"],
-            clahe_clip=doc["clahe_clip"],
-            clahe_grid=doc["clahe_grid"],
-            pairs=list(doc["pairs"]),
+            **{key: parse(doc[key]) for key, parse in _HEADER},
+            pairs=doc["pairs"],
+            records=[_record_from_json(r) for r in doc["records"]],
         )
+        for name in manifest.pairs:  # a name must stay a file name inside pairs/
+            if not isinstance(name, str) or Path(name).name != name:
+                raise DatasetError(f"pair name {name!r} is not a plain file name")
         known = set(manifest.pairs)
-        for i, r in enumerate(doc["records"]):
-            record = TripletRecord(**{name: kind(r[key]) for name, key, kind in RECORD_KEYS})
+        for i, record in enumerate(manifest.records):
             if record.pair not in known:
                 raise DatasetError(f"record {i} names pair {record.pair!r}, not one of the pairs")
-            record.transform()  # raises on a kind or a magnitude outside the supported set
-            manifest.records.append(record)
         counts = doc.get("transform_counts")
-        if counts is not None and sum(counts.values()) != manifest.count:
-            raise DatasetError("manifest transform counts do not sum to the record count")
+        if counts is not None and counts != manifest.transform_counts():
+            raise DatasetError("manifest transform counts do not match its records")
         return manifest
 
 
@@ -277,12 +277,10 @@ def materialize_triplet(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The [1, S, S] anchor (visible), positive (transformed NIR) and
     negative (other NIR) patches of one manifest record."""
-    anchor_kp = Keypoint(record.anchor_x, record.anchor_y, record.anchor_scale, record.anchor_response)
-    negative_kp = Keypoint(record.negative_x, record.negative_y, 0.0, 0.0)
     return (
-        extract_patch(visible, anchor_kp, window=window, out_size=out_size).data,
-        apply_transform(nir, anchor_kp, record.transform(), window=window, out_size=out_size).data,
-        extract_patch(nir, negative_kp, window=window, out_size=out_size).data,
+        extract_patch(visible, record.anchor, window=window, out_size=out_size).data,
+        apply_transform(nir, record.anchor, record.transform, window=window, out_size=out_size).data,
+        extract_patch(nir, record.negative, window=window, out_size=out_size).data,
     )
 
 
@@ -337,24 +335,9 @@ def build_triplets(
         transform = _sample_transform(rng)
         candidates = np.flatnonzero(far_enough[a_idx])
         n_idx = int(candidates[int(rng.integers(len(candidates)))])
-        akp = keypoints[a_idx]
         nkp = keypoints[n_idx]
-        record = TripletRecord(
-            pair=pair.name,
-            anchor_x=akp.x,
-            anchor_y=akp.y,
-            anchor_scale=akp.scale,
-            anchor_response=akp.response,
-            kind=transform.kind,
-            scale_factor=transform.scale_factor,
-            angle_deg=transform.angle_deg,
-            dx=transform.dx,
-            dy=transform.dy,
-            negative_x=nkp.x,
-            negative_y=nkp.y,
-            negative_index=n_idx,
-        )
-        records.append(record)
+        negative = Keypoint(nkp.x, nkp.y, 0.0, 0.0)  # the manifest stores no scale or response
+        records.append(TripletRecord(pair.name, keypoints[a_idx], transform, negative, n_idx))
     return records
 
 
@@ -403,9 +386,11 @@ def write_dataset(out_dir: str | Path, pairs: list[AlignedPair], manifest: Datas
 def load_manifest(data_dir: str | Path) -> DatasetManifest:
     """Parse the manifest of a dataset directory.
 
-    A manifest that does not parse, lacks or mistypes a key, or holds a
-    record with a non-finite number, a pair that is not listed or an
-    unsupported transform, raises DatasetError naming its path.
+    A manifest that does not parse, lacks or mistypes a key, holds a
+    non-finite number, a pair name that is not a plain file name, a record
+    of a pair that is not listed or of an unsupported transform, or
+    transform counts that disagree with its records, raises DatasetError
+    naming its path.
     """
     data_dir = Path(data_dir)
     manifest_path = data_dir / MANIFEST_NAME
@@ -413,7 +398,7 @@ def load_manifest(data_dir: str | Path) -> DatasetManifest:
         raise DatasetError(f"no {MANIFEST_NAME} in {data_dir}")
     try:
         return DatasetManifest.from_json(manifest_path.read_text())
-    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+    except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
         raise DatasetError(f"{manifest_path}: malformed manifest: {exc!r}") from exc
 
 

@@ -127,7 +127,10 @@ def train(
     log_path: "str | Path | None" = None,
     echo: bool = True,
 ) -> TrainReport:
-    """Run the full training loop and write checkpoints plus the epoch log."""
+    """Run the full training loop and write checkpoints plus the epoch log.
+
+    A checkpoint does not store SGD's velocity, so ``resume`` restarts momentum
+    at zero: with ``momentum`` above 0 it does not retrace an unbroken run."""
     cfg.validate()
     pairs, manifest = load_dataset(data_dir)
     selected = select_records(manifest, cfg, subset)

@@ -2,8 +2,10 @@
 
 import ast
 import dataclasses
+import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -272,6 +274,20 @@ def test_every_run_config_field_is_read_by_library_code():
 def test_run_config_refuses_rates_and_radii_that_are_not_positive_and_finite(key, value):
     with pytest.raises(ConfigError, match=f"^{key} must be positive and finite, got {value}$"):
         RunConfig(**{key: value}).validate()
+
+
+def test_train_refuses_a_mistyped_manifest_before_its_first_epoch(files, tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "out.ckpt"
+    shutil.copytree(files / "data", data)
+    doc = json.loads((data / "manifest.json").read_text())
+    doc["window"] = 64.0
+    (data / "manifest.json").write_text(json.dumps(doc))
+    argv = ["train", "--data", str(data), "--out", str(out), "--set", "batch_size=2", "--set", "epochs=1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {data / 'manifest.json'}: malformed manifest" in err
+    assert "epoch" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
 def test_train_resume_keeps_the_checkpoints_run_values(tmp_path):

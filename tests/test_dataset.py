@@ -9,7 +9,6 @@ import pytest
 
 from litematch import dataset
 from litematch.dataset import (
-    RECORD_KEYS,
     AlignedPair,
     DatasetManifest,
     TripletRecord,
@@ -166,7 +165,7 @@ def test_triplet_negative_distance_constraint():
     kps = make_keypoints(pair)
     manifest = build_manifest(pair, kps, count=40, seed=3)
     for rec in manifest.records:
-        d = np.hypot(rec.anchor_x - rec.negative_x, rec.anchor_y - rec.negative_y)
+        d = np.hypot(rec.anchor.x - rec.negative.x, rec.anchor.y - rec.negative.y)
         assert d > manifest.window
 
 
@@ -185,7 +184,7 @@ def test_identity_only_transforms_on_identical_modalities():
     same = AlignedPair(name="same", visible=pair.visible, nir=pair.visible)
     kps = make_keypoints(same)
     manifest = build_manifest(same, kps, count=12, seed=2)
-    manifest.records = [r for r in manifest.records if r.kind == "identity"]
+    manifest.records = [r for r in manifest.records if r.transform.kind == "identity"]
     assert manifest.records
     for anchor, positive, _ in materialize_all(manifest, same.visible, same.nir):
         assert np.array_equal(anchor, positive)
@@ -295,7 +294,8 @@ def test_split_rejects_degenerate():
 
 
 def _record(pair):
-    return TripletRecord(pair, 40.0, 41.5, 1.6, 0.02, "rotate", 1.0, -15.0, 0, 0, 90.0, 95.25, 3)
+    return TripletRecord(pair, Keypoint(40.0, 41.5, 1.6, 0.02), PatchTransform("rotate", angle_deg=-15.0),
+                         Keypoint(90.0, 95.25, 0.0, 0.0), 3)
 
 
 def test_split_keeps_the_manifest_header():
@@ -319,10 +319,17 @@ def test_load_dataset_reads_the_unedited_manifest(tmp_path):
 def _malformed_manifests():
     text = DatasetManifest(seed=1, pairs=["p"], records=[_record("p")]).to_json()
     cases = []
-    for _, key, _ in RECORD_KEYS:
+    # every key the writer emits, so that a new one cannot go untested;
+    # transform_counts alone is optional
+    written = json.loads(text)
+    for key in written["records"][0]:
         doc = json.loads(text)
         del doc["records"][0][key]
         cases.append(pytest.param(json.dumps(doc), id=f"no-{key}"))
+    for key in [key for key in written if key != "transform_counts"]:
+        doc = json.loads(text)
+        del doc[key]
+        cases.append(pytest.param(json.dumps(doc), id=f"no-header-{key}"))
     for cut in (1, 40, len(text) // 2, len(text) - 1):
         cases.append(pytest.param(text[:cut], id=f"cut-{cut}"))
     for key, value in (
@@ -332,12 +339,30 @@ def _malformed_manifests():
         doc = json.loads(text)
         doc["records"][0][key] = value
         cases.append(pytest.param(json.dumps(doc), id=f"{key}-{value}"))
+    doc = json.loads(text)
+    doc["records"][0]["ax"] = 10**400  # an integer no float holds
+    cases.append(pytest.param(json.dumps(doc), id="ax-10**400"))
     for key, value in [(key, math.nan) for key in ("ax", "ay", "ascale", "aresp", "sf", "deg", "nx", "ny")] + [
         ("ax", math.inf), ("ny", -math.inf),
     ]:
         doc = json.loads(text)
         doc["records"][0][key] = value
         cases.append(pytest.param(json.dumps(doc), id=f"{key}-{value}"))
+    for key, value in (
+        ("window", "64"), ("window", 64.0), ("clahe_clip", "2.0"), ("clahe_clip", math.nan),
+        ("clahe_clip", True), ("clahe_grid", 8.5), ("seed", "abc"), ("pairs", "p"),
+    ):
+        doc = json.loads(text)
+        doc[key] = value
+        cases.append(pytest.param(json.dumps(doc), id=f"header-{key}-{value!r}"))
+    doc = json.loads(text)
+    doc["pairs"] = ["../p"]
+    doc["records"][0]["pair"] = "../p"
+    cases.append(pytest.param(json.dumps(doc), id="pair-outside-pairs"))
+    doc = json.loads(text)
+    counts = doc["transform_counts"]
+    counts["rotate"], counts["scale"] = counts["scale"], counts["rotate"]
+    cases.append(pytest.param(json.dumps(doc), id="transform-counts-swapped"))
     cases.append(pytest.param("[]", id="not-an-object"))
     return cases
 
