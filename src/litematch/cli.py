@@ -4,9 +4,7 @@ Importing this module changes nothing outside it. The BLAS/OpenMP thread
 pools size themselves from ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``,
 so set those in the environment that starts ``litematch``. litematch shares
 its GEMM work over the cores only while BLAS runs one thread, so run
-``train`` with ``OPENBLAS_NUM_THREADS=1``: on a 2-vCPU VM, a 48-patch 64 px
-training step took 261 ms with OpenBLAS's default threads against 241 ms
-with one (medians of 8 interleaved rounds).
+``train`` with ``OPENBLAS_NUM_THREADS=1`` (README.md gives the measurement).
 """
 
 from __future__ import annotations
@@ -170,9 +168,9 @@ def cmd_match(args: argparse.Namespace) -> int:
         line += f"; precision {precision:.4f} matching_score {matching_score:.4f}"
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    write_matches(prefix.with_suffix(".matches.tsv"), result, set_a, set_b)
+    write_matches(f"{prefix}.matches.tsv", result, set_a, set_b)
     composite = annotate_matches(img_a, img_b, result, set_a, set_b)
-    save_ppm(composite, prefix.with_suffix(".matches.ppm"))
+    save_ppm(composite, f"{prefix}.matches.ppm")
     print(f"{line}; wall {time.perf_counter() - t0:.1f}s; outputs at {prefix}.matches.*")
     return 0
 
@@ -221,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True, help="dataset directory from gen-data")
     t.add_argument("--out", required=True, help="output checkpoint path")
     t.add_argument("--resume", default=None, help="checkpoint to continue from (momentum restarts at 0)")
-    t.add_argument("--log", type=Path, default=None, help="epoch log path (default <out>.log.tsv)")
+    t.add_argument("--log", type=Path, default=None,
+                   help="epoch log path (default: --out with its suffix replaced by .log.tsv)")
     t.add_argument(
         "--subset",
         choices=("all", "train", "val"),

@@ -54,13 +54,12 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        for name in ("batch_size", "epochs", "triplets", "pairs", "max_keypoints"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        # the patch sampler's own limit on its window and output size
-        for name in ("window", "input_size"):
-            if getattr(self, name) < 2:
-                raise ConfigError(f"{name} must be at least 2, got {getattr(self, name)}")
+        # the patch sampler's own limit is 2; numpy's SeedSequence takes no negative seed
+        least = dict(batch_size=1, epochs=1, triplets=1, pairs=1, max_keypoints=1,
+                     window=2, input_size=2, seed=0)
+        for name, low in least.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if not 0 < self.split_ratio < 1:
             raise ConfigError("split_ratio must lie in (0, 1)")
         return self

@@ -163,6 +163,8 @@ class DatasetManifest:
             pairs=doc["pairs"],
             records=[_record_from_json(r) for r in doc["records"]],
         )
+        if manifest.seed < 0:  # numpy's SeedSequence takes no negative seed
+            raise DatasetError(f"seed must be at least 0, got {manifest.seed}")
         for name in manifest.pairs:  # a name must stay a file name inside pairs/
             if not isinstance(name, str) or Path(name).name != name:
                 raise DatasetError(f"pair name {name!r} is not a plain file name")

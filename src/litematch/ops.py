@@ -149,7 +149,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         dxhat -= m1[:, None]
         dxhat -= xhat * m2[:, None]
         dxhat *= inv
-        return dxhat.reshape(x.shape), _column_sums(g2 * xhat), _column_sums(g2)
+        return dxhat.reshape(g.shape), _column_sums(g2 * xhat), _column_sums(g2)
 
     record((x, gamma, beta), out, grad_fn)
     return out
@@ -290,7 +290,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     out = Tensor._wrap((col @ wmat.T + b.data).reshape(bsz, hp, wp, cout))
     # stage 1 embeds the untracked patch batch, whose input gradient nothing reads
     tape = active_tape()
-    needs_gx = tape is not None and tape.tracks(x)
+    needs_gx = tape is not None and tape.source(x) is not None
 
     def grad_fn(g):
         gmat = g.reshape(bsz * hp * wp, cout)
@@ -483,7 +483,7 @@ def token_mean(x: Tensor) -> Tensor:
     out = Tensor._wrap(x.data.reshape(bsz, n, c).mean(axis=1))
 
     def grad_fn(g):
-        return (np.broadcast_to(g[:, None, None, :] / n, x.shape).copy(),)
+        return (np.broadcast_to(g[:, None, None, :] / n, (bsz, h, w, c)).copy(),)
 
     record((x,), out, grad_fn)
     return out

@@ -2,16 +2,20 @@
 
 Tensors wrap numpy arrays (float32 by default; float64 is accepted so the
 tests can replay a graph at high precision against finite differences).
-Differentiable operations live in :mod:`litematch.ops`; each one appends
-an entry to the active :class:`Tape`, of which there is at most one at a
-time, and :func:`backward` walks the tape once in reverse, accumulating
-gradients into every tensor marked ``requires_grad``.
+Differentiable operations live in :mod:`litematch.ops`; each one records
+its backward rule on the active :class:`Tape` (at most one at a time) with
+each input's source: a leaf tensor, the index of the entry that recorded
+it, or None for a constant. The tape keeps no op output, so an output no
+backward rule reads is freed once the forward drops it. :func:`backward`
+walks the entries once in reverse, summing gradients into a list indexed
+by entry and into every tensor marked ``requires_grad``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,15 +30,16 @@ class Tensor:
     ``grad`` stays ``None`` until :func:`backward` populates it; repeated
     backward passes accumulate. Only tensors constructed with
     ``requires_grad=True`` (leaves: parameters, probed inputs) receive a
-    gradient; intermediate results are tracked on the tape instead.
+    gradient; a recorded op output's ``node`` is its (tape serial, entry index).
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
         self.data = np.asarray(data, dtype=dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
+        self.node: tuple[int, int] | None = None
 
     @classmethod
     def _wrap(cls, data: np.ndarray) -> "Tensor":
@@ -42,6 +47,7 @@ class Tensor:
         out.data = data
         out.grad = None
         out.requires_grad = False
+        out.node = None
         return out
 
     @property
@@ -70,17 +76,13 @@ class Tensor:
         )
 
 
-class _TapeEntry:
-    __slots__ = ("inputs", "output", "grad_fn", "needs")
-
-    def __init__(self, inputs, output, grad_fn, needs):
-        self.inputs = inputs
-        self.output = output
-        self.grad_fn = grad_fn
-        self.needs = needs
+class _TapeEntry(NamedTuple):
+    sources: tuple
+    grad_fn: GradFn
 
 
 _active: "Tape | None" = None
+_serials = itertools.count()
 
 
 def active_tape() -> "Tape | None":
@@ -98,7 +100,7 @@ class Tape:
 
     def __init__(self):
         self.ops: list[_TapeEntry] = []
-        self._tracked: set[int] = set()
+        self.serial = next(_serials)
 
     def __enter__(self) -> "Tape":
         global _active
@@ -107,27 +109,26 @@ class Tape:
         _active = self
         return self
 
-    def __exit__(self, *exc) -> bool:
+    def __exit__(self, *exc) -> None:
         global _active
         _active = None
-        return False
 
-    def tracks(self, t: Tensor) -> bool:
-        return t.requires_grad or id(t) in self._tracked
-
-    def record(self, inputs: Iterable[Tensor], output: Tensor, grad_fn: GradFn) -> None:
-        inputs = tuple(inputs)
-        needs = tuple(self.tracks(t) for t in inputs)
-        if any(needs):
-            self._tracked.add(id(output))
-            self.ops.append(_TapeEntry(inputs, output, grad_fn, needs))
+    def source(self, t: Tensor) -> "Tensor | int | None":
+        """``t`` if it is a leaf, else the index of the entry that recorded it
+        here, or None: a constant, as is a tensor recorded on another tape."""
+        if t.requires_grad:
+            return t
+        return t.node[1] if t.node is not None and t.node[0] == self.serial else None
 
 
 def record(inputs: Iterable[Tensor], output: Tensor, grad_fn: GradFn) -> None:
-    """Register an operation on the active tape, if any."""
-    tape = active_tape()
+    """Register an operation on the active tape, if any, unless all its inputs are constants."""
+    tape = _active
     if tape is not None:
-        tape.record(inputs, output, grad_fn)
+        sources = tuple(tape.source(t) for t in inputs)
+        if any(s is not None for s in sources):
+            output.node = (tape.serial, len(tape.ops))
+            tape.ops.append(_TapeEntry(sources, grad_fn))
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -138,24 +139,22 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {tuple(loss.shape)}")
-    if id(loss) not in tape._tracked:
+    if loss.node is None or loss.node[0] != tape.serial:
         raise ContractError("loss tensor was not produced on this tape")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for entry in reversed(tape.ops):
-        g = grads.pop(id(entry.output), None)
+    grads: list["np.ndarray | None"] = [None] * loss.node[1] + [np.ones_like(loss.data)]
+    for i in reversed(range(len(grads))):
+        g, grads[i] = grads[i], None
         if g is None:
             continue
-        in_grads = entry.grad_fn(g)
-        for t, ig, needed in zip(entry.inputs, in_grads, entry.needs):
-            if ig is None or not needed:
+        sources, grad_fn = tape.ops[i]
+        for src, ig in zip(sources, grad_fn(g)):
+            if ig is None or src is None:
                 continue
-            if t.requires_grad:
-                t.grad = ig.copy() if t.grad is None else t.grad + ig
-            else:
-                acc = grads.get(id(t))
-                # Out-of-place accumulation: grad_fn outputs may alias g.
-                grads[id(t)] = ig if acc is None else acc + ig
+            if isinstance(src, Tensor):
+                src.grad = ig.copy() if src.grad is None else src.grad + ig
+            else:  # out of place: grad_fn outputs may alias g
+                grads[src] = ig if grads[src] is None else grads[src] + ig
 
 
 class SGD:

@@ -17,6 +17,7 @@ import litematch
 from litematch import cli
 from litematch.checkpoint import RETIRED_RUN_KEYS, build_checkpoint, load_checkpoint, save_checkpoint
 from litematch.config import RunConfig, apply_overrides
+from litematch.dataset import load_manifest, split
 from litematch.errors import ConfigError
 from litematch.image import GrayImage, save_pgm
 from litematch.model import DEFAULT_STAGES, ModelConfig, init_model
@@ -56,6 +57,16 @@ def files(tmp_path_factory):
             "--set", "input_size=32", "--set", "synth_size=256"]
     assert cli.main(argv) == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def three_pairs(tmp_path_factory):
+    """A 32 px dataset of 5 triplets over 3 synthetic pairs."""
+    data = tmp_path_factory.mktemp("three") / "data"
+    argv = ["gen-data", "--synthetic", "--out", str(data), "--pairs", "3", "--triplets", "5",
+            "--set", "input_size=32", "--set", "synth_size=256"]
+    assert cli.main(argv) == 0
+    return data
 
 
 def test_importing_every_module_leaves_the_environment_unchanged():
@@ -183,6 +194,21 @@ def test_match_annotates_images_of_different_sizes(files, tmp_path):
     assert all(row.endswith("\t-1") for row in rows)
 
 
+def test_match_appends_its_suffixes_to_a_dotted_prefix(files, tmp_path, capsys):
+    for version, other in (("v1", "b.pgm"), ("v2", "c.pgm")):
+        prefix = tmp_path / "out" / f"run.{version}"
+        argv = ["match", str(files / "m.ckpt"), str(files / "a.pgm"), str(files / other), str(prefix)]
+        assert cli.main(argv) == 0
+        assert f"outputs at {prefix}.matches.*" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"run.{v}.matches.{ext}" for v in ("v1", "v2") for ext in ("ppm", "tsv")
+    ]
+    # each composite shows its own pair: b.pgm is 256 px wide, c.pgm 240
+    assert _read_ppm(out / "run.v1.matches.ppm").shape == (256, 512, 3)
+    assert _read_ppm(out / "run.v2.matches.ppm").shape == (256, 496, 3)
+
+
 def test_match_colours_correctness_only_under_ground_truth(files, tmp_path):
     images = {}
     for name, extra in (("plain", []), ("scored", ["--gt-identity"])):
@@ -306,3 +332,64 @@ def test_train_resume_keeps_the_checkpoints_run_values(tmp_path):
                      "--set", "epochs=3", "--set", "lr=0.005"]) == 0
     ckpt = load_checkpoint(third)
     assert (ckpt.run.batch_size, ckpt.run.lr, ckpt.epoch, ckpt.step) == (32, 0.005, 3, 6)
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_a_negative_seed_is_refused_by_name(files, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "gen-data": ["gen-data", "--synthetic", "--out", str(out)],
+        "train": ["train", "--data", str(files / "data"), "--out", str(out)],
+    }[command]
+    assert cli.main(argv + ["--seed", "-1"]) == 1
+    assert "error: seed must be at least 0, got -1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_train_refuses_a_manifest_with_a_negative_seed_before_splitting_it(three_pairs, tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "out.ckpt"
+    shutil.copytree(three_pairs, data)
+    doc = json.loads((data / "manifest.json").read_text())
+    doc["seed"] = -3
+    (data / "manifest.json").write_text(json.dumps(doc))
+    argv = ["train", "--data", str(data), "--out", str(out), "--subset", "train",
+            "--set", "split_ratio=0.5", "--set", "batch_size=1", "--set", "epochs=1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {data / 'manifest.json'}: malformed manifest" in err
+    assert "seed must be at least 0, got -3" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
+def test_gen_data_gives_the_remainder_of_the_triplets_to_the_first_pairs(three_pairs):
+    manifest = load_manifest(three_pairs)
+    assert [sum(r.pair == name for r in manifest.records) for name in manifest.pairs] == [2, 2, 1]
+
+
+def test_train_and_evaluate_each_take_their_side_of_the_split(three_pairs, tmp_path, capsys):
+    train_side, val_side = split(load_manifest(three_pairs), RunConfig().split_ratio)
+    assert (len(train_side.pairs), len(val_side.pairs)) == (2, 1)
+    ckpt = tmp_path / "m.ckpt"
+    argv = ["train", "--data", str(three_pairs), "--out", str(ckpt), "--subset", "train",
+            "--set", "batch_size=1", "--set", "epochs=1"]
+    assert cli.main(argv) == 0
+    assert load_checkpoint(ckpt).step == train_side.count  # one step per triplet at batch 1
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(ckpt), "--data", str(three_pairs)]) == 0  # --subset val
+    rows = capsys.readouterr().out.splitlines()[1:-1]  # less the header and the mean
+    assert [row.split()[0] for row in rows] == val_side.pairs
+
+
+@pytest.mark.parametrize(
+    "raw, value",
+    [("true", True), ("on", True), ("1", True), ("YES", True),
+     ("false", False), ("off", False), ("0", False), ("no", False)],
+)
+def test_set_parses_every_spelling_of_a_switch(raw, value):
+    args = cli.build_parser().parse_args(["evaluate", "m.ckpt", "--data", "d", "--set", f"mutual={raw}"])
+    assert cli._build_config(args, RunConfig(mutual=not value)).mutual is value
+
+
+def test_set_refuses_a_switch_it_cannot_read():
+    with pytest.raises(ConfigError, match="^config key mutual: cannot parse 'maybe' as bool$"):
+        apply_overrides(RunConfig(), {"mutual": "maybe"})

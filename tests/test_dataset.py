@@ -350,7 +350,7 @@ def _malformed_manifests():
         cases.append(pytest.param(json.dumps(doc), id=f"{key}-{value}"))
     for key, value in (
         ("window", "64"), ("window", 64.0), ("clahe_clip", "2.0"), ("clahe_clip", math.nan),
-        ("clahe_clip", True), ("clahe_grid", 8.5), ("seed", "abc"), ("pairs", "p"),
+        ("clahe_clip", True), ("clahe_grid", 8.5), ("seed", "abc"), ("seed", -3), ("pairs", "p"),
     ):
         doc = json.loads(text)
         doc[key] = value

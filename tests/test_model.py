@@ -4,6 +4,7 @@ import math
 import operator
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -457,3 +458,24 @@ def test_ops_keeps_only_what_the_model_calls(monkeypatch):
     blocks = sum(st.depth for st in cfg.stages)
     assert recorded.count("attention") == blocks == calls["attention"]
     assert recorded.count("mix_ffn") == blocks == calls["mix_ffn"]
+
+
+def test_a_taped_forward_frees_the_residual_sums_no_backward_rule_reads(monkeypatch):
+    # add's rule reads nothing and layer_norm's only the shape, so once the
+    # forward moves on, no tape entry keeps a residual sum alive
+    sums = []
+
+    def add(a, b, _add=ops.add):
+        out = _add(a, b)
+        sums.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(ops, "add", add)
+    m = init_model(small_config(), seed=4)
+    patches = Tensor(np.random.default_rng(5).random((6, 1, 32, 32)).astype(np.float32))
+    with Tape() as tape:
+        loss = triplet_loss(forward(m, patches))
+    assert len(sums) == 2 * sum(st.depth for st in m.config.stages)
+    assert [ref() for ref in sums if ref() is not None] == []
+    backward(loss, tape)
+    assert all(p.grad is not None for p in m.params.values())

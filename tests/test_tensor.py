@@ -73,6 +73,31 @@ def test_backward_rejects_loss_off_tape():
         backward(other, tape)
 
 
+def test_a_tensor_of_an_earlier_tape_is_a_constant_on_a_later_one():
+    w = Tensor([[0.5, -1.0], [2.0, 0.25]], requires_grad=True)
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
+    with Tape() as earlier:
+        old = scale(x, 3.0)
+        old_loss = cotangent_dot(old)
+    assert (old.node, old_loss.node) == ((earlier.serial, 0), (earlier.serial, 1))
+
+    def leaf_grads(inp):
+        w.grad = None
+        u = Tensor([[1.0, -1.0]], requires_grad=True)
+        with Tape() as later:
+            y = scale(u, 2.0)  # entry 0, the index ``old`` holds on the earlier tape
+            loss = cotangent_dot(ops.add(ops.linear(inp, w, None), y))
+        with pytest.raises(ContractError, match="not produced on this tape"):
+            backward(old_loss, later)
+        backward(loss, later)
+        return u.grad, w.grad
+
+    stale = leaf_grads(old)
+    fresh = leaf_grads(Tensor(old.data.copy()))
+    assert all(np.array_equal(a, b) for a, b in zip(stale, fresh))
+    assert x.grad is None
+
+
 def test_tape_replay_identical_gradients():
     rng = np.random.default_rng(7)
     data = rng.standard_normal((4, 5)).astype(np.float32)

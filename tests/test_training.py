@@ -159,3 +159,17 @@ def test_train_command_refuses_a_setting_the_dataset_was_not_made_with(data_48, 
     assert cli.main(argv) == 1
     assert f"sets {setting} but the manifest was built with {made}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_an_interim_checkpoint_resumes_into_the_straight_runs_final_checkpoint(data_48, tmp_path):
+    # at momentum 0, because a resume restarts SGD's velocity at zero
+    straight, resumed = tmp_path / "m.ckpt", tmp_path / "r.ckpt"
+    argv = ["train", "--data", str(data_48), "--out", str(straight), "--set", "batch_size=2",
+            "--set", "epochs=3", "--set", "checkpoint_every=2", "--set", "momentum=0"]
+    assert cli.main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m.ep2", "m.log.tsv"]
+    interim = load_checkpoint(tmp_path / "m.ep2")
+    assert (interim.epoch, interim.step) == (2, 4)  # two steps of 2 triplets in each epoch
+    assert cli.main(["train", "--data", str(data_48), "--out", str(resumed),
+                     "--resume", str(tmp_path / "m.ep2")]) == 0
+    assert resumed.read_bytes() == straight.read_bytes()
