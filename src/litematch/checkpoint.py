@@ -102,7 +102,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     The blobs are checked against :func:`describe_shapes` in lockstep, so the
     first missing, extra, misnamed or misshaped blob stops the walk. Any
-    malformed content raises ContractError naming ``path``.
+    malformed content, a NaN or infinite weight too, raises ContractError naming ``path``.
     """
     buf = Path(path).read_bytes()
     if not buf.startswith(MAGIC + b"\n"):
@@ -154,6 +154,8 @@ def _parse(buf: bytes) -> Checkpoint:
         data = np.frombuffer(buf[pos : pos + nbytes], dtype="<f4")
         if data.nbytes != nbytes:
             raise ValueError(f"truncated blob {name}")
+        if not np.isfinite(data).all():
+            raise ValueError(f"blob {name} holds a non-finite value")
         pos += nbytes
         blobs[name] = data.reshape(shape).copy()
     if (missing := next(walk, None)) is not None:

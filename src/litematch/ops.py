@@ -20,9 +20,9 @@ for :func:`conv2d` and [C, 1, 3, 3] for the depthwise convolution inside
 :func:`mix_ffn`, and their gradients come back in the same layouts.
 
 A helper thread may run no public litematch function (:mod:`litematch._pool`),
-so :func:`mix_ffn`'s chunks run array kernels only: :func:`_linear_fwd`,
-:func:`_depthwise_fwd` and :func:`_depthwise_wgrad` (``np.einsum`` over a
-strided 3x3 tap-window view), and :func:`_gelu_fwd` and :func:`_gelu_bwd`.
+so :func:`mix_ffn`'s chunks, whose backward reruns their forward, run array
+kernels only: :func:`_linear_fwd`, :func:`_depthwise_fwd`, :func:`_depthwise_wgrad`
+(``np.einsum`` over a strided 3x3 tap-window view), :func:`_gelu_fwd` and :func:`_gelu_bwd`.
 
 Reductions over a short axis follow three rules, because numpy's
 ``sum``/``mean``/``max`` over such an axis spend most of their time on
@@ -55,9 +55,10 @@ from .tensor import Tensor, active_tape, record
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _LN_EPS = 1e-6
-# The Mix-FFN runs over chunks of samples whose hidden activation is about
-# this size, to stay in the L2 cache.
-_BLOCK_BYTES = 1 << 18
+# The Mix-FFN runs over chunks of samples whose hidden activation is about this size. Its
+# backward reruns each chunk's forward: a 64 px train step took 10-12% longer in 256 KiB chunks
+# than with stored arrays, and no longer in 512 KiB; 1 MiB held 8-10 MB more RSS than 512 KiB.
+_BLOCK_BYTES = 1 << 19
 
 
 def _column_sums(a: np.ndarray) -> np.ndarray:
@@ -397,20 +398,18 @@ def _depthwise_wgrad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(gw.transpose(2, 0, 1)[:, None])
 
 
-def _mix_ffn_fwd(chunks, w1, b1, taps, bd, w2, b2, saved) -> None:
+def _mix_ffn_fwd(chunks, w1, b1, taps, bd, w2, b2) -> None:
     # kernels only: this runs on the helper threads too (see ``_pool``)
-    for i, xs, ys in chunks:
-        hidden = _linear_fwd(xs, w1, b1)
-        pre = _depthwise_fwd(hidden, taps, bd)
+    for _, xs, ys in chunks:
+        pre = _depthwise_fwd(_linear_fwd(xs, w1, b1), taps, bd)
         ys[...] = _linear_fwd(_gelu_fwd(pre)[0], w2, b2)
-        if saved is not None:
-            saved[i] = hidden, pre
 
 
-def _mix_ffn_bwd(chunks, w1, taps, w2, saved, partials) -> None:
+def _mix_ffn_bwd(chunks, w1, b1, taps, bd, w2, partials) -> None:
     # kernels only: this runs on the helper threads too (see ``_pool``)
     for i, xs, gs, gxs in chunks:
-        hidden, pre = saved[i]
+        hidden = _linear_fwd(xs, w1, b1)
+        pre = _depthwise_fwd(hidden, taps, bd)
         f, t = _gelu_fwd(pre)
         g2 = gs.reshape(-1, w2.shape[0])
         gpre = _gelu_bwd(pre, t, (g2 @ w2).reshape(pre.shape))
@@ -431,10 +430,10 @@ def mix_ffn(
 
     The steps run over chunks of samples whose hidden activation fits
     ``_BLOCK_BYTES`` (the L2 cache), shared with :mod:`litematch._pool`'s
-    helpers. Under a tape a chunk keeps its fc1 and pre-GELU outputs; the
-    backward shares the chunks again, recomputes GELU, writes each chunk's
-    input gradient and sums the parameter-gradient partials in chunk order,
-    so no result depends on which thread ran a chunk.
+    helpers, taped or not. The tape keeps no hidden-width array: the
+    backward shares the chunks again, reruns each chunk's forward kernels
+    on ``x``, writes its input gradient and sums the parameter-gradient
+    partials in chunk order, so no result depends on which thread ran a chunk.
     """
     if x.ndim != 4 or w1.ndim != 2 or w2.ndim != 2:
         raise DimensionError(f"mix_ffn: expected a 4-d input and 2-d fc weights, got {x.shape}")
@@ -448,10 +447,9 @@ def mix_ffn(
     taps = _taps(wd.data)
     out = np.empty((bsz, h, w, cout), dtype=np.result_type(x.data, w1.data, wd.data, w2.data))
     slices = list(_sample_chunks(bsz, h * w * hid * x.data.itemsize))
-    saved = [None] * len(slices) if active_tape() is not None else None
     _pool.share(
         [(i, x.data[s], out[s]) for i, s in enumerate(slices)], _mix_ffn_fwd,
-        w1.data, b1.data, taps, bd.data, w2.data, b2.data, saved, blas=True,
+        w1.data, b1.data, taps, bd.data, w2.data, b2.data, blas=True,
     )
     result = Tensor._wrap(out)
 
@@ -460,7 +458,7 @@ def mix_ffn(
         partials = [None] * len(slices)
         _pool.share(
             [(i, x.data[s], g[s], gx[s]) for i, s in enumerate(slices)], _mix_ffn_bwd,
-            w1.data, taps, w2.data, saved, partials, blas=True,
+            w1.data, b1.data, taps, bd.data, w2.data, partials, blas=True,
         )
         grads = [np.zeros(p.shape, dtype=g.dtype) for p in (w1, b1, wd, bd, w2, b2)]
         for part in partials:  # in chunk order, whichever thread ran each chunk

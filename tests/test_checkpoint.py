@@ -73,6 +73,18 @@ def test_truncated_anywhere_raises_contract_error(saved):
         _assert_rejected(folder, buf[:cut])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_weight_raises_contract_error_naming_it(saved, value):
+    folder, _ = saved
+    ckpt = load_checkpoint(folder / "valid.ckpt")
+    ckpt.blobs["head.bias"][-1] = value
+    path = folder / "bad.ckpt"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(ContractError, match="blob head.bias holds a non-finite value") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
 @pytest.mark.parametrize("extra", [b"\0", b"\0" * 4, b"head.bias 1 128\n"])
 def test_bytes_after_the_last_blob_raise_contract_error(saved, extra):
     folder, buf = saved

@@ -269,6 +269,27 @@ def test_a_lighter_checkpoint_runs_every_command(files, tmp_path, command):
         assert load_checkpoint(out).config.stages == stages
 
 
+@pytest.mark.parametrize("command", ["match", "evaluate", "train"])
+def test_a_non_finite_weight_is_refused_by_file_and_parameter(files, tmp_path, capsys, command):
+    # past loading, the NaN would first show in a descriptor's norm, whose
+    # error names neither the file nor the weight
+    ckpt = load_checkpoint(files / "m.ckpt")
+    ckpt.blobs["stage2.block1.ffn.fc1.weight"][3, 5] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(path, ckpt)
+    out = tmp_path / "out"
+    argv = {
+        "match": ["match", str(path), str(files / "a.pgm"), str(files / "b.pgm"), str(out)],
+        "evaluate": ["evaluate", str(path), "--data", str(files / "data"), "--subset", "all"],
+        "train": ["train", "--data", str(files / "data"), "--out", str(out), "--resume", str(path),
+                  "--set", "batch_size=2", "--set", "epochs=1"],
+    }[command]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "blob stage2.block1.ffn.fc1.weight holds a non-finite value" in err
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_retired_run_keys_are_unknown_config_keys(tmp_path, capsys):
     # only checkpoint loading skips them; a config file or --set names them as unknown
     assert set(RETIRED_RUN_KEYS) == {"loss_mode", "use_scale", "use_rotate", "use_translate"}

@@ -20,7 +20,7 @@ from litematch.model import (
     forward,
     init_model,
 )
-from litematch.tensor import Tape, Tensor, backward
+from litematch.tensor import Tape, Tensor, backward, record
 
 from cotangent import cotangent_dot
 
@@ -363,6 +363,64 @@ def test_first_step_gradients_are_bit_identical_on_any_pool(monkeypatch, blur_cp
     finally:
         sys.setswitchinterval(interval)
     assert same(shared, alone)
+
+
+def stored_mix_ffn(x, w1, b1, wd, bd, w2, b2):
+    """``ops.mix_ffn`` on one thread, with the backward reading each chunk's
+    stored fc1 and pre-GELU outputs instead of recomputing them."""
+    taps = ops._taps(wd.data)
+    sample_bytes = x.shape[1] * x.shape[2] * w1.shape[0] * x.data.itemsize
+    slices = list(ops._sample_chunks(x.shape[0], sample_bytes))
+    saved = []
+    for s in slices:
+        hidden = ops._linear_fwd(x.data[s], w1.data, b1.data)
+        saved.append((hidden, ops._depthwise_fwd(hidden, taps, bd.data)))
+    out = np.concatenate([ops._linear_fwd(ops._gelu_fwd(pre)[0], w2.data, b2.data) for _, pre in saved])
+
+    def grad_fn(g):
+        gx = np.empty(x.shape, dtype=g.dtype)
+        grads = [np.zeros(p.shape, dtype=g.dtype) for p in (w1, b1, wd, bd, w2, b2)]
+        for s, (hidden, pre) in zip(slices, saved):
+            f, t = ops._gelu_fwd(pre)
+            g2 = g[s].reshape(-1, w2.shape[0])
+            gpre = ops._gelu_bwd(pre, t, (g2 @ w2.data).reshape(pre.shape))
+            gh = ops._correlate3x3(gpre, taps[::-1, ::-1]).reshape(-1, w1.shape[0])
+            gx[s] = (gh @ w1.data).reshape(gx[s].shape)
+            parts = (
+                gh.T @ x.data[s].reshape(-1, w1.shape[1]), ops._column_sums(gh),
+                ops._depthwise_wgrad(hidden, gpre), ops._column_sums(gpre),
+                g2.T @ f.reshape(-1, w2.shape[1]), ops._column_sums(g2),
+            )
+            for total, part in zip(grads, parts):
+                total += part
+        return gx, *grads
+
+    result = Tensor._wrap(out)
+    record((x, w1, b1, wd, bd, w2, b2), result, grad_fn)
+    return result
+
+
+def test_recomputed_feed_forward_gradients_equal_stored_ones(monkeypatch):
+    # the backward reruns each chunk's forward kernels on the same chunk, so a
+    # 48-patch 64 px step is bit-identical to one that kept their outputs
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", 1 << 18)
+    m = init_model(ModelConfig(input_size=64), seed=22)
+    x = Tensor(np.random.default_rng(23).random((48, 1, 64, 64)).astype(np.float32))
+
+    def step():
+        for prm in m.params.values():
+            prm.grad = None
+        with Tape() as tape:
+            loss = triplet_loss(forward(m, x))
+        backward(loss, tape)
+        return [loss.data] + [prm.grad for prm in m.params.values()]
+
+    recomputed = step()
+    monkeypatch.setattr(ops, "mix_ffn", stored_mix_ffn)
+    stored = step()
+    assert len(stored) == 1 + 186 and stored[0] > 0
+    assert np.abs(stored[list(m.params).index("stage1.block1.ffn.fc1.weight") + 1]).max() > 0
+    assert all(np.array_equal(a, b) for a, b in zip(recomputed, stored))
 
 
 def test_one_chunk_feed_forward_asks_for_no_helpers(monkeypatch):

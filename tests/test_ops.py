@@ -434,6 +434,29 @@ def test_mix_ffn_empty_batch_or_rows_gives_zero_parameter_gradients(shape):
     assert all(np.array_equal(p.grad, np.zeros(p.shape)) for p in params)
 
 
+def test_mix_ffn_tape_keeps_no_hidden_width_activation():
+    # backward reruns each chunk's fc1 and depthwise convolution from x: the
+    # hidden and pre-GELU arrays of every block would otherwise stay alive on
+    # the tape until backward
+    rng = np.random.default_rng(29)
+    x = rand64(rng, 4, 5, 6, 2)
+    params = mix_ffn_params(rng, 2, 7, 3)
+    with Tape() as tape:
+        ops.mix_ffn(x, *params)
+    kept, todo = [], [cell.cell_contents for cell in tape.ops[0].grad_fn.__closure__]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, Tensor):
+            todo.append(v.data)
+        elif isinstance(v, (list, tuple)):
+            todo.extend(v)
+        elif isinstance(v, np.ndarray):
+            kept.append(v)
+            todo.append(v.base)
+    assert any(a is x.data for a in kept)
+    assert not any(a.shape[-3:] == (5, 6, 7) for a in kept)
+
+
 # ---------------------------------------------------------------- linear
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from litematch import cli, dataset, training
-from litematch.checkpoint import build_checkpoint, load_checkpoint, model_from_checkpoint, save_checkpoint
+from litematch.checkpoint import load_checkpoint, model_from_checkpoint
 from litematch.config import MANIFEST_SETTINGS, MODEL_SETTINGS, RunConfig
 from litematch.errors import ConfigError, TrainingError
 from litematch.model import ModelConfig, init_model
@@ -39,7 +39,7 @@ def test_train_step_refuses_any_loss_but_corrected():
         assert np.array_equal(p.data, before[name]), name
 
 
-def test_train_stops_on_nan_weight_in_resumed_model(tmp_path):
+def test_train_stops_on_nan_weight_in_resumed_model(tmp_path, monkeypatch):
     data = tmp_path / "data"
     argv = ["gen-data", "--synthetic", "--out", str(data), "--pairs", "1", "--triplets", "4",
             "--seed", "3", "--set", "input_size=32", "--set", "synth_size=256"]
@@ -48,16 +48,18 @@ def test_train_stops_on_nan_weight_in_resumed_model(tmp_path):
     first = tmp_path / "first.ckpt"
     training.train(cfg, data, first, echo=False)
 
-    ckpt = load_checkpoint(first)
-    model = model_from_checkpoint(ckpt)
-    model.params["stage2.block1.ffn.fc1.weight"].data[0, 0] = np.nan
-    poisoned = tmp_path / "poisoned.ckpt"
-    save_checkpoint(poisoned, build_checkpoint(model, cfg, ckpt.step, ckpt.epoch, ckpt.final_loss))
+    # loading refuses a checkpoint with a NaN weight by name (test_checkpoint.py),
+    # so the NaN enters the model once it is loaded
+    def poisoned(ckpt):
+        model = model_from_checkpoint(ckpt)
+        model.params["stage2.block1.ffn.fc1.weight"].data[0, 0] = np.nan
+        return model
 
+    monkeypatch.setattr(training, "model_from_checkpoint", poisoned)
     cfg.epochs = 2
     out = tmp_path / "resumed.ckpt"
     with pytest.raises(TrainingError, match="epoch 2 step 3"):
-        training.train(cfg, data, out, resume=poisoned, echo=False)
+        training.train(cfg, data, out, resume=first, echo=False)
     assert not out.exists()
 
 
