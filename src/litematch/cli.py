@@ -27,7 +27,6 @@ from .dataset import (
     DatasetManifest,
     build_triplets,
     identity_alignment,
-    load_dataset,
     load_manifest,
     load_pairs,
     synth_pair,
@@ -177,10 +176,10 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model, cfg = _load_model(args)
-    pairs, manifest = load_dataset(args.data)
-    selected = select_records(manifest, cfg, args.subset)
+    selected = select_records(load_manifest(args.data), cfg, args.subset)
     if not selected.pairs:
         raise DatasetError("no pairs selected for evaluation")
+    pairs = load_pairs(Path(args.data) / "pairs", selected.pairs)
     rows = []
     for name in selected.pairs:
         summary, _, _, _ = evaluate_pair(model, pairs[name], cfg)

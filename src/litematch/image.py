@@ -1,5 +1,7 @@
 """8-bit grayscale images: binary PGM/PPM I/O and CLAHE contrast enhancement.
 
+``load_image`` reads a PNM header with one regular expression (``_HEADER``).
+
 CLAHE builds every tile's clipped-histogram mapping at once
 (``_clahe_luts``), then blends the mappings one rectangle at a time: the
 lines through the tile centers cut the image into rectangles whose pixels
@@ -10,6 +12,7 @@ bit-identical to a blend over the whole image at once.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,24 +41,14 @@ class GrayImage:
         return self.pixels.shape[0]
 
 
-def _read_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    """Next whitespace-delimited header token, skipping # comments."""
-    n = len(buf)
-    while pos < n:
-        c = buf[pos : pos + 1]
-        if c == b"#":
-            while pos < n and buf[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not buf[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise ImageFormatError("truncated header")
-    return buf[start:pos], pos
+# The PNM header (netpbm.sourceforge.net/doc/pgm.html) in one match: magic, width,
+# height and maxval, the tokens a left-to-right tokenizer reads, by three rules:
+# - tokens are separated by whitespace, so "12" never backtracks into "1", "2";
+# - a comment runs to the end of its line and a token never starts with "#",
+#   so backtracking never shortens a comment into tokens;
+# - int() refuses more than 4300 digits with a ValueError, so load_image wraps it.
+_SKIP = rb"(?:\s|#[^\n\r]*(?![^\n\r]))*"
+_HEADER = re.compile(_SKIP + rb"([^\s#]\S*)" + (rb"\s" + _SKIP + rb"([^\s#]\S*)") * 3)
 
 
 def load_image(path: str | Path) -> GrayImage:
@@ -68,25 +61,25 @@ def load_image(path: str | Path) -> GrayImage:
         buf = path.read_bytes()
     except OSError as exc:
         raise ImageFormatError(f"{path}: {exc}") from exc
+    header = _HEADER.match(buf)
+    if header is None:
+        raise ImageFormatError(f"{path}: truncated header")
+    magic, *numbers = header.groups()
+    if magic not in (b"P5", b"P6"):
+        raise ImageFormatError(f"{path}: unsupported format {magic!r}")
+    for name, token in zip(("width", "height", "maxval"), numbers):
+        # bytes.isdigit accepts ASCII 0-9 only: no sign, "_" or other digits
+        if not token.isdigit():
+            raise ImageFormatError(f"{path}: {name} {token!r} is not a decimal number")
     try:
-        magic, pos = _read_token(buf, 0)
-        if magic not in (b"P5", b"P6"):
-            raise ImageFormatError(f"{path}: unsupported format {magic!r}")
-        wtok, pos = _read_token(buf, pos)
-        htok, pos = _read_token(buf, pos)
-        mtok, pos = _read_token(buf, pos)
-        for name, token in (("width", wtok), ("height", htok), ("maxval", mtok)):
-            # bytes.isdigit accepts ASCII 0-9 only: no sign, "_" or other digits
-            if not token.isdigit():
-                raise ImageFormatError(f"{name} {token!r} is not a decimal number")
-        width, height, maxval = int(wtok), int(htok), int(mtok)
-    except (ValueError, ImageFormatError) as exc:
+        width, height, maxval = map(int, numbers)
+    except ValueError as exc:
         raise ImageFormatError(f"{path}: bad header ({exc})") from exc
     if width <= 0 or height <= 0:
         raise ImageFormatError(f"{path}: image size must be positive, got {width}x{height}")
     if maxval != 255:
         raise ImageFormatError(f"{path}: only 8-bit maxval 255 supported, got {maxval}")
-    pos += 1  # single whitespace byte after maxval
+    pos = header.end() + 1  # single whitespace byte after maxval
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
     raster = buf[pos : pos + need]

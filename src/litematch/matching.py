@@ -63,8 +63,6 @@ class MatchResult:
     """Accepted matches plus the counts the metrics are computed from."""
 
     pairs: list[MatchPair]
-    threshold: float
-    mutual: bool
     n_total_keypoints: int  # min(|A|, |B|)
     n_correct: "int | None" = None
     correct_flags: "list[bool] | None" = None
@@ -99,7 +97,7 @@ def match_nn(
     if a.descriptors.shape[1] != b.descriptors.shape[1]:
         raise DimensionError("descriptor dimensions differ between the two sets")
     if len(a) == 0 or len(b) == 0:
-        return MatchResult(pairs=[], threshold=threshold, mutual=mutual, n_total_keypoints=0)
+        return MatchResult(pairs=[], n_total_keypoints=0)
     dm = _distance_matrix(a.descriptors, b.descriptors)
     nn = dm.argmin(axis=1)
     pairs: list[MatchPair] = []
@@ -112,12 +110,7 @@ def match_nn(
         if mutual and reverse[j] != i:
             continue
         pairs.append(MatchPair(index_a=i, index_b=int(j), distance=dist))
-    return MatchResult(
-        pairs=pairs,
-        threshold=threshold,
-        mutual=mutual,
-        n_total_keypoints=min(len(a), len(b)),
-    )
+    return MatchResult(pairs=pairs, n_total_keypoints=min(len(a), len(b)))
 
 
 def score(

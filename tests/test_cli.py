@@ -5,6 +5,8 @@ import dataclasses
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -14,10 +16,10 @@ import numpy as np
 import pytest
 
 import litematch
-from litematch import cli
+from litematch import cli, dataset
 from litematch.checkpoint import RETIRED_RUN_KEYS, build_checkpoint, load_checkpoint, save_checkpoint
 from litematch.config import RunConfig, apply_overrides
-from litematch.dataset import load_manifest, split
+from litematch.dataset import DatasetManifest, load_manifest, split
 from litematch.errors import ConfigError
 from litematch.image import GrayImage, save_pgm
 from litematch.model import DEFAULT_STAGES, ModelConfig, init_model
@@ -91,14 +93,29 @@ def test_importing_every_module_leaves_the_environment_unchanged():
 
 
 @pytest.mark.parametrize(
-    "flags, key",
-    [(["--pairs", "0"], "pairs"), (["--set", "pairs=0"], "pairs"), (["--triplets", "0"], "triplets")],
-    ids=["pairs-flag", "pairs-set", "triplets-flag"],
+    "flags, message",
+    [
+        (["--pairs", "0"], "pairs must be at least 1, got 0"),
+        (["--set", "pairs=0"], "pairs must be at least 1, got 0"),
+        (["--triplets", "0"], "triplets must be at least 1, got 0"),
+        (["--set", "pairs"], "--set expects KEY=VALUE, got 'pairs'"),
+        (["--set", "momentum=1"], "momentum must lie in [0, 1), got 1.0"),
+        (["--set", "split_ratio=1"], "split_ratio must lie in (0, 1)"),
+    ],
+    ids=["pairs-flag", "pairs-set", "triplets-flag", "set-without-equals", "momentum-1", "split_ratio-1"],
 )
-def test_gen_data_validates_every_flag(tmp_path, capsys, flags, key):
+def test_gen_data_validates_every_flag(tmp_path, capsys, flags, message):
     out = tmp_path / "data"
     assert cli.main(["gen-data", "--synthetic", "--out", str(out)] + flags) == 1
-    assert f"error: {key} must be at least 1, got 0" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_line_without_equals_is_named_by_file_and_line(tmp_path, capsys):
+    path, out = tmp_path / "run.cfg", tmp_path / "data"
+    path.write_text("# patch size\n\ninput_size 32\n")
+    assert cli.main(["gen-data", "--synthetic", "--out", str(out), "--config", str(path)]) == 1
+    assert f"error: {path}:3: expected key=value, got 'input_size 32'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -399,6 +416,53 @@ def test_train_and_evaluate_each_take_their_side_of_the_split(three_pairs, tmp_p
     assert cli.main(["evaluate", str(ckpt), "--data", str(three_pairs)]) == 0  # --subset val
     rows = capsys.readouterr().out.splitlines()[1:-1]  # less the header and the mean
     assert [row.split()[0] for row in rows] == val_side.pairs
+
+
+def test_evaluate_reads_only_the_pairs_it_scores(files, three_pairs, tmp_path, monkeypatch, capsys):
+    _, val_side = split(load_manifest(three_pairs), RunConfig().split_ratio)
+    reads = []
+    real_load = dataset.load_image
+    monkeypatch.setattr(dataset, "load_image", lambda path: reads.append(Path(path).name) or real_load(path))
+    table = tmp_path / "table.tsv"
+    assert cli.main(["evaluate", str(files / "m.ckpt"), "--data", str(three_pairs), "--out", str(table)]) == 0
+    (name,) = val_side.pairs
+    assert reads == [f"{name}_vis.pgm", f"{name}_nir.pgm"]  # not all six images of the three pairs
+    assert table.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["evaluate", "{ckpt}", "--data", "{empty}", "--subset", "all"], "no pairs selected for evaluation"),
+        (["train", "--data", "{empty}", "--out", "{out}"], "no triplets selected for training"),
+        (["train", "--data", "{data}", "--out", "{out}", "--set", "batch_size=5"],
+         "batch_size 5 exceeds triplet count 4"),
+    ],
+    ids=["evaluate-no-pairs", "train-no-triplets", "train-batch-above-count"],
+)
+def test_a_selection_a_command_cannot_use_is_refused_by_its_cause(files, tmp_path, capsys, argv, cause):
+    empty, out = tmp_path / "empty", tmp_path / "out.ckpt"
+    empty.mkdir()
+    (empty / "manifest.json").write_text(DatasetManifest(seed=0, out_size=32).to_json())
+    paths = dict(ckpt=files / "m.ckpt", data=files / "data", empty=empty, out=out)
+    assert cli.main([arg.format(**paths) for arg in argv]) == 1
+    assert f"error: {cause}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty"]
+
+
+def test_the_readme_session_runs_and_writes_the_files_it_names(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## A session in seconds", 1)[1].split("\n## ", 1)[0]
+    script = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in script.splitlines() if line.startswith("python -m litematch.cli ")]
+    assert [argv[3] for argv in commands] == ["gen-data", "train", "evaluate", "match"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[3:]) == 0, argv
+    named = re.findall(r"`((?:data|run)/[^`]+)`", section)
+    assert len(named) >= 5
+    for pattern in named:
+        assert list(tmp_path.glob(pattern)), pattern
 
 
 @pytest.mark.parametrize(

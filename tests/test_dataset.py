@@ -16,6 +16,7 @@ from litematch.dataset import (
     enhanced_pair,
     identity_alignment,
     load_dataset,
+    load_pairs,
     materialize_triplet,
     split,
     synth_pair,
@@ -218,6 +219,21 @@ def test_build_triplets_requires_keypoints():
         build_triplets(pair, kps, count=4, seed=0)
 
 
+@pytest.mark.parametrize(
+    "count, spacing, cause",
+    [(0, 100, "triplet count must be >= 1, got 0"),
+     (4, 10, "pair p: no keypoint has a negative more than 64 px away")],
+    ids=["count-0", "keypoints-10px-apart"],
+)
+def test_build_triplets_names_a_request_it_cannot_meet(count, spacing, cause):
+    margin = required_margin()
+    pixels = np.zeros((2 * margin + 200, 2 * margin + 200), dtype=np.uint8)
+    pair = AlignedPair("p", GrayImage(pixels), GrayImage(pixels))
+    kps = [Keypoint(margin + dx, margin, 1.6, 1.0) for dx in (0, spacing)]
+    with pytest.raises(DatasetError, match=f"^{cause}$"):
+        build_triplets(pair, kps, count=count, seed=0)
+
+
 def test_build_triplets_extracts_no_patches(monkeypatch):
     pair = synth_pair(7, size=384)
     kps = make_keypoints(pair)
@@ -308,6 +324,21 @@ def test_split_keeps_the_manifest_header():
         assert (m.seed, m.window, m.out_size, m.clahe_clip, m.clahe_grid) == (9, 48, 32, 3.5, 4)
 
 
+@pytest.mark.parametrize(
+    "call, cause",
+    [
+        (lambda d: AlignedPair("p", GrayImage(np.zeros((8, 8))), GrayImage(np.zeros((8, 9)))),
+         "pair p: image dimensions differ"),
+        (load_dataset, "no manifest.json in {d}"),
+        (load_pairs, "no *_vis.pgm files in {d}"),
+    ],
+    ids=["pair-sizes-differ", "no-manifest", "no-pairs"],
+)
+def test_a_missing_or_mismatched_source_is_named(tmp_path, call, cause):
+    with pytest.raises(DatasetError, match="^" + re.escape(cause.format(d=tmp_path)) + "$"):
+        call(tmp_path)
+
+
 def test_load_dataset_reads_the_unedited_manifest(tmp_path):
     # the manifest every malformed case below starts from is itself valid
     img = GrayImage(np.zeros((8, 8), dtype=np.uint8))
@@ -349,7 +380,7 @@ def _malformed_manifests():
         doc["records"][0][key] = value
         cases.append(pytest.param(json.dumps(doc), id=f"{key}-{value}"))
     for key, value in (
-        ("window", "64"), ("window", 64.0), ("clahe_clip", "2.0"), ("clahe_clip", math.nan),
+        ("window", "64"), ("window", 64.0), ("window", True), ("clahe_clip", "2.0"), ("clahe_clip", math.nan),
         ("clahe_clip", True), ("clahe_grid", 8.5), ("seed", "abc"), ("seed", -3), ("pairs", "p"),
     ):
         doc = json.loads(text)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from litematch.errors import ConfigError, ImageFormatError
-from litematch.image import GrayImage, _clahe_luts, clahe, load_image, save_pgm, save_ppm
+from litematch.image import _HEADER, GrayImage, _clahe_luts, clahe, load_image, save_pgm, save_ppm
 
 
 def test_pgm_round_trip_bit_exact(tmp_path):
@@ -35,6 +35,21 @@ def test_ppm_red_luma(tmp_path):
     p = tmp_path / "r.ppm"
     save_ppm(rgb, p)
     assert load_image(p).pixels[0, 0] == 76  # floor(0.299 * 255 + 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, cause",
+    [
+        (lambda path: GrayImage(np.zeros(4)), r"GrayImage needs a 2-d array, got shape \(4,\)"),
+        (lambda path: save_ppm(np.zeros((2, 2)), path), r"save_ppm needs \[H, W, 3\], got \(2, 2\)"),
+        (lambda path: save_ppm(np.zeros((2, 2, 4)), path), r"save_ppm needs \[H, W, 3\], got \(2, 2, 4\)"),
+    ],
+    ids=["gray-1d", "ppm-2d", "ppm-4-channels"],
+)
+def test_a_raster_of_the_wrong_shape_raises_config_error(tmp_path, call, cause):
+    with pytest.raises(ConfigError, match=f"^{cause}$"):
+        call(tmp_path / "x.ppm")
+    assert not (tmp_path / "x.ppm").exists()
 
 
 def test_pgm_header_comments_ok(tmp_path):
@@ -128,6 +143,87 @@ def test_fuzzed_header_loads_declared_shape_or_raises(tmp_path_factory, magic, t
         assert str(path) in str(exc)
         return
     assert img.pixels.shape == (int(tokens[1]), int(tokens[0]))
+
+
+def _oracle_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+    """Next whitespace-delimited header token, skipping # comments: the
+    tokenizer ``load_image`` used before its header became one pattern."""
+    n = len(buf)
+    while pos < n:
+        c = buf[pos : pos + 1]
+        if c == b"#":
+            while pos < n and buf[pos : pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        elif c.isspace():
+            pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and not buf[pos : pos + 1].isspace():
+        pos += 1
+    if start == pos:
+        raise ImageFormatError("truncated header")
+    return buf[start:pos], pos
+
+
+def _oracle_header(buf: bytes) -> "tuple[list[bytes], int] | None":
+    """The first four tokens and the offset after the last, or None when
+    there are fewer than four."""
+    tokens, pos = [], 0
+    try:
+        for _ in range(4):
+            token, pos = _oracle_token(buf, pos)
+            tokens.append(token)
+    except ImageFormatError:
+        return None
+    return tokens, pos
+
+
+# every byte bytes.isspace() accepts, bytes it refuses that str.isspace() accepts,
+# "#" and whole comments, CRLF, and digit and letter tokens
+_HEADER_PIECES = st.sampled_from(
+    [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n", b"\x1c", b"\x85", b"\xa0",
+     b"#", b"# c\n", b"#c\r", b"# 1 2\r\n", b"##\n", b"P5", b"P6", b"0", b"12", b"255", b"a", b"x#"]
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(buf=st.lists(_HEADER_PIECES | st.binary(max_size=2), max_size=14).map(b"".join))
+def test_header_pattern_reads_the_tokens_and_end_of_a_tokenizer(buf):
+    match = _HEADER.match(buf)
+    want = _oracle_header(buf)
+    if want is None:
+        assert match is None
+    else:
+        assert (list(match.groups()), match.end()) == want
+
+
+@pytest.mark.parametrize(
+    "content, cause",
+    [
+        (b"P2\n2 2\n255\n0 0 0 0", "unsupported format b'P2'"),
+        (b"P544 1 1 255\n\x00", "unsupported format b'P544'"),
+        (b"P5\n2 2\n2x5\n" + bytes(4), "maxval b'2x5' is not a decimal number"),
+        # whitespace separates tokens: "12" is not width 1, height 2 of two
+        # pixels that are whitespace bytes
+        (b"P5 12 255\n\t\n", "truncated header"),
+        (b"P5\n0 2\n255\n", "image size must be positive, got 0x2"),
+        (b"P5\n2 2\n65535\n" + bytes(8), "only 8-bit maxval 255 supported, got 65535"),
+        (b"P5\n2 2", "truncated header"),
+        # a comment runs to the end of its line: no token hides in it
+        (b"# c\n# c\n", "truncated header"),
+        (b"P5\n4 4\n255\n\x00\x01", "truncated pixel data"),
+        # int() refuses more than 4300 digits
+        (b"P5\n" + b"9" * 5000 + b" 2\n255\n", "bad header"),
+    ],
+    ids=["magic", "magic-with-digits", "maxval-not-decimal", "size-split", "size-zero",
+         "maxval-16-bit", "header-short", "comments-only", "raster-short", "width-5000-digits"],
+)
+def test_a_bad_file_is_named_with_its_cause(tmp_path, content, cause):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(content)
+    with pytest.raises(ImageFormatError, match=f"bad.pgm: {cause}"):
+        load_image(p)
 
 
 # ------------------------------------------------------------------ CLAHE

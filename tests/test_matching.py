@@ -105,7 +105,6 @@ def test_empty_set_gives_empty_result():
         for mutual in (False, True):
             result = match_nn(a, b, threshold=0.7, mutual=mutual)
             assert result.pairs == [] and result.n_total_keypoints == 0
-            assert (result.threshold, result.mutual) == (0.7, mutual)
             assert score(result, a, b, lambda x, y: (x, y)) == (0.0, 0.0)
     # the argument checks still apply to an empty side
     with pytest.raises(MatchingError):
@@ -124,6 +123,17 @@ def test_threshold_and_eps_must_be_positive_and_finite(value):
     result = match_nn(a, b, threshold=0.5)
     with pytest.raises(MatchingError, match=f"^eps must be positive and finite, got {value}$"):
         score(result, a, b, identity_alignment, eps=value)
+
+
+@pytest.mark.parametrize(
+    "rows, cause",
+    [(np.zeros((3, 8)), r"\(3, 8\) does not match 2 keypoints"), (np.zeros(8), r"\(8,\) does not match 2 keypoints")],
+    ids=["three-rows", "one-d"],
+)
+def test_descriptor_rows_must_match_the_keypoints(rows, cause):
+    kps = [Keypoint(float(i), 0.0, 1.0, 1.0) for i in range(2)]
+    with pytest.raises(DimensionError, match=f"^descriptor matrix {cause}$"):
+        DescriptorSet(keypoints=kps, descriptors=rows)
 
 
 def test_non_unit_rows_rejected():

@@ -166,6 +166,21 @@ def test_head_width_below_four_rejected(stage, width):
         ModelConfig(stages=tuple(stages))
 
 
+@pytest.mark.parametrize(
+    "stage1, cause",
+    [
+        (StageConfig(stride=4, channels=16, reduction=8, heads=1, mlp_ratio=8, depth=0),
+         "stage 1: all hyperparameters must be positive"),
+        (StageConfig(stride=4, channels=16, reduction=3, heads=1, mlp_ratio=8, depth=2),
+         "stage 1: spatial size 32 not divisible by reduction 3"),
+    ],
+    ids=["depth-0", "reduction-3"],
+)
+def test_a_stage_the_model_cannot_build_is_named(stage1, cause):
+    with pytest.raises(ConfigError, match=f"^{cause}$"):
+        ModelConfig(stages=(stage1,) + DEFAULT_STAGES[1:])
+
+
 def test_forward_output_shape_and_unit_rows():
     m = init_model(ModelConfig(), seed=1)
     rng = np.random.default_rng(0)

@@ -834,6 +834,38 @@ def test_empty_channel_axis_raises_dimension_error_at_forward(op, call):
     assert tape.ops == []
 
 
+@pytest.mark.parametrize(
+    "call, cause",
+    [
+        (lambda: ops.linear(z(2, 3), z(4, 3, 1), z(4)), r"linear: bad parameter shapes w=\(4, 3, 1\)"),
+        (lambda: ops.linear(z(2, 3), z(4, 3), z(5)), r"linear: bad parameter shapes w=\(4, 3\)"),
+        (lambda: ops.layer_norm(z(2, 3), z(4), z(3)), r"layer_norm: gamma/beta must have shape \(3,\)"),
+        (lambda: ops.conv2d(z(4, 4, 1), z(2, 1, 3, 3), z(2)), "conv2d expects 4-d input and weight"),
+        (lambda: ops.conv2d(z(1, 4, 4, 1), z(2, 1, 3, 2), z(2)), "conv2d: kernel must be square"),
+        (lambda: ops.conv2d(z(1, 4, 4, 1), z(2, 1, 3, 3), z(3)), r"conv2d: bias must have shape \(2,\)"),
+        (lambda: ops.conv2d(z(1, 4, 4, 1), z(2, 1, 3, 3), z(2), stride=0), "conv2d: stride must be >= 1"),
+        (lambda: ops.conv2d(z(1, 2, 2, 1), z(2, 1, 5, 5), z(2), padding=1),
+         "conv2d: kernel larger than padded input"),
+        (lambda: ops.mix_ffn(z(2, 16, 3), z(6, 3), z(6), z(6, 1, 3, 3), z(6), z(3, 6), z(3)),
+         r"mix_ffn: expected a 4-d input and 2-d fc weights, got \(2, 16, 3\)"),
+        (lambda: ops.mix_ffn(z(2, 4, 4, 3), z(6, 3), z(6), z(6, 1, 5, 5), z(6), z(3, 6), z(3)),
+         r"mix_ffn: parameter shapes \(.*\(6, 1, 5, 5\).*\) do not fit 3 input channels"),
+        (lambda: ops.token_mean(z(2, 16, 3)), r"token_mean expects a \[B, H, W, C\] tensor"),
+        (lambda: ops.l2_normalize(z(2, 1, 3)), r"l2_normalize expects a \[B, D\] matrix"),
+    ],
+    ids=[
+        "linear-w-3d", "linear-bias-length", "layer_norm-gamma", "conv2d-3d-input", "conv2d-kernel-3x2",
+        "conv2d-bias-length", "conv2d-stride0", "conv2d-kernel-5-on-2", "mix_ffn-3d-input",
+        "mix_ffn-depthwise-5x5", "token_mean-3d", "l2_normalize-3d",
+    ],
+)
+def test_a_bad_shape_raises_dimension_error_naming_it_at_forward(call, cause):
+    with Tape() as tape:
+        with pytest.raises(DimensionError, match=f"^{cause}$"):
+            call()
+    assert tape.ops == []
+
+
 # ------------------------------------------------- small composite pieces
 
 

@@ -130,6 +130,13 @@ def test_transform_validation():
         PatchTransform(kind="translate", dx=9)
 
 
+@pytest.mark.parametrize("window, out_size", [(1, 32), (64, 1)])
+def test_apply_transform_refuses_a_window_or_patch_below_two_pixels(window, out_size):
+    img = textured_image(64)
+    with pytest.raises(ConfigError, match="^window and out_size must be >= 2$"):
+        apply_transform(img, kp(32, 32), PatchTransform(), window, out_size)
+
+
 def test_required_margin_admits_all_transforms():
     img = textured_image(seed=6)
     m = required_margin()

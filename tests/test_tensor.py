@@ -47,6 +47,17 @@ def test_backward_quadratic_case():
     np.testing.assert_allclose(x.grad, [[2.0, 4.0]] * cotangent((1, 1), np.float32)[0], rtol=1e-6)
 
 
+def test_backward_skips_an_entry_the_loss_does_not_read():
+    x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    calls = []
+    with Tape() as tape:
+        record((x,), Tensor._wrap(x.data * 2), lambda g: calls.append(g) or (g * 2,))
+        loss = cotangent_dot(x)
+    backward(loss, tape)
+    assert len(tape.ops) == 2 and calls == []
+    np.testing.assert_array_equal(x.grad, cotangent((3,), np.float32))
+
+
 def test_backward_accumulates_across_calls():
     x = Tensor([[1.0, 2.0]], requires_grad=True)
     with Tape() as tape:

@@ -8,7 +8,7 @@ import pytest
 from litematch import cli, dataset, training
 from litematch.checkpoint import load_checkpoint, model_from_checkpoint
 from litematch.config import MANIFEST_SETTINGS, MODEL_SETTINGS, RunConfig
-from litematch.errors import ConfigError, TrainingError
+from litematch.errors import ConfigError, DatasetError, TrainingError
 from litematch.model import ModelConfig, init_model
 from litematch.tensor import SGD, Tensor
 
@@ -175,3 +175,15 @@ def test_an_interim_checkpoint_resumes_into_the_straight_runs_final_checkpoint(d
     assert cli.main(["train", "--data", str(data_48), "--out", str(resumed),
                      "--resume", str(tmp_path / "m.ep2")]) == 0
     assert resumed.read_bytes() == straight.read_bytes()
+
+
+def test_select_records_names_an_unknown_subset():
+    manifest = dataset.DatasetManifest(seed=1, pairs=["a", "b"])
+    with pytest.raises(ConfigError, match="^unknown subset 'test'; expected train, val or all$"):
+        training.select_records(manifest, RunConfig(split_ratio=0.5), "test")
+
+
+def test_triplet_source_names_a_pair_it_was_not_given(data_48):
+    manifest = dataset.load_manifest(data_48)
+    with pytest.raises(DatasetError, match=f"^manifest references unknown pair {manifest.pairs[0]}$"):
+        training.TripletSource({}, manifest)
