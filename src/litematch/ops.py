@@ -255,6 +255,17 @@ def _gelu_bwd(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
     return du
 
 
+def _im2col(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
+    """The [B*H'*W', Cin*k*k] im2col matrix of [B, H, W, Cin] for kernel ``k``,
+    stride ``s`` and zero padding ``p``: row (b, i, j) is the window of output
+    pixel (i, j), in the order of a [Cout, Cin, k, k] weight row."""
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
+    # [B, H', W', Cin, k, k]
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+    bsz, hp, wp = win.shape[:3]
+    return np.ascontiguousarray(win).reshape(bsz * hp * wp, x.shape[3] * k * k)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d convolution (cross-correlation) with zero padding, by im2col.
 
@@ -279,16 +290,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     if h + 2 * padding < kh or ww + 2 * padding < kw:
         raise DimensionError("conv2d: kernel larger than padded input")
     k, s, p = kh, stride, padding
-
-    xp = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0))) if p else x.data
-    # backward needs only the padded shape: the tape keeps no padded copy
-    padded_shape = xp.shape
-    # [B, H', W', Cin, k, k]: each row of ``col`` matches a row of ``wmat``
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
-    hp, wp = win.shape[1], win.shape[2]
-    col = np.ascontiguousarray(win).reshape(bsz * hp * wp, cin * k * k)
+    hp, wp = (h + 2 * p - k) // s + 1, (ww + 2 * p - k) // s + 1
     wmat = w.data.reshape(cout, -1)
-    out = Tensor._wrap((col @ wmat.T + b.data).reshape(bsz, hp, wp, cout))
+    out = Tensor._wrap((_im2col(x.data, k, s, p) @ wmat.T + b.data).reshape(bsz, hp, wp, cout))
     # stage 1 embeds the untracked patch batch, whose input gradient nothing reads
     tape = active_tape()
     needs_gx = tape is not None and tape.source(x) is not None
@@ -296,11 +300,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     def grad_fn(g):
         gmat = g.reshape(bsz * hp * wp, cout)
         gb = _column_sums(gmat)
-        gw = (gmat.T @ col).reshape(w.shape)
+        # the tape keeps x, not its im2col matrix, k*k/(s*s) times x's size: rebuild it
+        gw = (gmat.T @ _im2col(x.data, k, s, p)).reshape(w.shape)
         if not needs_gx:
             return None, gw, gb
         gcol = (gmat @ wmat).reshape(bsz, hp, wp, cin, k, k)
-        gxp = np.zeros(padded_shape, dtype=g.dtype)
+        gxp = np.zeros((bsz, h + 2 * p, ww + 2 * p, cin), dtype=g.dtype)
         for ki in range(k):
             for kj in range(k):
                 gxp[:, ki : ki + hp * s : s, kj : kj + wp * s : s] += gcol[..., ki, kj]

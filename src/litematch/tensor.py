@@ -8,7 +8,9 @@ each input's source: a leaf tensor, the index of the entry that recorded
 it, or None for a constant. The tape keeps no op output, so an output no
 backward rule reads is freed once the forward drops it. :func:`backward`
 walks the entries once in reverse, summing gradients into a list indexed
-by entry and into every tensor marked ``requires_grad``.
+by entry and into every tensor marked ``requires_grad``. It drops each
+entry, with the arrays its rule closes over, as soon as the walk passes
+it, so a tape is walked once.
 """
 
 from __future__ import annotations
@@ -99,8 +101,10 @@ class Tape:
     """
 
     def __init__(self):
-        self.ops: list[_TapeEntry] = []
+        # a walked entry is None: the list keeps its length, the count of recorded ops
+        self.ops: list["_TapeEntry | None"] = []
         self.serial = next(_serials)
+        self.walked = False
 
     def __enter__(self) -> "Tape":
         global _active
@@ -134,21 +138,27 @@ def record(inputs: Iterable[Tensor], output: Tensor, grad_fn: GradFn) -> None:
 def backward(loss: Tensor, tape: Tape) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad tensor.
 
-    ``loss`` must be a scalar produced on ``tape``. Calling backward again
-    without clearing gradients adds another copy of each gradient.
+    ``loss`` must be a scalar produced on ``tape``. Each entry is dropped as
+    the walk passes it, so a rule's arrays are freed before the earlier
+    rules run, and a second backward on the same tape raises ContractError.
+    Backward over another tape without clearing gradients adds another copy
+    of each gradient.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {tuple(loss.shape)}")
     if loss.node is None or loss.node[0] != tape.serial:
         raise ContractError("loss tensor was not produced on this tape")
+    if tape.walked:
+        raise ContractError("this tape was already walked; record the forward on a new tape")
+    tape.walked = True
 
     grads: list["np.ndarray | None"] = [None] * loss.node[1] + [np.ones_like(loss.data)]
     for i in reversed(range(len(grads))):
         g, grads[i] = grads[i], None
+        entry, tape.ops[i] = tape.ops[i], None
         if g is None:
             continue
-        sources, grad_fn = tape.ops[i]
-        for src, ig in zip(sources, grad_fn(g)):
+        for src, ig in zip(entry.sources, entry.grad_fn(g)):
             if ig is None or src is None:
                 continue
             if isinstance(src, Tensor):

@@ -67,14 +67,12 @@ def model_config_for(cfg: RunConfig) -> ModelConfig:
 
 def select_records(manifest: DatasetManifest, cfg: RunConfig, subset: str) -> DatasetManifest:
     """Pick the training/validation side of the manifest (or all of it)."""
+    if subset not in ("train", "val", "all"):
+        raise ConfigError(f"unknown subset {subset!r}; expected train, val or all")
     if subset == "all":
         return manifest
     train_side, val_side = split(manifest, cfg.split_ratio)
-    if subset == "train":
-        return train_side
-    if subset == "val":
-        return val_side
-    raise ConfigError(f"unknown subset {subset!r}; expected train, val or all")
+    return train_side if subset == "train" else val_side
 
 
 class TripletSource:
@@ -157,6 +155,7 @@ def train(
             )
         start_epoch = ckpt.epoch
         step = ckpt.step
+        del ckpt  # the model holds copies of its blobs
     else:
         model = init_model(model_config_for(cfg), seed=cfg.seed)
     opt = SGD(model.parameters(), lr=cfg.lr, momentum=cfg.momentum)

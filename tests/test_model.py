@@ -552,3 +552,45 @@ def test_a_taped_forward_frees_the_residual_sums_no_backward_rule_reads(monkeypa
     assert [ref() for ref in sums if ref() is not None] == []
     backward(loss, tape)
     assert all(p.grad is not None for p in m.params.values())
+
+
+def closure_arrays(grad_fn, skip):
+    """The arrays a backward rule closes over, directly or as a tensor's data,
+    with the arrays they view; a chain that reaches an id in ``skip`` is left out."""
+    found = []
+    for cell in grad_fn.__closure__ or ():
+        v = cell.cell_contents
+        chain, a = [], v.data if isinstance(v, Tensor) else v
+        while isinstance(a, np.ndarray):
+            chain.append(a)
+            a = a.base
+        if not any(id(a) in skip for a in chain):
+            found += chain
+    return found
+
+
+def test_backward_frees_the_later_stages_before_the_stage1_embedding_rule_runs():
+    # each walked entry is dropped, so stage 4's arrays are gone before stage 1's large rules run
+    m = init_model(small_config(), seed=6)
+    params = {id(p.data) for p in m.params.values()}
+    stage4 = {id(p) for name, p in m.params.items() if name.startswith("stage4.")}
+    patches = Tensor(np.random.default_rng(7).random((6, 1, 32, 32)).astype(np.float32))
+    with Tape() as tape:
+        loss = triplet_loss(forward(m, patches))
+    refs = [
+        weakref.ref(a)
+        for entry in tape.ops if any(id(s) in stage4 for s in entry.sources)
+        for a in closure_arrays(entry.grad_fn, params)
+    ]
+    embed = tape.ops[0]
+    assert embed.sources[1] is m.params["stage1.embed.conv.weight"] and len(refs) > 20
+    alive = []
+
+    def first_rule(g):
+        alive.append(sum(ref() is not None for ref in refs))
+        return embed.grad_fn(g)
+
+    tape.ops[0] = embed._replace(grad_fn=first_rule)
+    backward(loss, tape)
+    assert alive == [0]
+    assert all(p.grad is not None for p in m.params.values())

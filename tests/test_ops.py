@@ -192,6 +192,74 @@ def test_conv2d_tape_keeps_no_padded_input():
     assert not any(isinstance(v, np.ndarray) and v.shape == (2, 11, 11, 3) for v in kept)
 
 
+def test_conv2d_tape_keeps_no_im2col_matrix():
+    # backward rebuilds the [B*H'*W', Cin*k*k] windows from the unpadded input:
+    # for the stage-1 7x7 stride-4 embedding they are 3x its size
+    rng = np.random.default_rng(26)
+    x = rand64(rng, 2, 9, 9, 3)
+    w, b = rand64(rng, 4, 3, 3, 3), rand64(rng, 4)
+    with Tape() as tape:
+        ops.conv2d(x, w, b, stride=2, padding=1)
+    kept = [cell.cell_contents for cell in tape.ops[0].grad_fn.__closure__]
+    arrays = [v.data if isinstance(v, Tensor) else v for v in kept]
+    assert not any(isinstance(a, np.ndarray) and a.size == (2 * 5 * 5) * (3 * 3 * 3) for a in arrays)
+
+
+def stored_col_conv2d(x, w, b, stride, padding):
+    """``ops.conv2d`` with its im2col matrix kept for the backward instead of rebuilt."""
+    k, s, p = w.shape[2], stride, padding
+    bsz, h, ww, cin = x.shape
+    cout = w.shape[0]
+    xp = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0))) if p else x.data
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
+    hp, wp = win.shape[1], win.shape[2]
+    col = np.ascontiguousarray(win).reshape(bsz * hp * wp, cin * k * k)
+    wmat = w.data.reshape(cout, -1)
+    out = Tensor._wrap((col @ wmat.T + b.data).reshape(bsz, hp, wp, cout))
+    needs_gx = x.requires_grad
+
+    def grad_fn(g):
+        gmat = g.reshape(bsz * hp * wp, cout)
+        gb = ops._column_sums(gmat)
+        gw = (gmat.T @ col).reshape(w.shape)
+        if not needs_gx:
+            return None, gw, gb
+        gcol = (gmat @ wmat).reshape(bsz, hp, wp, cin, k, k)
+        gxp = np.zeros(xp.shape, dtype=g.dtype)
+        for ki in range(k):
+            for kj in range(k):
+                gxp[:, ki : ki + hp * s : s, kj : kj + wp * s : s] += gcol[..., ki, kj]
+        gx = gxp[:, p : p + h, p : p + ww] if p else gxp
+        return np.ascontiguousarray(gx), gw, gb
+
+    record((x, w, b), out, grad_fn)
+    return out
+
+
+# the model's embeddings (kernel 2s - 1, padding s - 1 at strides 4 and 2)
+# and spatial reductions (kernel = stride 8, 4 and 2, no padding)
+@pytest.mark.parametrize("k, stride, padding", [(7, 4, 3), (3, 2, 1), (8, 8, 0), (4, 4, 0), (2, 2, 0)])
+@pytest.mark.parametrize("tracked", [True, False])
+def test_conv2d_rebuilt_im2col_gives_the_stored_im2col_gradients(k, stride, padding, tracked):
+    rng = np.random.default_rng(27)
+    data = rng.standard_normal((3, 16, 16, 4)).astype(np.float32)
+    w = Tensor(rng.standard_normal((5, 4, k, k)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.standard_normal(5).astype(np.float32), requires_grad=True)
+
+    def run(conv):
+        x = Tensor(data, requires_grad=tracked)
+        w.grad = b.grad = None
+        with Tape() as tape:
+            y = conv(x, w, b, stride, padding)
+            loss = cotangent_dot(y)
+        backward(loss, tape)
+        return y.data, x.grad, w.grad, b.grad
+
+    rebuilt, stored = run(ops.conv2d), run(stored_col_conv2d)
+    assert (rebuilt[1] is None) == (not tracked) and (stored[1] is None) == (not tracked)
+    assert all(a is None and c is None or np.array_equal(a, c) for a, c in zip(rebuilt, stored))
+
+
 # ------------------------------------------------------- mix_ffn's kernels
 # The depthwise convolution and GELU are private kernels of mix_ffn.
 # ``depthwise`` and ``gelu`` record them as tape ops, with the backward

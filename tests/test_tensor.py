@@ -60,11 +60,23 @@ def test_backward_skips_an_entry_the_loss_does_not_read():
 
 def test_backward_accumulates_across_calls():
     x = Tensor([[1.0, 2.0]], requires_grad=True)
+    for _ in range(2):
+        with Tape() as tape:
+            loss = cotangent_dot(square_norm(x))
+        backward(loss, tape)
+    np.testing.assert_allclose(x.grad, [[4.0, 8.0]] * cotangent((1, 1), np.float32)[0], rtol=1e-6)
+
+
+def test_a_walked_tape_refuses_a_second_backward():
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
     with Tape() as tape:
         loss = cotangent_dot(square_norm(x))
     backward(loss, tape)
-    backward(loss, tape)
-    np.testing.assert_allclose(x.grad, [[4.0, 8.0]] * cotangent((1, 1), np.float32)[0], rtol=1e-6)
+    first = x.grad.copy()
+    assert len(tape.ops) == 2 and tape.ops == [None, None]
+    with pytest.raises(ContractError, match="^this tape was already walked; record the forward on a new tape$"):
+        backward(loss, tape)
+    np.testing.assert_array_equal(x.grad, first)
 
 
 def test_backward_rejects_non_scalar_loss():

@@ -1,6 +1,7 @@
 """Training stops on non-finite values before they reach the parameters."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -61,6 +62,34 @@ def test_train_stops_on_nan_weight_in_resumed_model(tmp_path, monkeypatch):
     with pytest.raises(TrainingError, match="epoch 2 step 3"):
         training.train(cfg, data, out, resume=first, echo=False)
     assert not out.exists()
+
+
+def test_a_resumed_checkpoint_is_freed_before_the_first_step(tmp_path, monkeypatch):
+    # the model holds copies of the checkpoint's blobs, so the run keeps no second set
+    data = tmp_path / "data"
+    argv = ["gen-data", "--synthetic", "--out", str(data), "--pairs", "1", "--triplets", "4",
+            "--seed", "3", "--set", "input_size=32", "--set", "synth_size=256"]
+    assert cli.main(argv) == 0
+    cfg = RunConfig(input_size=32, batch_size=2, epochs=1, checkpoint_every=0, seed=3).validate()
+    first = tmp_path / "first.ckpt"
+    training.train(cfg, data, first, echo=False)
+
+    loaded, alive = [], []
+
+    def load(path, _load=training.load_checkpoint):
+        ckpt = _load(path)
+        loaded.append(weakref.ref(ckpt))
+        return ckpt
+
+    def step(*args, _step=training.train_step):
+        alive.append(loaded[0]() is not None)
+        return _step(*args)
+
+    monkeypatch.setattr(training, "load_checkpoint", load)
+    monkeypatch.setattr(training, "train_step", step)
+    cfg.epochs = 2
+    training.train(cfg, data, tmp_path / "resumed.ckpt", resume=first, echo=False)
+    assert len(loaded) == 1 and alive == [False, False]
 
 
 @pytest.mark.parametrize("epochs", [1, 2])
@@ -177,8 +206,10 @@ def test_an_interim_checkpoint_resumes_into_the_straight_runs_final_checkpoint(d
     assert resumed.read_bytes() == straight.read_bytes()
 
 
-def test_select_records_names_an_unknown_subset():
-    manifest = dataset.DatasetManifest(seed=1, pairs=["a", "b"])
+@pytest.mark.parametrize("pairs", [["a"], ["a", "b"]], ids=["one-pair", "two-pairs"])
+def test_select_records_names_an_unknown_subset(pairs):
+    # the name is checked before the split, which refuses a one-pair manifest
+    manifest = dataset.DatasetManifest(seed=1, pairs=pairs)
     with pytest.raises(ConfigError, match="^unknown subset 'test'; expected train, val or all$"):
         training.select_records(manifest, RunConfig(split_ratio=0.5), "test")
 
