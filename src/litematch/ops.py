@@ -21,8 +21,10 @@ for :func:`conv2d` and [C, 1, 3, 3] for the depthwise convolution inside
 
 A helper thread may run no public litematch function (:mod:`litematch._pool`),
 so :func:`mix_ffn`'s chunks, whose backward reruns their forward, run array
-kernels only: :func:`_linear_fwd`, :func:`_depthwise_fwd`, :func:`_depthwise_wgrad`
-(``np.einsum`` over a strided 3x3 tap-window view), :func:`_gelu_fwd` and :func:`_gelu_bwd`.
+kernels only: :func:`_fc1_windows` (fc1 written into a zero-padded tap buffer,
+:func:`_tap_windows`), :func:`_depthwise_fwd` and :func:`_depthwise_wgrad`
+(``np.einsum`` over that buffer's strided 3x3 tap-window view), :func:`_gelu_fwd`,
+:func:`_gelu_bwd` and :func:`_linear_fwd`.
 
 Reductions over a short axis follow three rules, because numpy's
 ``sum``/``mean``/``max`` over such an axis spend most of their time on
@@ -262,8 +264,12 @@ def _im2col(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
     xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))) if p else x
     # [B, H', W', Cin, k, k]
     win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::s, ::s]
-    bsz, hp, wp = win.shape[:3]
-    return np.ascontiguousarray(win).reshape(bsz * hp * wp, x.shape[3] * k * k)
+    bsz, hp, wp, cin = win.shape[:4]
+    n = bsz * hp * wp
+    # copying the 6-d view moves k values at a stride of Cin at a time; copy each window row's
+    # k*Cin contiguous input values instead, then reorder every row to (Cin, k, k)
+    runs = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
+    return runs.reshape(n, k, k, cin).transpose(0, 3, 1, 2).reshape(n, cin * k * k)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -305,6 +311,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         if not needs_gx:
             return None, gw, gb
         gcol = (gmat @ wmat).reshape(bsz, hp, wp, cin, k, k)
+        if k == s and not p and (h, ww) == (hp * k, wp * k):
+            # the windows tile x (every spatial reduction): each pixel is in one window,
+            # so its gradient is one entry of gcol and the scatter is one transposed copy
+            return np.ascontiguousarray(gcol.transpose(0, 1, 4, 2, 5, 3)).reshape(x.shape), gw, gb
         gxp = np.zeros((bsz, h + 2 * p, ww + 2 * p, cin), dtype=g.dtype)
         for ki in range(k):
             for kj in range(k):
@@ -316,31 +326,40 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     return out
 
 
-def _tap_windows(a: np.ndarray) -> np.ndarray:
-    """Read-only [B, H, W*C, 3, 3] view of the zero-padded 3x3 windows of [B, H, W, C].
+def _tap_windows(shape: tuple[int, ...], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A tap buffer for a [B, H, W, C] array: its writable [B, H, W, C]
+    interior, which the caller fills, and a read-only [B, H, W*C, 3, 3] view
+    of the zero-padded 3x3 windows of what the interior holds.
 
-    ``a`` is copied once into a flat buffer that gives each sample a zero row
-    above and below and has C spare zeros at each end. Window tap (i, j) of
-    row element r = w*C + c then sits a fixed (i - 1) rows and (j - 1)
-    columns of C away from it, so the strides are (sample, row, 1, row, C).
-    Column padding is not stored: tap j = 0 at w = 0 reads the end of the
-    row above, and j = 2 at w = W - 1 the start of the row below, and the
-    caller zeroes those taps (:func:`_drop_wrapped`).
+    The flat buffer gives each sample a zero row above and below and has C
+    spare zeros at each end. Window tap (i, j) of row element r = w*C + c
+    then sits a fixed (i - 1) rows and (j - 1) columns of C away from it, so
+    the strides are (sample, row, 1, row, C). Column padding is not stored:
+    tap j = 0 at w = 0 reads the end of the row above, and j = 2 at w = W - 1
+    the start of the row below, and the tiled taps zero those taps
+    (:func:`_tiled_taps`).
     """
-    bsz, h, w, c = a.shape
+    bsz, h, w, c = shape
     row = w * c
     n = bsz * (h + 2) * row
-    buf = np.empty(n + 2 * c, dtype=a.dtype)
+    buf = np.empty(n + 2 * c, dtype=dtype)
     buf[:c] = 0
     buf[c + n :] = 0
     rows = buf[c : c + n].reshape(bsz, h + 2, row)
     rows[:, 0] = 0
     rows[:, -1] = 0
-    rows[:, 1:-1] = a.reshape(bsz, h, row)
     s = buf.itemsize
-    return as_strided(
+    windows = as_strided(
         buf, (bsz, h, row, 3, 3), (s * (h + 2) * row, s * row, s, s * row, s * c), writeable=False
     )
+    return rows[:, 1:-1].reshape(shape), windows
+
+
+def _windows_of(a: np.ndarray) -> np.ndarray:
+    """The :func:`_tap_windows` of a copy of the [B, H, W, C] array ``a``."""
+    interior, windows = _tap_windows(a.shape, a.dtype)
+    interior[...] = a
+    return windows
 
 
 def _drop_wrapped(tiled: np.ndarray, c: int) -> np.ndarray:
@@ -355,6 +374,12 @@ def _drop_wrapped(tiled: np.ndarray, c: int) -> np.ndarray:
     return tiled
 
 
+def _tiled_taps(taps: np.ndarray, w: int) -> np.ndarray:
+    """[3, 3, C] taps repeated over the W*C elements of a window row, with the
+    taps that read across a row edge zeroed (:func:`_drop_wrapped`)."""
+    return _drop_wrapped(np.tile(taps, (1, 1, w)), taps.shape[2])
+
+
 def _sample_chunks(n: int, sample_bytes: int):
     """Yield slices of a leading axis of ``n`` samples, about ``_BLOCK_BYTES`` each.
 
@@ -367,11 +392,11 @@ def _sample_chunks(n: int, sample_bytes: int):
         yield slice(lo, lo + step)
 
 
-def _correlate3x3(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Zero-padded 3x3 correlation of [B, H, W, C] with per-channel [3, 3, C] taps."""
-    tiled = _drop_wrapped(np.tile(taps, (1, 1, a.shape[2])), a.shape[3])
+def _correlate3x3(windows: np.ndarray, tiled: np.ndarray) -> np.ndarray:
+    """Zero-padded 3x3 correlation, [B, H, W*C], of the array whose
+    :func:`_tap_windows` are ``windows``, with :func:`_tiled_taps` ``tiled``."""
     # one pass: every output element sums its nine window products
-    return np.einsum("bhrij,ijr->bhr", _tap_windows(a), tiled).reshape(a.shape)
+    return np.einsum("bhrij,ijr->bhr", windows, tiled)
 
 
 def _taps(w: np.ndarray) -> np.ndarray:
@@ -379,49 +404,61 @@ def _taps(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w[:, 0].transpose(1, 2, 0))
 
 
-def _depthwise_fwd(x: np.ndarray, taps: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-channel 3x3 convolution of [B, H, W, C], stride 1, zero padding 1,
-    with :func:`_taps` of the [C, 1, 3, 3] weight and the [C] bias. Its input
-    gradient correlates the output gradient with ``taps[::-1, ::-1]``."""
-    y = _correlate3x3(x, taps)
+def _depthwise_fwd(windows: np.ndarray, tiled: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel 3x3 convolution, stride 1, zero padding 1, of the [B, H, W, C]
+    array whose :func:`_tap_windows` are ``windows``, with the :func:`_tiled_taps`
+    of the [C, 1, 3, 3] weight's :func:`_taps` and the [C] bias. Its input
+    gradient correlates the output gradient with those of ``taps[::-1, ::-1]``."""
+    bsz, h, row = windows.shape[:3]
+    y = _correlate3x3(windows, tiled).reshape(bsz, h, row // b.shape[0], b.shape[0])
     y += b
     return y
 
 
-def _depthwise_wgrad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _depthwise_wgrad(windows: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The [C, 1, 3, 3] weight gradient of :func:`_depthwise_fwd` at the input
-    ``x`` for the output gradient ``g``, both [B, H, W, C]."""
-    bsz, h, w, c = x.shape
-    g3, win = g.reshape(bsz, h, w * c), _tap_windows(x)
+    whose :func:`_tap_windows` are ``windows``, for the [B, H, W, C] output gradient ``g``."""
+    bsz, h, w, c = g.shape
+    g3 = g.reshape(bsz, h, w * c)
     # over mix_ffn's chunks of a batch of 48 the nine einsums beat one "bhr,bhrij->ijr"
     # at every 64 px stage (5.4 against 7.4 ms at [48, 16, 16, 128]), not at 128 px
-    gtaps = np.empty((3, 3, w * c), dtype=np.result_type(x, g))
+    gtaps = np.empty((3, 3, w * c), dtype=np.result_type(windows, g))
     for i in range(3):
         for j in range(3):
-            np.einsum("bhr,bhr->r", g3, win[..., i, j], out=gtaps[i, j])
+            np.einsum("bhr,bhr->r", g3, windows[..., i, j], out=gtaps[i, j])
     gw = _drop_wrapped(gtaps, c).reshape(3, 3, w, c).sum(axis=2)
     return np.ascontiguousarray(gw.transpose(2, 0, 1)[:, None])
 
 
-def _mix_ffn_fwd(chunks, w1, b1, taps, bd, w2, b2) -> None:
+def _fc1_windows(xs: np.ndarray, w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """The :func:`_tap_windows` of fc1 of a [B, H, W, C] chunk, whose GEMM and
+    bias go straight into the tap buffer's interior."""
+    y = xs.reshape(-1, xs.shape[-1]) @ w1.T
+    hidden, windows = _tap_windows(xs.shape[:-1] + w1.shape[:1], y.dtype)
+    # the bias add of _linear_fwd, into the buffer: one pass, no fc1 output to copy in
+    np.add(y.reshape(hidden.shape), b1, out=hidden)
+    return windows
+
+
+def _mix_ffn_fwd(chunks, w1, b1, tiled, bd, w2, b2) -> None:
     # kernels only: this runs on the helper threads too (see ``_pool``)
     for _, xs, ys in chunks:
-        pre = _depthwise_fwd(_linear_fwd(xs, w1, b1), taps, bd)
+        pre = _depthwise_fwd(_fc1_windows(xs, w1, b1), tiled, bd)
         ys[...] = _linear_fwd(_gelu_fwd(pre)[0], w2, b2)
 
 
-def _mix_ffn_bwd(chunks, w1, b1, taps, bd, w2, partials) -> None:
+def _mix_ffn_bwd(chunks, w1, b1, tiled, flipped, bd, w2, partials) -> None:
     # kernels only: this runs on the helper threads too (see ``_pool``)
     for i, xs, gs, gxs in chunks:
-        hidden = _linear_fwd(xs, w1, b1)
-        pre = _depthwise_fwd(hidden, taps, bd)
+        windows = _fc1_windows(xs, w1, b1)
+        pre = _depthwise_fwd(windows, tiled, bd)
         f, t = _gelu_fwd(pre)
         g2 = gs.reshape(-1, w2.shape[0])
         gpre = _gelu_bwd(pre, t, (g2 @ w2).reshape(pre.shape))
-        gh = _correlate3x3(gpre, taps[::-1, ::-1]).reshape(-1, w1.shape[0])
+        gh = _correlate3x3(_windows_of(gpre), flipped).reshape(-1, w1.shape[0])
         gxs[...] = (gh @ w1).reshape(xs.shape)
         gw1 = gh.T @ xs.reshape(-1, w1.shape[1])
-        gwd = _depthwise_wgrad(hidden, gpre)
+        gwd = _depthwise_wgrad(windows, gpre)
         gw2 = g2.T @ f.reshape(-1, w2.shape[1])
         partials[i] = gw1, _column_sums(gh), gwd, _column_sums(gpre), gw2, _column_sums(g2)
 
@@ -435,10 +472,13 @@ def mix_ffn(
 
     The steps run over chunks of samples whose hidden activation fits
     ``_BLOCK_BYTES`` (the L2 cache), shared with :mod:`litematch._pool`'s
-    helpers, taped or not. The tape keeps no hidden-width array: the
+    helpers, taped or not. fc1 writes each chunk's hidden activation into
+    the zero-padded tap buffer that the depthwise convolution reads, and the
+    taps are tiled once per call. The tape keeps no hidden-width array: the
     backward shares the chunks again, reruns each chunk's forward kernels
-    on ``x``, writes its input gradient and sums the parameter-gradient
-    partials in chunk order, so no result depends on which thread ran a chunk.
+    on ``x`` (whose tap windows also give the depthwise weight gradient),
+    writes its input gradient and sums the parameter-gradient partials in
+    chunk order, so no result depends on which thread ran a chunk.
     """
     if x.ndim != 4 or w1.ndim != 2 or w2.ndim != 2:
         raise DimensionError(f"mix_ffn: expected a 4-d input and 2-d fc weights, got {x.shape}")
@@ -450,11 +490,12 @@ def mix_ffn(
     if not c * hid * cout:
         raise DimensionError(f"mix_ffn: empty channel or hidden axis, parameter shapes {shapes}")
     taps = _taps(wd.data)
+    tiled = _tiled_taps(taps, w)
     out = np.empty((bsz, h, w, cout), dtype=np.result_type(x.data, w1.data, wd.data, w2.data))
     slices = list(_sample_chunks(bsz, h * w * hid * x.data.itemsize))
     _pool.share(
         [(i, x.data[s], out[s]) for i, s in enumerate(slices)], _mix_ffn_fwd,
-        w1.data, b1.data, taps, bd.data, w2.data, b2.data, blas=True,
+        w1.data, b1.data, tiled, bd.data, w2.data, b2.data, blas=True,
     )
     result = Tensor._wrap(out)
 
@@ -463,7 +504,8 @@ def mix_ffn(
         partials = [None] * len(slices)
         _pool.share(
             [(i, x.data[s], g[s], gx[s]) for i, s in enumerate(slices)], _mix_ffn_bwd,
-            w1.data, b1.data, taps, bd.data, w2.data, partials, blas=True,
+            w1.data, b1.data, tiled, _tiled_taps(taps[::-1, ::-1], w), bd.data, w2.data, partials,
+            blas=True,
         )
         grads = [np.zeros(p.shape, dtype=g.dtype) for p in (w1, b1, wd, bd, w2, b2)]
         for part in partials:  # in chunk order, whichever thread ran each chunk

@@ -8,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
 from litematch import _pool, ops
 from litematch.errors import ConfigError, DimensionError
@@ -380,6 +381,52 @@ def test_first_step_gradients_are_bit_identical_on_any_pool(monkeypatch, blur_cp
     assert same(shared, alone)
 
 
+# The depthwise kernels as ``ops.mix_ffn`` ran them when it kept its hidden
+# arrays: each call copies its input into its own zero-padded tap buffer and
+# tiles its own taps.
+
+
+def stored_tap_windows(a):
+    """Read-only [B, H, W*C, 3, 3] windows of a zero-padded copy of [B, H, W, C]."""
+    bsz, h, w, c = a.shape
+    row = w * c
+    n = bsz * (h + 2) * row
+    buf = np.empty(n + 2 * c, dtype=a.dtype)
+    buf[:c] = 0
+    buf[c + n :] = 0
+    rows = buf[c : c + n].reshape(bsz, h + 2, row)
+    rows[:, 0] = 0
+    rows[:, -1] = 0
+    rows[:, 1:-1] = a.reshape(bsz, h, row)
+    s = buf.itemsize
+    return as_strided(
+        buf, (bsz, h, row, 3, 3), (s * (h + 2) * row, s * row, s, s * row, s * c), writeable=False
+    )
+
+
+def stored_correlate3x3(a, taps):
+    """Zero-padded 3x3 correlation of [B, H, W, C] with per-channel [3, 3, C] taps."""
+    tiled = ops._drop_wrapped(np.tile(taps, (1, 1, a.shape[2])), a.shape[3])
+    return np.einsum("bhrij,ijr->bhr", stored_tap_windows(a), tiled).reshape(a.shape)
+
+
+def stored_depthwise_fwd(x, taps, b):
+    y = stored_correlate3x3(x, taps)
+    y += b
+    return y
+
+
+def stored_depthwise_wgrad(x, g):
+    bsz, h, w, c = x.shape
+    g3, win = g.reshape(bsz, h, w * c), stored_tap_windows(x)
+    gtaps = np.empty((3, 3, w * c), dtype=np.result_type(x, g))
+    for i in range(3):
+        for j in range(3):
+            np.einsum("bhr,bhr->r", g3, win[..., i, j], out=gtaps[i, j])
+    gw = ops._drop_wrapped(gtaps, c).reshape(3, 3, w, c).sum(axis=2)
+    return np.ascontiguousarray(gw.transpose(2, 0, 1)[:, None])
+
+
 def stored_mix_ffn(x, w1, b1, wd, bd, w2, b2):
     """``ops.mix_ffn`` on one thread, with the backward reading each chunk's
     stored fc1 and pre-GELU outputs instead of recomputing them."""
@@ -389,7 +436,7 @@ def stored_mix_ffn(x, w1, b1, wd, bd, w2, b2):
     saved = []
     for s in slices:
         hidden = ops._linear_fwd(x.data[s], w1.data, b1.data)
-        saved.append((hidden, ops._depthwise_fwd(hidden, taps, bd.data)))
+        saved.append((hidden, stored_depthwise_fwd(hidden, taps, bd.data)))
     out = np.concatenate([ops._linear_fwd(ops._gelu_fwd(pre)[0], w2.data, b2.data) for _, pre in saved])
 
     def grad_fn(g):
@@ -399,11 +446,11 @@ def stored_mix_ffn(x, w1, b1, wd, bd, w2, b2):
             f, t = ops._gelu_fwd(pre)
             g2 = g[s].reshape(-1, w2.shape[0])
             gpre = ops._gelu_bwd(pre, t, (g2 @ w2.data).reshape(pre.shape))
-            gh = ops._correlate3x3(gpre, taps[::-1, ::-1]).reshape(-1, w1.shape[0])
+            gh = stored_correlate3x3(gpre, taps[::-1, ::-1]).reshape(-1, w1.shape[0])
             gx[s] = (gh @ w1.data).reshape(gx[s].shape)
             parts = (
                 gh.T @ x.data[s].reshape(-1, w1.shape[1]), ops._column_sums(gh),
-                ops._depthwise_wgrad(hidden, gpre), ops._column_sums(gpre),
+                stored_depthwise_wgrad(hidden, gpre), ops._column_sums(gpre),
                 g2.T @ f.reshape(-1, w2.shape[1]), ops._column_sums(g2),
             )
             for total, part in zip(grads, parts):

@@ -260,20 +260,80 @@ def test_conv2d_rebuilt_im2col_gives_the_stored_im2col_gradients(k, stride, padd
     assert all(a is None and c is None or np.array_equal(a, c) for a, c in zip(rebuilt, stored))
 
 
+def window_im2col(x, k, stride, padding):
+    """The im2col matrix as a copy of the sliding-window view: row (b, i, j) is
+    the (Cin, k, k) window of output pixel (i, j)."""
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    return np.ascontiguousarray(win).reshape(-1, x.shape[3] * k * k)
+
+
+# geometries the model never builds. At k == stride the input gradient is one
+# copy only where the windows tile the input, so not at H = 10, W = 11, k = 4
+@pytest.mark.parametrize(
+    "shape, k, stride, padding",
+    [
+        ((2, 10, 11, 3), 4, 4, 0),
+        ((2, 12, 10, 3), 4, 4, 0),
+        ((2, 11, 9, 3), 2, 3, 0),
+        ((2, 13, 12, 2), 3, 5, 1),
+        ((3, 9, 7, 1), 3, 2, 1),
+        ((2, 8, 6, 1), 2, 2, 0),
+        ((2, 9, 7, 5), 5, 1, 2),
+        ((1, 5, 3, 3), 3, 2, 1),
+    ],
+    ids=[
+        "k=stride-ragged-h-and-w", "k=stride-ragged-w", "stride>k", "stride>k-padded",
+        "cin1-padded", "cin1-tiled", "odd-padding2", "odd-padding1",
+    ],
+)
+def test_conv2d_gradients_equal_a_scatter_oracle_off_the_model_geometries(shape, k, stride, padding):
+    rng = np.random.default_rng(31)
+    data = rng.standard_normal(shape).astype(np.float32)
+    assert np.array_equal(ops._im2col(data, k, stride, padding), window_im2col(data, k, stride, padding))
+    w = Tensor(rng.standard_normal((4, shape[3], k, k)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
+
+    def run(conv):
+        x = Tensor(data, requires_grad=True)
+        w.grad = b.grad = None
+        with Tape() as tape:
+            y = conv(x, w, b, stride, padding)
+            loss = cotangent_dot(y)
+        backward(loss, tape)
+        return y.data, x.grad, w.grad, b.grad
+
+    got, want = run(ops.conv2d), run(stored_col_conv2d)
+    assert all(np.array_equal(a, c) for a, c in zip(got, want))
+    # the rows and columns past the last window get a zero gradient
+    rows, cols = ((n + 2 * padding - k) // stride * stride + k - padding for n in shape[1:3])
+    assert not np.any(got[1][:, rows:]) and not np.any(got[1][:, :, cols:])
+
+
 # ------------------------------------------------------- mix_ffn's kernels
 # The depthwise convolution and GELU are private kernels of mix_ffn.
 # ``depthwise`` and ``gelu`` record them as tape ops, with the backward
 # arithmetic of ``ops._mix_ffn_bwd``, so each kernel is gradchecked alone.
 
 
+def depthwise_fwd(x, w, b):
+    """``ops._depthwise_fwd`` of the array ``x`` with the [C, 1, 3, 3] weight ``w``."""
+    return ops._depthwise_fwd(ops._windows_of(x), ops._tiled_taps(ops._taps(w), x.shape[2]), b)
+
+
+def depthwise_gx(g, w):
+    """The input gradient of :func:`depthwise_fwd` for the output gradient ``g``."""
+    flipped = ops._tiled_taps(ops._taps(w)[::-1, ::-1], g.shape[2])
+    return ops._correlate3x3(ops._windows_of(g), flipped).reshape(g.shape)
+
+
 def depthwise(x, w, b):
     """The depthwise kernels as one tape op over [B, H, W, C] and [C, 1, 3, 3]."""
-    taps = ops._taps(w.data)
-    out = Tensor._wrap(ops._depthwise_fwd(x.data, taps, b.data))
+    windows = ops._windows_of(x.data)
+    out = Tensor._wrap(ops._depthwise_fwd(windows, ops._tiled_taps(ops._taps(w.data), x.shape[2]), b.data))
 
     def grad_fn(g):
-        gx = ops._correlate3x3(g, taps[::-1, ::-1])
-        return gx, ops._depthwise_wgrad(x.data, g), ops._column_sums(g)
+        return depthwise_gx(g, w.data), ops._depthwise_wgrad(windows, g), ops._column_sums(g)
 
     record((x, w, b), out, grad_fn)
     return out
@@ -304,7 +364,7 @@ def test_depthwise_matches_naive_loop(shape):
     x = rng.standard_normal(shape)
     w = rng.standard_normal((shape[3], 1, 3, 3))
     b = rng.standard_normal(shape[3])
-    got = ops._depthwise_fwd(x, ops._taps(w), b)
+    got = depthwise_fwd(x, w, b)
     np.testing.assert_allclose(got, naive_depthwise(x, w, b), rtol=0, atol=1e-12)
 
 
@@ -315,7 +375,7 @@ def test_depthwise_matches_naive_loop_random_shapes(shape, seed):
     x = rng.standard_normal(shape)
     w = rng.standard_normal((shape[3], 1, 3, 3))
     b = rng.standard_normal(shape[3])
-    got = ops._depthwise_fwd(x, ops._taps(w), b)
+    got = depthwise_fwd(x, w, b)
     np.testing.assert_allclose(got, naive_depthwise(x, w, b), rtol=0, atol=1e-12)
 
 
@@ -324,14 +384,14 @@ def test_depthwise_identity_kernel():
     x = rng.random((1, 6, 6, 4)).astype(np.float32)
     w = np.zeros((4, 1, 3, 3), dtype=np.float32)
     w[:, 0, 1, 1] = 1.0
-    out = ops._depthwise_fwd(x, ops._taps(w), np.zeros(4, dtype=np.float32))
+    out = depthwise_fwd(x, w, np.zeros(4, dtype=np.float32))
     np.testing.assert_array_equal(out, x)
 
 
 def test_depthwise_averaging_kernel_border_attenuation():
     x = np.ones((1, 6, 6, 1), dtype=np.float32)
     w = np.full((1, 1, 3, 3), 1.0 / 9.0, dtype=np.float32)
-    out = ops._depthwise_fwd(x, ops._taps(w), np.zeros(1, dtype=np.float32))[0, :, :, 0]
+    out = depthwise_fwd(x, w, np.zeros(1, dtype=np.float32))[0, :, :, 0]
     np.testing.assert_allclose(out[1:-1, 1:-1], 1.0, rtol=1e-6)
     assert np.all(out[0, :] < 1.0) and np.all(out[:, 0] < 1.0)
 
@@ -393,12 +453,11 @@ def test_depthwise_over_chunks_matches_unchunked(monkeypatch, sample):
     w = rng.standard_normal((sample[2], 1, 3, 3))
     b = rng.standard_normal(sample[2])
     g = cotangent(x.shape, x.dtype)
-    taps = ops._taps(w)
     chunks = list(ops._sample_chunks(bsz, x[:1].nbytes))
     assert len(chunks) == 3
-    y = np.concatenate([ops._depthwise_fwd(x[s], taps, b) for s in chunks])
-    gx = np.concatenate([ops._correlate3x3(g[s], taps[::-1, ::-1]) for s in chunks])
-    gw = sum(ops._depthwise_wgrad(x[s], g[s]) for s in chunks)
+    y = np.concatenate([depthwise_fwd(x[s], w, b) for s in chunks])
+    gx = np.concatenate([depthwise_gx(g[s], w) for s in chunks])
+    gw = sum(ops._depthwise_wgrad(ops._windows_of(x[s]), g[s]) for s in chunks)
     gb = sum(ops._column_sums(g[s]) for s in chunks)
     np.testing.assert_allclose(y, naive_depthwise(x, w, b), rtol=0, atol=1e-12)
     flipped = naive_depthwise(g, w[:, :, ::-1, ::-1], np.zeros_like(b))
@@ -500,6 +559,28 @@ def test_mix_ffn_empty_batch_or_rows_gives_zero_parameter_gradients(shape):
     backward(loss, tape)
     assert y.shape == shape[:3] + (3,) and x.grad.shape == shape
     assert all(np.array_equal(p.grad, np.zeros(p.shape)) for p in params)
+
+
+def test_a_mix_ffn_chunk_builds_each_tap_buffer_once(monkeypatch, blur_cpus):
+    # fc1 writes into the tap buffer that the depthwise convolution reads, and
+    # the backward's weight gradient reads the recompute's windows: one buffer
+    # per forward chunk, two per backward chunk (the recompute's and the input
+    # gradient's). The taps, and their flip, are tiled once per call
+    blur_cpus(2)
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", 1200)
+    calls = {"_tap_windows": [], "_tiled_taps": []}
+    for name, log in calls.items():
+        kernel = getattr(ops, name)
+        monkeypatch.setattr(ops, name, lambda *a, kernel=kernel, log=log: log.append(a) or kernel(*a))
+    rng = np.random.default_rng(30)
+    x = rand64(rng, 5, 3, 4, 2)
+    params = mix_ffn_params(rng, 2, 6, 3)
+    with Tape() as tape:
+        loss = cotangent_dot(ops.mix_ffn(x, *params))
+    assert len(list(ops._sample_chunks(5, 3 * 4 * 6 * 8))) == 3
+    assert [len(log) for log in calls.values()] == [3, 1]
+    backward(loss, tape)
+    assert [len(log) for log in calls.values()] == [3 + 2 * 3, 2]
 
 
 def test_mix_ffn_tape_keeps_no_hidden_width_activation():
