@@ -10,9 +10,9 @@ def _tune_allocator() -> None:
     # Training frees hundreds of MB of activation buffers per step; by
     # default glibc hands each one back to the kernel (mmap/munmap plus a
     # page-fault storm on reuse). Keep large blocks on the heap instead.
-    # Interleaved benchmark runs (seed 7, 20 s, 1 BLAS thread) against the
-    # untuned allocator: train 64.3-64.9 vs 60.9-61.6 triplets/s,
-    # match-dense p50 333 vs 358-362 ms, match-sparse-large p50 319 vs 341 ms.
+    # Interleaved 20 s benchmark runs against the untuned allocator (ROADMAP
+    # "Settled"): p50 188.5 vs 192.0 ms in train, 235.5 vs 240.6 ms in
+    # match-dense; level in match-sparse-large (254.1 vs 253.0 ms).
     if sys.platform != "linux":
         return
     try:

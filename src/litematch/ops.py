@@ -21,10 +21,10 @@ for :func:`conv2d` and [C, 1, 3, 3] for the depthwise convolution inside
 
 A helper thread may run no public litematch function (:mod:`litematch._pool`),
 so :func:`mix_ffn`'s chunks, whose backward reruns their forward, run array
-kernels only: :func:`_fc1_windows` (fc1 written into a zero-padded tap buffer,
-:func:`_tap_windows`), :func:`_depthwise_fwd` and :func:`_depthwise_wgrad`
-(``np.einsum`` over that buffer's strided 3x3 tap-window view), :func:`_gelu_fwd`,
-:func:`_gelu_bwd` and :func:`_linear_fwd`.
+kernels only: :func:`_fc1_depthwise` (fc1 written into a zero-padded tap
+buffer, :func:`_tap_windows`, then the depthwise convolution), :func:`_depthwise`
+and :func:`_depthwise_wgrad` (``np.einsum`` over a tap buffer's strided 3x3
+window view), :func:`_gelu_fwd`, :func:`_gelu_bwd` and :func:`_linear_fwd`.
 
 Reductions over a short axis follow three rules, because numpy's
 ``sum``/``mean``/``max`` over such an axis spend most of their time on
@@ -52,7 +52,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import _pool
 from .errors import DegenerateDescriptorError, DimensionError
-from .tensor import Tensor, active_tape, record
+from .tensor import Tensor, record
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -273,7 +273,8 @@ def _im2col(x: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution (cross-correlation) with zero padding, by im2col.
+    """2-d convolution (cross-correlation) with zero padding: the im2col matrix
+    through :func:`_linear_fwd`, the forward kernel of :func:`linear`.
 
     ``x``: [B, H, W, Cin] channels-last; ``w``: [Cout, Cin, k, k] (the stored
     layout, also that of its gradient); ``b``: [Cout]. Returns
@@ -287,8 +288,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         raise DimensionError(f"conv2d: input channels {cin} != weight channels {cw}")
     if kh != kw:
         raise DimensionError("conv2d: kernel must be square")
-    if cout == 0:
-        raise DimensionError(f"conv2d: no output channels, weight shape {w.shape}")
+    if not cin * cout:
+        raise DimensionError(f"conv2d: empty channel axis, weight shape {w.shape}")
     if b.shape != (cout,):
         raise DimensionError(f"conv2d: bias must have shape ({cout},)")
     if stride < 1:
@@ -298,10 +299,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     k, s, p = kh, stride, padding
     hp, wp = (h + 2 * p - k) // s + 1, (ww + 2 * p - k) // s + 1
     wmat = w.data.reshape(cout, -1)
-    out = Tensor._wrap((_im2col(x.data, k, s, p) @ wmat.T + b.data).reshape(bsz, hp, wp, cout))
-    # stage 1 embeds the untracked patch batch, whose input gradient nothing reads
-    tape = active_tape()
-    needs_gx = tape is not None and tape.source(x) is not None
+    y = _linear_fwd(_im2col(x.data, k, s, p), wmat, b.data)
+    out = Tensor._wrap(y.reshape(bsz, hp, wp, cout))
+    # stage 1 embeds the patch batch, neither a leaf nor recorded: nothing reads its gradient
+    needs_gx = x.requires_grad or x.node is not None
 
     def grad_fn(g):
         gmat = g.reshape(bsz * hp * wp, cout)
@@ -355,13 +356,6 @@ def _tap_windows(shape: tuple[int, ...], dtype) -> tuple[np.ndarray, np.ndarray]
     return rows[:, 1:-1].reshape(shape), windows
 
 
-def _windows_of(a: np.ndarray) -> np.ndarray:
-    """The :func:`_tap_windows` of a copy of the [B, H, W, C] array ``a``."""
-    interior, windows = _tap_windows(a.shape, a.dtype)
-    interior[...] = a
-    return windows
-
-
 def _drop_wrapped(tiled: np.ndarray, c: int) -> np.ndarray:
     """Zero, in place, the [3, 3, W*C] taps of ``c`` channels that read across a row edge.
 
@@ -374,10 +368,11 @@ def _drop_wrapped(tiled: np.ndarray, c: int) -> np.ndarray:
     return tiled
 
 
-def _tiled_taps(taps: np.ndarray, w: int) -> np.ndarray:
-    """[3, 3, C] taps repeated over the W*C elements of a window row, with the
-    taps that read across a row edge zeroed (:func:`_drop_wrapped`)."""
-    return _drop_wrapped(np.tile(taps, (1, 1, w)), taps.shape[2])
+def _tiled_taps(wd: np.ndarray, w: int) -> np.ndarray:
+    """The [C, 1, 3, 3] depthwise weight ``wd`` as [3, 3, C] taps repeated over
+    the W*C elements of a window row, with the taps that read across a row edge
+    zeroed (:func:`_drop_wrapped`)."""
+    return _drop_wrapped(np.tile(wd[:, 0].transpose(1, 2, 0), (1, 1, w)), wd.shape[0])
 
 
 def _sample_chunks(n: int, sample_bytes: int):
@@ -392,31 +387,18 @@ def _sample_chunks(n: int, sample_bytes: int):
         yield slice(lo, lo + step)
 
 
-def _correlate3x3(windows: np.ndarray, tiled: np.ndarray) -> np.ndarray:
-    """Zero-padded 3x3 correlation, [B, H, W*C], of the array whose
-    :func:`_tap_windows` are ``windows``, with :func:`_tiled_taps` ``tiled``."""
+def _depthwise(windows: np.ndarray, tiled: np.ndarray) -> np.ndarray:
+    """Per-channel 3x3 correlation, stride 1, zero padding 1, no bias, [B, H, W*C],
+    of the [B, H, W, C] array whose :func:`_tap_windows` are ``windows``, with the
+    :func:`_tiled_taps` ``tiled`` of a [C, 1, 3, 3] weight ``wd``. Its input
+    gradient is the correlation of the output gradient with those of
+    ``wd[..., ::-1, ::-1]``."""
     # one pass: every output element sums its nine window products
     return np.einsum("bhrij,ijr->bhr", windows, tiled)
 
 
-def _taps(w: np.ndarray) -> np.ndarray:
-    """[C, 1, 3, 3] depthwise weights as contiguous [3, 3, C] taps."""
-    return np.ascontiguousarray(w[:, 0].transpose(1, 2, 0))
-
-
-def _depthwise_fwd(windows: np.ndarray, tiled: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-channel 3x3 convolution, stride 1, zero padding 1, of the [B, H, W, C]
-    array whose :func:`_tap_windows` are ``windows``, with the :func:`_tiled_taps`
-    of the [C, 1, 3, 3] weight's :func:`_taps` and the [C] bias. Its input
-    gradient correlates the output gradient with those of ``taps[::-1, ::-1]``."""
-    bsz, h, row = windows.shape[:3]
-    y = _correlate3x3(windows, tiled).reshape(bsz, h, row // b.shape[0], b.shape[0])
-    y += b
-    return y
-
-
 def _depthwise_wgrad(windows: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The [C, 1, 3, 3] weight gradient of :func:`_depthwise_fwd` at the input
+    """The [C, 1, 3, 3] weight gradient of :func:`_depthwise` at the input
     whose :func:`_tap_windows` are ``windows``, for the [B, H, W, C] output gradient ``g``."""
     bsz, h, w, c = g.shape
     g3 = g.reshape(bsz, h, w * c)
@@ -430,32 +412,38 @@ def _depthwise_wgrad(windows: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(gw.transpose(2, 0, 1)[:, None])
 
 
-def _fc1_windows(xs: np.ndarray, w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
+def _fc1_depthwise(xs, w1, b1, tiled, bd) -> tuple[np.ndarray, np.ndarray]:
     """The :func:`_tap_windows` of fc1 of a [B, H, W, C] chunk, whose GEMM and
-    bias go straight into the tap buffer's interior."""
-    y = xs.reshape(-1, xs.shape[-1]) @ w1.T
-    hidden, windows = _tap_windows(xs.shape[:-1] + w1.shape[:1], y.dtype)
+    bias go straight into the tap buffer's interior, and the [B, H, W, D]
+    depthwise convolution of fc1, with the :func:`_tiled_taps` ``tiled`` and
+    the [D] bias ``bd``: the Mix-FFN's pre-GELU activation."""
+    hidden, windows = _tap_windows(xs.shape[:-1] + w1.shape[:1], np.result_type(xs, w1))
     # the bias add of _linear_fwd, into the buffer: one pass, no fc1 output to copy in
-    np.add(y.reshape(hidden.shape), b1, out=hidden)
-    return windows
+    np.add((xs.reshape(-1, xs.shape[-1]) @ w1.T).reshape(hidden.shape), b1, out=hidden)
+    pre = _depthwise(windows, tiled).reshape(hidden.shape)
+    pre += bd
+    return windows, pre
 
 
 def _mix_ffn_fwd(chunks, w1, b1, tiled, bd, w2, b2) -> None:
     # kernels only: this runs on the helper threads too (see ``_pool``)
     for _, xs, ys in chunks:
-        pre = _depthwise_fwd(_fc1_windows(xs, w1, b1), tiled, bd)
+        # [1]: the tap buffer is freed before GELU and fc2 run
+        pre = _fc1_depthwise(xs, w1, b1, tiled, bd)[1]
         ys[...] = _linear_fwd(_gelu_fwd(pre)[0], w2, b2)
 
 
 def _mix_ffn_bwd(chunks, w1, b1, tiled, flipped, bd, w2, partials) -> None:
     # kernels only: this runs on the helper threads too (see ``_pool``)
     for i, xs, gs, gxs in chunks:
-        windows = _fc1_windows(xs, w1, b1)
-        pre = _depthwise_fwd(windows, tiled, bd)
+        windows, pre = _fc1_depthwise(xs, w1, b1, tiled, bd)
         f, t = _gelu_fwd(pre)
         g2 = gs.reshape(-1, w2.shape[0])
         gpre = _gelu_bwd(pre, t, (g2 @ w2).reshape(pre.shape))
-        gh = _correlate3x3(_windows_of(gpre), flipped).reshape(-1, w1.shape[0])
+        interior, gwindows = _tap_windows(gpre.shape, gpre.dtype)
+        interior[...] = gpre
+        gh = _depthwise(gwindows, flipped).reshape(-1, w1.shape[0])
+        del interior, gwindows  # a padded copy of gpre: free it before the GEMMs below
         gxs[...] = (gh @ w1).reshape(xs.shape)
         gw1 = gh.T @ xs.reshape(-1, w1.shape[1])
         gwd = _depthwise_wgrad(windows, gpre)
@@ -472,13 +460,14 @@ def mix_ffn(
 
     The steps run over chunks of samples whose hidden activation fits
     ``_BLOCK_BYTES`` (the L2 cache), shared with :mod:`litematch._pool`'s
-    helpers, taped or not. fc1 writes each chunk's hidden activation into
-    the zero-padded tap buffer that the depthwise convolution reads, and the
-    taps are tiled once per call. The tape keeps no hidden-width array: the
-    backward shares the chunks again, reruns each chunk's forward kernels
-    on ``x`` (whose tap windows also give the depthwise weight gradient),
-    writes its input gradient and sums the parameter-gradient partials in
-    chunk order, so no result depends on which thread ran a chunk.
+    helpers, taped or not. One prologue, :func:`_fc1_depthwise`, writes a
+    chunk's fc1 into the zero-padded tap buffer that the depthwise
+    convolution reads, and the taps are tiled once per call. The tape keeps
+    no hidden-width array: the backward shares the chunks again, reruns the
+    prologue on each chunk of ``x`` (its tap windows also give the depthwise
+    weight gradient), correlates the pre-GELU gradient with the flipped taps
+    for the input gradient and sums the parameter-gradient partials in chunk
+    order, so no result depends on which thread ran a chunk.
     """
     if x.ndim != 4 or w1.ndim != 2 or w2.ndim != 2:
         raise DimensionError(f"mix_ffn: expected a 4-d input and 2-d fc weights, got {x.shape}")
@@ -489,8 +478,7 @@ def mix_ffn(
         raise DimensionError(f"mix_ffn: parameter shapes {shapes} do not fit {c} input channels")
     if not c * hid * cout:
         raise DimensionError(f"mix_ffn: empty channel or hidden axis, parameter shapes {shapes}")
-    taps = _taps(wd.data)
-    tiled = _tiled_taps(taps, w)
+    tiled = _tiled_taps(wd.data, w)
     out = np.empty((bsz, h, w, cout), dtype=np.result_type(x.data, w1.data, wd.data, w2.data))
     slices = list(_sample_chunks(bsz, h * w * hid * x.data.itemsize))
     _pool.share(
@@ -504,8 +492,8 @@ def mix_ffn(
         partials = [None] * len(slices)
         _pool.share(
             [(i, x.data[s], g[s], gx[s]) for i, s in enumerate(slices)], _mix_ffn_bwd,
-            w1.data, b1.data, tiled, _tiled_taps(taps[::-1, ::-1], w), bd.data, w2.data, partials,
-            blas=True,
+            w1.data, b1.data, tiled, _tiled_taps(wd.data[..., ::-1, ::-1], w), bd.data, w2.data,
+            partials, blas=True,
         )
         grads = [np.zeros(p.shape, dtype=g.dtype) for p in (w1, b1, wd, bd, w2, b2)]
         for part in partials:  # in chunk order, whichever thread ran each chunk
@@ -523,8 +511,8 @@ def token_mean(x: Tensor) -> Tensor:
         raise DimensionError("token_mean expects a [B, H, W, C] tensor")
     bsz, h, w, c = x.shape
     n = h * w
-    if n == 0:
-        raise DimensionError(f"token_mean: no tokens to average, shape {x.shape}")
+    if not n * c:
+        raise DimensionError(f"token_mean: no tokens or no channels to average, shape {x.shape}")
     out = Tensor._wrap(x.data.reshape(bsz, n, c).mean(axis=1))
 
     def grad_fn(g):
@@ -538,6 +526,8 @@ def l2_normalize(x: Tensor) -> Tensor:
     """Scale each row of [B, D] to unit Euclidean norm."""
     if x.ndim != 2:
         raise DimensionError("l2_normalize expects a [B, D] matrix")
+    if x.shape[1] == 0:
+        raise DimensionError(f"l2_normalize: empty feature axis, shape {x.shape}")
     norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
     bad = ~np.isfinite(norms[:, 0])
     if bad.any():

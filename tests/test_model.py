@@ -430,7 +430,7 @@ def stored_depthwise_wgrad(x, g):
 def stored_mix_ffn(x, w1, b1, wd, bd, w2, b2):
     """``ops.mix_ffn`` on one thread, with the backward reading each chunk's
     stored fc1 and pre-GELU outputs instead of recomputing them."""
-    taps = ops._taps(wd.data)
+    taps = np.ascontiguousarray(wd.data[:, 0].transpose(1, 2, 0))
     sample_bytes = x.shape[1] * x.shape[2] * w1.shape[0] * x.data.itemsize
     slices = list(ops._sample_chunks(x.shape[0], sample_bytes))
     saved = []

@@ -163,21 +163,28 @@ def test_conv2d_untracked_input_builds_no_input_gradient():
     wd = rng.standard_normal((3, 1, 3, 3)).astype(np.float32)
     bd = rng.standard_normal(3).astype(np.float32)
 
-    def grads(x_tracked):
-        x = Tensor(xd, requires_grad=x_tracked)
+    def grads(x_kind):
+        # a constant, a leaf, or the recorded sum of two leaves that each hold half of xd
+        halves = [Tensor(xd / 2, requires_grad=True) for _ in range(2)]
         w, b = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
         with Tape() as tape:
+            x = ops.add(*halves) if x_kind == "recorded" else Tensor(xd, requires_grad=x_kind == "leaf")
             y = ops.conv2d(x, w, b, stride=2, padding=1)
             loss = cotangent_dot(y)
-        gx = tape.ops[0].grad_fn(np.ones(y.shape, dtype=np.float32))[0]
+        gx = tape.ops[-2].grad_fn(np.ones(y.shape, dtype=np.float32))[0]
         backward(loss, tape)
-        return x.grad, gx, w.grad, b.grad
+        x_grad = halves[0].grad if x_kind == "recorded" else x.grad
+        return x_grad, gx, w.grad, b.grad
 
-    x_grad, gx, gw, gb = grads(False)
+    x_grad, gx, gw, gb = grads("constant")
     assert x_grad is None and gx is None
-    tracked_x_grad, tracked_gx, tracked_gw, tracked_gb = grads(True)
+    tracked_x_grad, tracked_gx, tracked_gw, tracked_gb = grads("leaf")
     assert tracked_x_grad.shape == xd.shape and tracked_gx.shape == xd.shape
     assert np.array_equal(gw, tracked_gw) and np.array_equal(gb, tracked_gb)
+    # an input recorded on the tape, not a leaf, gets its input gradient too
+    recorded_x_grad, recorded_gx, recorded_gw, _ = grads("recorded")
+    assert np.array_equal(recorded_gx, tracked_gx) and np.array_equal(recorded_x_grad, tracked_x_grad)
+    assert np.array_equal(recorded_gw, tracked_gw)
 
 
 def test_conv2d_tape_keeps_no_padded_input():
@@ -316,24 +323,32 @@ def test_conv2d_gradients_equal_a_scatter_oracle_off_the_model_geometries(shape,
 # arithmetic of ``ops._mix_ffn_bwd``, so each kernel is gradchecked alone.
 
 
+def windows_of(a):
+    """The ``ops._tap_windows`` of a copy of the [B, H, W, C] array ``a``."""
+    interior, windows = ops._tap_windows(a.shape, a.dtype)
+    interior[...] = a
+    return windows
+
+
 def depthwise_fwd(x, w, b):
-    """``ops._depthwise_fwd`` of the array ``x`` with the [C, 1, 3, 3] weight ``w``."""
-    return ops._depthwise_fwd(ops._windows_of(x), ops._tiled_taps(ops._taps(w), x.shape[2]), b)
+    """``ops._depthwise`` of the array ``x`` with the [C, 1, 3, 3] weight ``w``, plus the bias ``b``."""
+    y = ops._depthwise(windows_of(x), ops._tiled_taps(w, x.shape[2])).reshape(x.shape)
+    y += b
+    return y
 
 
 def depthwise_gx(g, w):
     """The input gradient of :func:`depthwise_fwd` for the output gradient ``g``."""
-    flipped = ops._tiled_taps(ops._taps(w)[::-1, ::-1], g.shape[2])
-    return ops._correlate3x3(ops._windows_of(g), flipped).reshape(g.shape)
+    flipped = ops._tiled_taps(w[..., ::-1, ::-1], g.shape[2])
+    return ops._depthwise(windows_of(g), flipped).reshape(g.shape)
 
 
 def depthwise(x, w, b):
     """The depthwise kernels as one tape op over [B, H, W, C] and [C, 1, 3, 3]."""
-    windows = ops._windows_of(x.data)
-    out = Tensor._wrap(ops._depthwise_fwd(windows, ops._tiled_taps(ops._taps(w.data), x.shape[2]), b.data))
+    out = Tensor._wrap(depthwise_fwd(x.data, w.data, b.data))
 
     def grad_fn(g):
-        return depthwise_gx(g, w.data), ops._depthwise_wgrad(windows, g), ops._column_sums(g)
+        return depthwise_gx(g, w.data), ops._depthwise_wgrad(windows_of(x.data), g), ops._column_sums(g)
 
     record((x, w, b), out, grad_fn)
     return out
@@ -457,7 +472,7 @@ def test_depthwise_over_chunks_matches_unchunked(monkeypatch, sample):
     assert len(chunks) == 3
     y = np.concatenate([depthwise_fwd(x[s], w, b) for s in chunks])
     gx = np.concatenate([depthwise_gx(g[s], w) for s in chunks])
-    gw = sum(ops._depthwise_wgrad(ops._windows_of(x[s]), g[s]) for s in chunks)
+    gw = sum(ops._depthwise_wgrad(windows_of(x[s]), g[s]) for s in chunks)
     gb = sum(ops._column_sums(g[s]) for s in chunks)
     np.testing.assert_allclose(y, naive_depthwise(x, w, b), rtol=0, atol=1e-12)
     flipped = naive_depthwise(g, w[:, :, ::-1, ::-1], np.zeros_like(b))
@@ -970,10 +985,14 @@ def z(*shape):
         ("mix_ffn", lambda: ops.mix_ffn(z(2, 4, 4, 0), z(6, 0), z(6), z(6, 1, 3, 3), z(6), z(0, 6), z(0))),
         ("mix_ffn", lambda: ops.mix_ffn(z(2, 4, 4, 0), z(6, 0), z(6), z(6, 1, 3, 3), z(6), z(3, 6), z(3))),
         ("conv2d", lambda: ops.conv2d(z(2, 4, 4, 1), z(0, 1, 3, 3), z(0), stride=1, padding=1)),
+        ("conv2d", lambda: ops.conv2d(z(2, 4, 4, 0), z(3, 0, 3, 3), z(3), stride=1, padding=1)),
+        ("token_mean", lambda: ops.token_mean(z(2, 4, 4, 0))),
+        ("l2_normalize", lambda: ops.l2_normalize(z(2, 0))),
     ],
     ids=[
         "linear-dout0", "linear-din0", "linear-din0-no-bias",
         "depthwise-c0", "mix_ffn-c0", "mix_ffn-c0-cout0", "conv2d-cout0",
+        "conv2d-cin0", "token_mean-c0", "l2_normalize-d0",
     ],
 )
 def test_empty_channel_axis_raises_dimension_error_at_forward(op, call):

@@ -17,6 +17,7 @@ def test_tensor_stores_float32_by_default():
     assert t.data.dtype == np.float32
     assert t.shape == (2, 2)
     assert t.grad is None
+    assert repr(t) == "Tensor(shape=(2, 2), dtype=float32, requires_grad=False)"
 
 
 def scale(x, c):
