@@ -24,9 +24,9 @@ from .config import (
     load_config_file,
 )
 from .dataset import (
+    IDENTITY_MAP,
     DatasetManifest,
     build_triplets,
-    identity_alignment,
     load_manifest,
     load_pairs,
     synth_pair,
@@ -38,7 +38,7 @@ from .image import load_image, save_ppm
 from .matching import annotate_matches, score, write_matches
 from .model import Model
 from .patch import required_margin
-from .pipeline import enhance, evaluate_pair, evaluation_table, match_images
+from .pipeline import enhance, evaluate_pair, evaluation_table, match_images, model_descriptor
 from .training import model_config_for, select_records, train
 
 
@@ -160,10 +160,10 @@ def cmd_match(args: argparse.Namespace) -> int:
     model, cfg = _load_model(args)
     img_a = load_image(args.image_a)
     img_b = load_image(args.image_b)
-    result, set_a, set_b = match_images(model, img_a, img_b, cfg)
+    result, set_a, set_b = match_images(model_descriptor(model), img_a, img_b, cfg)
     line = f"matched {result.n_success} of {result.n_total_keypoints} keypoints"
     if args.gt_identity:
-        precision, matching_score = score(result, set_a, set_b, identity_alignment, eps=cfg.eps)
+        precision, matching_score = score(result, set_a, set_b, IDENTITY_MAP, eps=cfg.eps)
         line += f"; precision {precision:.4f} matching_score {matching_score:.4f}"
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)

@@ -7,8 +7,10 @@ records into one :class:`DatasetManifest` with the settings they were made
 with. Its ``to_json`` and ``from_json`` are the one typed mapping between
 the manifest's JSON and these types. :func:`materialize_triplet` is the
 one place that samples a record's patches, bit-exactly, from the enhanced
-source images when training needs them. A synthetic pair generator
-provides desk-scale data with exact (identity) ground truth: the "NIR"
+source images when training needs them. An :class:`AlignedPair` carries
+its ground truth, an affine map from visible to NIR pixels, which is
+``IDENTITY_MAP`` for every registered pair made or loaded here. A synthetic
+pair generator provides desk-scale data with exact ground truth: the "NIR"
 side is a monotone radiometric remap of the visible side with a smooth
 per-region gain field and pixel noise.
 """
@@ -41,24 +43,25 @@ from .patch import (
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = 1
+IDENTITY_MAP = np.eye(2, 3)  # the map of a registered pair, shared read-only
+IDENTITY_MAP.flags.writeable = False
 
 
 @dataclass
 class AlignedPair:
-    """Registered visible/NIR images; correspondence is the identity map."""
+    """Visible/NIR images of one scene and their ground truth ``to_nir``, a 2x3 affine."""
 
     name: str
     visible: GrayImage
     nir: GrayImage
+    to_nir: np.ndarray = field(default_factory=lambda: IDENTITY_MAP)
 
     def __post_init__(self):
         if self.visible.pixels.shape != self.nir.pixels.shape:
             raise DatasetError(f"pair {self.name}: image dimensions differ")
-
-
-def identity_alignment(x: float, y: float) -> tuple[float, float]:
-    """Ground-truth correspondence of a registered pair."""
-    return x, y
+        self.to_nir = to_nir = np.asarray(self.to_nir)
+        if to_nir.shape != (2, 3) or to_nir.dtype.kind not in "fiu" or not np.isfinite(to_nir).all():
+            raise DatasetError(f"pair {self.name}: the map to NIR is not a finite 2x3 affine")
 
 
 @dataclass(frozen=True)

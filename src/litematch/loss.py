@@ -26,9 +26,9 @@ def triplet_loss(desc: Tensor) -> Tensor:
     clamps the denominator of the square root's derivative at 1e-12, and
     the difference it scales is zero.
     """
-    if desc.ndim != 2 or desc.shape[0] == 0 or desc.shape[0] % 3:
+    if desc.ndim != 2 or 0 in desc.shape or desc.shape[0] % 3:
         raise DimensionError(
-            f"triplet_loss expects [3B, D] descriptors with B >= 1, got shape {desc.shape}"
+            f"triplet_loss expects [3B, D] descriptors with B, D >= 1, got shape {desc.shape}"
         )
     anchor, positive, negative = np.split(desc.data, 3)
     diff_pos = anchor - positive

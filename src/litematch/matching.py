@@ -3,7 +3,8 @@
 A match is the Euclidean nearest neighbor in descriptor space, kept when
 its distance stays under the threshold (optionally also mutually nearest).
 Correctness is geometric: a kept match is correct when the matched
-keypoint lands within ``eps`` pixels of the ground-truth correspondence.
+keypoint lands within ``eps`` pixels of the A keypoint's image under the
+pair's ground-truth map, a 2x3 affine from A to B pixel coordinates.
 """
 
 from __future__ import annotations
@@ -11,15 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .detector import Keypoint
 from .errors import DimensionError, MatchingError
 from .image import GrayImage
-
-GtMap = Callable[[float, float], tuple[float, float]]
 
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_EPS = 5.0
@@ -117,23 +115,27 @@ def score(
     result: MatchResult,
     a: DescriptorSet,
     b: DescriptorSet,
-    gt_map: GtMap,
+    to_b: np.ndarray,
     eps: float = DEFAULT_EPS,
 ) -> tuple[float, float]:
     """(precision, matching_score) of a match result under ground truth.
 
     A pair is correct when the matched B keypoint lies within ``eps``
-    pixels of the ground-truth image of the A keypoint. Precision divides
-    by accepted matches (0 when none); matching score divides by
-    min(|A|, |B|). Fills ``result.n_correct`` and ``result.correct_flags``.
+    pixels of ``to_b @ (x, y, 1)``, the A keypoint under the 2x3 affine
+    ground truth ``to_b``. Precision divides by accepted matches (0 when
+    none); matching score divides by min(|A|, |B|). Fills
+    ``result.n_correct`` and ``result.correct_flags``.
     """
     if not 0 < eps < math.inf:  # refuses NaN too
         raise MatchingError(f"eps must be positive and finite, got {eps}")
+    to_b = np.asarray(to_b)
+    if to_b.shape != (2, 3) or to_b.dtype.kind not in "fiu" or not np.isfinite(to_b).all():
+        raise MatchingError("the ground-truth map must be a finite 2x3 affine")
     flags: list[bool] = []
     for pair in result.pairs:
         ka = a.keypoints[pair.index_a]
         kb = b.keypoints[pair.index_b]
-        gx, gy = gt_map(ka.x, ka.y)
+        gx, gy = to_b @ (ka.x, ka.y, 1.0)
         flags.append(bool(np.hypot(kb.x - gx, kb.y - gy) <= eps))
     n_corr = sum(flags)
     result.n_correct = n_corr

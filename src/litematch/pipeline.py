@@ -1,19 +1,21 @@
 """End-to-end glue: images -> keypoints -> descriptors -> matches -> metrics.
 
 :func:`match_images` is the one path that enhances, detects, describes and
-matches; :func:`evaluate_pair` runs it on a registered pair and scores the
-matches against the identity map, and the ``match`` command runs it on two
-image files.
+matches, with any function from [N, 1, S, S] float32 patches to [N, D] unit
+rows (:func:`model_descriptor` makes the model's). :func:`evaluate_pair`
+scores its matches under the pair's ground-truth map, and the ``match``
+command runs it on two image files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .config import RunConfig
-from .dataset import AlignedPair, identity_alignment
+from .dataset import AlignedPair
 from .detector import Keypoint, detect_keypoints
 from .image import GrayImage, clahe
 from .matching import DescriptorSet, MatchResult, match_nn, score
@@ -21,36 +23,36 @@ from .model import Model, forward
 from .patch import extract_patch, plain_margin
 from .tensor import Tensor
 
-DESCRIPTOR_BATCH = 64  # patches per model forward
+DESCRIPTOR_BATCH = 64  # patches per descriptor call
+Describe = Callable[[np.ndarray], np.ndarray]
 
 
 def enhance(img: GrayImage, cfg: RunConfig) -> GrayImage:
     return clahe(img, cfg.clahe_clip, cfg.clahe_grid)
 
 
+def model_descriptor(model: Model) -> Describe:
+    """The model's descriptor function. It looks ``forward`` up by this
+    module's name at each call, so a wrapper installed later sees every batch."""
+    return lambda patches: forward(model, Tensor(patches)).data
+
+
 def compute_descriptors(
-    model: Model, sides: list[tuple[GrayImage, list[Keypoint]]], cfg: RunConfig
+    describe: Describe, sides: list[tuple[GrayImage, list[Keypoint]]], cfg: RunConfig
 ) -> list[DescriptorSet]:
     """One descriptor set per ``(image, keypoints)`` side.
 
     The patches of all sides go through one loop of ``DESCRIPTOR_BATCH``
-    patch forwards, so small sides share a batch.
+    patch calls of ``describe``, so small sides share a batch. With no
+    keypoints at all it describes one empty stack.
     """
     located = [(img, kp) for img, keypoints in sides for kp in keypoints]
+    s = cfg.input_size
     rows = []
-    for lo in range(0, len(located), DESCRIPTOR_BATCH):
-        patches = np.stack(
-            [
-                extract_patch(img, kp, cfg.window, cfg.input_size).data
-                for img, kp in located[lo : lo + DESCRIPTOR_BATCH]
-            ]
-        )
-        rows.append(forward(model, Tensor(patches)).data)
-    descriptors = (
-        np.concatenate(rows)
-        if rows
-        else np.zeros((0, model.config.descriptor_dim), dtype=np.float32)
-    )
+    for lo in range(0, max(len(located), 1), DESCRIPTOR_BATCH):
+        batch = [extract_patch(img, kp, cfg.window, s).data for img, kp in located[lo : lo + DESCRIPTOR_BATCH]]
+        rows.append(describe(np.array(batch, dtype=np.float32).reshape(-1, 1, s, s)))
+    descriptors = np.concatenate(rows)
     ends = np.cumsum([len(keypoints) for _, keypoints in sides])
     return [
         DescriptorSet(list(keypoints), block)
@@ -59,7 +61,7 @@ def compute_descriptors(
 
 
 def match_images(
-    model: Model, img_a: GrayImage, img_b: GrayImage, cfg: RunConfig
+    describe: Describe, img_a: GrayImage, img_b: GrayImage, cfg: RunConfig
 ) -> tuple[MatchResult, DescriptorSet, DescriptorSet]:
     """Enhance, detect, describe and match two images of one scene."""
     sides = []
@@ -67,7 +69,7 @@ def match_images(
         enhanced = enhance(img, cfg)
         keypoints = detect_keypoints(enhanced, cfg.max_keypoints, border_margin=plain_margin(cfg.window))
         sides.append((enhanced, keypoints))
-    set_a, set_b = compute_descriptors(model, sides, cfg)
+    set_a, set_b = compute_descriptors(describe, sides, cfg)
     result = match_nn(set_a, set_b, threshold=cfg.threshold, mutual=cfg.mutual)
     return result, set_a, set_b
 
@@ -84,9 +86,9 @@ class PairEvaluation:
 
 
 def evaluate_pair(model: Model, pair: AlignedPair, cfg: RunConfig) -> tuple[PairEvaluation, MatchResult, DescriptorSet, DescriptorSet]:
-    """Match a registered pair against itself and score with identity truth."""
-    result, set_a, set_b = match_images(model, pair.visible, pair.nir, cfg)
-    precision, matching_score = score(result, set_a, set_b, identity_alignment, eps=cfg.eps)
+    """Match a pair's two images with the model and score under the pair's map."""
+    result, set_a, set_b = match_images(model_descriptor(model), pair.visible, pair.nir, cfg)
+    precision, matching_score = score(result, set_a, set_b, pair.to_nir, eps=cfg.eps)
     summary = PairEvaluation(
         name=pair.name,
         n_keypoints_a=len(set_a),

@@ -9,12 +9,12 @@ import pytest
 
 from litematch import dataset
 from litematch.dataset import (
+    IDENTITY_MAP,
     AlignedPair,
     DatasetManifest,
     TripletRecord,
     build_triplets,
     enhanced_pair,
-    identity_alignment,
     load_dataset,
     load_pairs,
     materialize_triplet,
@@ -135,7 +135,8 @@ def test_synth_pair_matches_the_whole_image_shape_loop(seed, size, blur_cpus):
 
 
 def test_synth_pair_identity_alignment():
-    assert identity_alignment(12.5, 40.25) == (12.5, 40.25)
+    assert synth_pair(1, size=256).to_nir is IDENTITY_MAP
+    assert tuple(IDENTITY_MAP @ (12.5, 40.25, 1.0)) == (12.5, 40.25)
 
 
 def test_synth_pair_rejects_small_size():
@@ -324,15 +325,23 @@ def test_split_keeps_the_manifest_header():
         assert (m.seed, m.window, m.out_size, m.clahe_clip, m.clahe_grid) == (9, 48, 32, 3.5, 4)
 
 
+def _pair_mapped_by(to_nir):
+    img = GrayImage(np.zeros((8, 8)))
+    return lambda d: AlignedPair("p", img, img, to_nir=to_nir)
+
+
 @pytest.mark.parametrize(
     "call, cause",
     [
         (lambda d: AlignedPair("p", GrayImage(np.zeros((8, 8))), GrayImage(np.zeros((8, 9)))),
          "pair p: image dimensions differ"),
+        (_pair_mapped_by(np.eye(3)), "pair p: the map to NIR is not a finite 2x3 affine"),
+        (_pair_mapped_by([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0]]), "pair p: the map to NIR is not a finite 2x3 affine"),
+        (_pair_mapped_by([[1.0, 0.0, 0.0], [0.0, np.inf, 0.0]]), "pair p: the map to NIR is not a finite 2x3 affine"),
         (load_dataset, "no manifest.json in {d}"),
         (load_pairs, "no *_vis.pgm files in {d}"),
     ],
-    ids=["pair-sizes-differ", "no-manifest", "no-pairs"],
+    ids=["pair-sizes-differ", "map-3x3", "map-nan", "map-inf", "no-manifest", "no-pairs"],
 )
 def test_a_missing_or_mismatched_source_is_named(tmp_path, call, cause):
     with pytest.raises(DatasetError, match="^" + re.escape(cause.format(d=tmp_path)) + "$"):

@@ -21,7 +21,7 @@ from litematch.errors import ConfigError
 from litematch.image import GrayImage, clahe
 from litematch.model import init_model
 from litematch.patch import plain_margin
-from litematch.pipeline import match_images
+from litematch.pipeline import match_images, model_descriptor
 from litematch.tensor import SGD
 from litematch.training import model_config_for, train_step
 
@@ -426,7 +426,7 @@ def test_helpers_run_no_litematch_code_but_the_chunk_loop(blur_cpus):
     threading.setprofile(profile)
     try:
         blur_cpus(2)
-        match_images(model, pair.visible, pair.nir, cfg)
+        match_images(model_descriptor(model), pair.visible, pair.nir, cfg)
         train_step(model, SGD(model.parameters()), batch, "corrected")
     finally:
         threading.setprofile(None)

@@ -85,7 +85,7 @@ def test_distance_matches_scalar_loop_reference():
     np.testing.assert_allclose(loss_value(desc), corrected, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(0, 8), (4, 8), (9,)], ids=["no-rows", "not-three-blocks", "1-d"])
+@pytest.mark.parametrize("shape", [(0, 8), (3, 0), (4, 8), (9,)], ids=["no-rows", "no-features", "not-three-blocks", "1-d"])
 def test_descriptor_shape_raises_dimension_error(shape):
     with pytest.raises(DimensionError, match="triplet_loss expects \\[3B, D\\]"):
         triplet_loss(Tensor(np.ones(shape)))

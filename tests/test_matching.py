@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litematch.dataset import identity_alignment
+from litematch.dataset import IDENTITY_MAP
 from litematch.detector import Keypoint
 from litematch.errors import DimensionError, MatchingError
 from litematch.image import GrayImage
@@ -66,7 +66,7 @@ def test_self_match_identity():
     for n, pair in enumerate(result.pairs):
         assert pair.index_a == pair.index_b == n
         assert pair.distance <= 1e-6
-    precision, ms = score(result, s, s, identity_alignment)
+    precision, ms = score(result, s, s, IDENTITY_MAP)
     assert precision == 1.0 and ms == 1.0
 
 
@@ -105,7 +105,7 @@ def test_empty_set_gives_empty_result():
         for mutual in (False, True):
             result = match_nn(a, b, threshold=0.7, mutual=mutual)
             assert result.pairs == [] and result.n_total_keypoints == 0
-            assert score(result, a, b, lambda x, y: (x, y)) == (0.0, 0.0)
+            assert score(result, a, b, IDENTITY_MAP) == (0.0, 0.0)
     # the argument checks still apply to an empty side
     with pytest.raises(MatchingError):
         match_nn(s, empty, threshold=0.0)
@@ -122,7 +122,7 @@ def test_threshold_and_eps_must_be_positive_and_finite(value):
         match_nn(a, b, threshold=value)
     result = match_nn(a, b, threshold=0.5)
     with pytest.raises(MatchingError, match=f"^eps must be positive and finite, got {value}$"):
-        score(result, a, b, identity_alignment, eps=value)
+        score(result, a, b, IDENTITY_MAP, eps=value)
 
 
 @pytest.mark.parametrize(
@@ -176,7 +176,7 @@ def test_score_worked_example():
     result = match_nn(a, b, threshold=0.5)
     kept = {p.index_a for p in result.pairs}
     assert kept == set(range(8))
-    precision, ms = score(result, a, b, identity_alignment, eps=5.0)
+    precision, ms = score(result, a, b, IDENTITY_MAP, eps=5.0)
     assert precision == pytest.approx(0.75)
     assert ms == pytest.approx(0.6)
 
@@ -186,19 +186,64 @@ def test_score_invariant_to_pair_order():
     a = random_set(rng, 30, 8)
     b = random_set(rng, 30, 8)
     result = match_nn(a, b, threshold=1.2)
-    p1, m1 = score(result, a, b, identity_alignment, eps=50.0)
+    p1, m1 = score(result, a, b, IDENTITY_MAP, eps=50.0)
     shuffled = match_nn(a, b, threshold=1.2)
     order = rng.permutation(len(shuffled.pairs))
     shuffled.pairs = [shuffled.pairs[i] for i in order]
-    p2, m2 = score(shuffled, a, b, identity_alignment, eps=50.0)
+    p2, m2 = score(shuffled, a, b, IDENTITY_MAP, eps=50.0)
     assert p1 == p2 and m1 == m2
+
+
+def _similarity(angle_deg, scale, tx, ty):
+    c = scale * math.cos(math.radians(angle_deg))
+    s = scale * math.sin(math.radians(angle_deg))
+    return np.array([[c, -s, tx], [s, c, ty]])
+
+
+def test_score_under_a_similarity_is_identity_scoring_of_moved_keypoints():
+    # each B keypoint sits a known distance from its A keypoint's image under
+    # the map: correct exactly when that distance is within eps
+    rng = np.random.default_rng(8)
+    to_b = _similarity(10.0, 1.1, 12.5, -7.25)
+    offsets = [0.0, 1.0, 3.0, 4.9, 5.1, 6.0, 20.0, 2.5]
+    n = len(offsets)
+    a_kps = [Keypoint(float(x), float(y), 1.6, 1.0) for x, y in rng.uniform(40, 360, (n, 2))]
+    moved = [Keypoint(*(to_b @ (k.x, k.y, 1.0)), 1.6, 1.0) for k in a_kps]
+    b_kps = [Keypoint(k.x + r * math.cos(t), k.y + r * math.sin(t), 1.6, 1.0)
+             for k, r, t in zip(moved, offsets, rng.uniform(0, 2 * math.pi, n))]
+    rows = np.eye(n, dtype=np.float32)
+    a, b, a_moved = DescriptorSet(a_kps, rows), DescriptorSet(b_kps, rows), DescriptorSet(moved, rows)
+    result = match_nn(a, b)
+    assert [(p.index_a, p.index_b) for p in result.pairs] == [(i, i) for i in range(n)]
+    precision, ms = score(result, a, b, to_b, eps=5.0)
+    expected = [r <= 5.0 for r in offsets]
+    assert result.correct_flags == expected
+    assert precision == ms == sum(expected) / n
+    by_hand = match_nn(a_moved, b)
+    assert score(by_hand, a_moved, b, IDENTITY_MAP, eps=5.0) == (precision, ms)
+    assert by_hand.correct_flags == expected
+    # the map matters: under the identity no match is correct
+    assert score(result, a, b, IDENTITY_MAP, eps=5.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "to_b",
+    [np.eye(3), [[1.0, 0.0, np.nan], [0.0, 1.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, np.inf, 0.0]]],
+    ids=["3x3", "nan", "inf"],
+)
+def test_score_refuses_a_map_that_is_not_a_finite_2x3_affine(to_b):
+    rng = np.random.default_rng(9)
+    a = random_set(rng, 4, 8)
+    result = match_nn(a, a)
+    with pytest.raises(MatchingError, match="^the ground-truth map must be a finite 2x3 affine$"):
+        score(result, a, a, to_b)
 
 
 def test_write_matches_format(tmp_path):
     rng = np.random.default_rng(5)
     s = random_set(rng, 5, 8)
     result = match_nn(s, s, threshold=0.5)
-    score(result, s, s, identity_alignment)
+    score(result, s, s, IDENTITY_MAP)
     out = tmp_path / "matches.tsv"
     write_matches(out, result, s, s)
     lines = out.read_text().strip().split("\n")
@@ -217,7 +262,7 @@ def test_annotate_matches_segments():
     a = DescriptorSet(keypoints=kps_a, descriptors=desc)
     b = DescriptorSet(keypoints=kps_b, descriptors=desc)
     result = match_nn(a, b, threshold=0.5)
-    score(result, a, b, identity_alignment, eps=5.0)
+    score(result, a, b, IDENTITY_MAP, eps=5.0)
     img = annotate_matches(vis, nir, result, a, b)
     assert img.shape == (64, 128, 3)
     # correct match drawn green at both endpoints (B pane offset by 64)
@@ -237,7 +282,7 @@ def test_annotate_empty_result_no_segments():
     b = DescriptorSet(keypoints=kps, descriptors=far)
     result = match_nn(a, b, threshold=0.5)  # distance sqrt(2) rejected
     assert result.n_success == 0
-    score(result, a, b, identity_alignment)
+    score(result, a, b, IDENTITY_MAP)
     img = annotate_matches(vis, vis, result, a, b)
     gray = np.unique(img)
     assert set(gray.tolist()) <= {0, 7}
